@@ -26,7 +26,7 @@ from .chaos import (
     variance,
 )
 from .combinat import gamma_m
-from .config import Caps, DEFAULT_CAPS, worker_count
+from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, ChaoslabError, DomainError, FormatError
 from .kernels import (
     Kernel,
@@ -86,7 +86,6 @@ __all__ = [
     "tensor_square_residual",
     "to_table",
     "variance",
-    "worker_count",
     "y_moment",
     "zero_kernel",
 ]

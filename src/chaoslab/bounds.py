@@ -9,7 +9,9 @@ and a Kolmogorov analog with fourth-moment-dependent prefactors.  All
 constants are explicit.  ``abstract_bounds`` evaluates the underlying
 term-by-term inequalities for arbitrary centered functionals; the
 Hoeffding/degenerate-U-statistic route gives an independent bound with a
-configurable constant.
+configurable constant.  For binary coordinates each Hoeffding component
+is a single Walsh term, so the decomposition is read off the coefficient
+array of one ``basis_coefficients`` transform.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 from .chaos import (
     ChaosVector,
     ValueTable,
-    conditional_expectation,
+    basis_coefficients,
     expectation,
+    split_coordinate,
     to_table,
     variance as table_variance,
 )
@@ -234,15 +237,19 @@ def abstract_bounds(
     sup_term = sup_flip_pairing(table, per_k, model, caps)
 
     # middle Kolmogorov term, with the sign-conditional weight (q on +, p on -)
-    idx = np.arange(2**n)
     abs_f = np.abs(table.values)
     mid = np.zeros(2**n)
     mid2_sq = np.zeros(2**n)
     inner_sq = 0.0
     for k in range(n):
-        cond = np.where((idx >> k) & 1, model.q[k], model.p[k])
-        mid += df[k] ** 2 * np.abs(dlinv[k]) * cond / model.pq[k] ** 1.5
-        mid2_sq += df[k] ** 2 * cond / model.pq[k]
+        square = df[k] ** 2
+        cubic = square * np.abs(dlinv[k])
+        for t in (cubic, square):
+            minus, plus = split_coordinate(t, k)
+            minus *= model.p[k]
+            plus *= model.q[k]
+        mid += cubic / model.pq[k] ** 1.5
+        mid2_sq += square / model.pq[k]
         inner_sq += float(np.dot(w, df[k] ** 2 * dlinv[k] ** 2)) / model.pq[k]
     term_mid = 0.25 * float(np.dot(w, (abs_f + math.sqrt(2.0 * math.pi) / 4.0) * mid))
     kb1 = term_gamma_abs + term_mid + sup_term
@@ -315,38 +322,30 @@ class HoeffdingDecomposition:
 def hoeffding_decompose(
     W: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAPS
 ) -> HoeffdingDecomposition:
-    """Inclusion-exclusion over conditional expectations.
+    """Hoeffding components read off the Walsh coefficients.
 
-    W_J = sum_{K subset J} (-1)^{|J|-|K|} E[W | coordinates in K].
-    Components indexed by subsets of coordinates W does not depend on
-    vanish identically and are omitted.
+    For independent binary coordinates the component on J is a single
+    basis term, W_J = E[W * Y_J] Y_J.  Components indexed by subsets of
+    coordinates W does not depend on vanish identically and are omitted.
     """
     if model.n != W.horizon:
         raise DomainError("model and table horizons differ")
     n = model.n
-    idx = np.arange(2**n)
-    dependent = [
-        k
-        for k in range(n)
-        if float(np.abs(W.values[idx | (1 << k)] - W.values[idx & ~(1 << k)]).max())
-        > 0.0
-    ]
-    cond: dict[frozenset, np.ndarray] = {}
-
-    def cond_exp(K: frozenset) -> np.ndarray:
-        if K not in cond:
-            cond[K] = conditional_expectation(W, model, K, caps).values
-        return cond[K]
-
+    dependent = []
+    for k in range(n):
+        minus, plus = split_coordinate(W.values, k)
+        if np.any(plus != minus):
+            dependent.append(k)
+    coeffs = basis_coefficients(W, model)
     components: dict[tuple[int, ...], ValueTable] = {}
     for size in range(len(dependent) + 1):
         for J in combinations(dependent, size):
-            acc = np.zeros(2**n)
-            for ksize in range(size + 1):
-                for K in combinations(J, ksize):
-                    sign = -1.0 if (size - ksize) % 2 else 1.0
-                    acc += sign * cond_exp(frozenset(K))
-            components[J] = ValueTable(n, acc)
+            term = np.full(2**n, coeffs[sum(1 << i for i in J)])
+            for i in J:
+                minus, plus = split_coordinate(term, i)
+                minus *= model.y_minus[i]
+                plus *= model.y_plus[i]
+            components[J] = ValueTable(n, term)
     return HoeffdingDecomposition(n, components, tuple(dependent))
 
 

@@ -5,13 +5,18 @@ finite hypercube (bitmask order, see ``model``).  A ``ChaosVector`` is a
 finite orthogonal decomposition: one kernel per order ``0..M``, i.e.
 ``F = sum_r r! sum_J f_{r,J} Y_J``.
 
-The two representations convert exactly both ways:
+Both representations meet in one dense array: the coefficients
+``E[F * Y_S]`` of the orthonormal product basis {Y_S}, indexed by the
+bitmask of S.  A single per-coordinate butterfly, O(n 2^n), maps a table
+to that array (``basis_coefficients``) and back (``basis_synthesis``):
 
-* ``to_table`` evaluates the defining sum outcome by outcome;
-* ``stroock_decompose`` extracts every kernel coefficient as
-  ``f_r(J) = E[F * Y_J] / r!`` using a per-coordinate butterfly over the
-  orthonormal product basis {Y_J}, which costs O(n 2^n) instead of one
-  inner product per subset.
+* ``to_table`` and ``integral_table`` place ``r! f_r(J)`` at bitmask J
+  and synthesize once;
+* ``stroock_decompose`` analyzes once and reads ``f_r(J) = E[F Y_J] / r!``
+  off the array.
+
+Every per-coordinate operation goes through ``split_coordinate``, which
+views a table as its ``X_k = -1`` and ``X_k = +1`` halves.
 """
 
 from __future__ import annotations
@@ -84,6 +89,22 @@ def variance(table: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAP
     return expectation(table * table, model, caps) - mu * mu
 
 
+def split_coordinate(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``X_k = -1`` and ``X_k = +1`` halves of a 2**n table, as views.
+
+    Bit k of an outcome index selects the middle axis of the reshape
+    ``(2**(n-k-1), 2, 2**k)``; writing to a half writes to ``values``.
+    ``join_coordinate`` is the inverse.
+    """
+    v = values.reshape(-1, 2, 1 << k)
+    return v[:, 0, :], v[:, 1, :]
+
+
+def join_coordinate(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """Flat table whose ``X_k = -1`` half is ``minus`` and ``+1`` half is ``plus``."""
+    return np.stack([minus, plus], axis=1).reshape(-1)
+
+
 def conditional_expectation(
     table: ValueTable, model: RademacherModel, keep: set[int] | frozenset[int],
     caps: Caps = DEFAULT_CAPS,
@@ -91,14 +112,14 @@ def conditional_expectation(
     """Average out every coordinate not in ``keep`` under the model."""
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
-    vals = table.values
-    idx = np.arange(2**table.horizon)
+    vals = table.values.copy()
     for k in range(model.n):
         if k in keep:
             continue
-        up = vals[idx | (1 << k)]
-        down = vals[idx & ~(1 << k)]
-        vals = model.p[k] * up + model.q[k] * down
+        minus, plus = split_coordinate(vals, k)
+        mean = model.p[k] * plus + model.q[k] * minus
+        minus[...] = mean
+        plus[...] = mean
     return ValueTable(table.horizon, vals)
 
 
@@ -192,16 +213,7 @@ def integral_table(f: Kernel, model: RademacherModel, caps: Caps = DEFAULT_CAPS)
     """Exact table of the multiple integral of one kernel."""
     if model.n != f.horizon:
         raise DomainError("kernel and model horizons differ")
-    model.check_enumerable(caps)
-    size = 2**model.n
-    ys = [model.y_table(k) for k in range(model.n)]
-    acc = np.zeros(size)
-    for key, v in f.coeffs.items():
-        term = np.full(size, v)
-        for i in key:
-            term = term * ys[i]
-        acc += term
-    return ValueTable(model.n, math.factorial(f.order) * acc)
+    return to_table(ChaosVector.from_kernel(f), model, caps)
 
 
 def to_table(F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS) -> ValueTable:
@@ -209,11 +221,7 @@ def to_table(F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS) 
     if model.n != F.horizon:
         raise DomainError("chaos vector and model horizons differ")
     model.check_enumerable(caps)
-    acc = np.zeros(2**model.n)
-    for kern in F.kernels:
-        if not kern.is_zero():
-            acc += integral_table(kern, model, caps).values
-    return ValueTable(model.n, acc)
+    return basis_synthesis(coefficient_array(F), model)
 
 
 # -- orthonormal basis transform -------------------------------------------
@@ -229,15 +237,12 @@ def basis_coefficients(table: ValueTable, model: RademacherModel) -> np.ndarray:
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
     c = table.values.copy()
-    n = model.n
-    idx = np.arange(2**n)
-    for k in range(n):
-        hi = (idx >> k) & 1 == 1
-        up = c[idx | (1 << k)]
-        down = c[idx & ~(1 << k)]
-        a = model.p[k] * up + model.q[k] * down
-        b = model.sqrt_pq[k] * (up - down)
-        c = np.where(hi, b, a)
+    for k in range(model.n):
+        minus, plus = split_coordinate(c, k)
+        mean = model.p[k] * plus + model.q[k] * minus
+        plus -= minus
+        plus *= model.sqrt_pq[k]
+        minus[...] = mean
     return c
 
 
@@ -247,15 +252,31 @@ def basis_synthesis(coeffs: np.ndarray, model: RademacherModel) -> ValueTable:
     n = model.n
     if v.shape != (2**n,):
         raise DomainError("coefficient array size does not match the model")
-    idx = np.arange(2**n)
     for k in range(n):
-        hi = (idx >> k) & 1 == 1
-        a = v[idx & ~(1 << k)]
-        b = v[idx | (1 << k)]
-        plus = a + b * model.y_plus[k]
-        minus = a + b * model.y_minus[k]
-        v = np.where(hi, plus, minus)
+        minus, plus = split_coordinate(v, k)
+        at_plus = minus + plus * model.y_plus[k]
+        minus += plus * model.y_minus[k]
+        plus[...] = at_plus
     return ValueTable(n, v)
+
+
+def coefficient_array(F: ChaosVector) -> np.ndarray:
+    """Basis coefficients E[F * Y_J] = r! f_r(J) of a chaos vector, by bitmask."""
+    c = np.zeros(2**F.horizon)
+    for r, kern in enumerate(F.kernels):
+        fac = math.factorial(r)
+        for key, v in kern.coeffs.items():
+            c[sum(1 << i for i in key)] = fac * v
+    return c
+
+
+def subset_orders(n: int) -> np.ndarray:
+    """The size |S| of every subset S of n coordinates, by bitmask."""
+    r = np.zeros(2**n)
+    for k in range(n):
+        _, plus = split_coordinate(r, k)
+        plus += 1.0
+    return r
 
 
 def _mask_to_subset(mask: int) -> tuple[int, ...]:

@@ -8,8 +8,7 @@ suite at desk scale.  All functions that enforce a cap accept an explicit
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -32,21 +31,3 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-
-def with_enum_cap(caps: Caps, enum_cap: int) -> Caps:
-    return replace(caps, enum_cap=enum_cap)
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Worker count for embarrassingly parallel suites.
-
-    ``CHAOSLAB_THREADS`` caps the result; unset means no cap.
-    """
-    want = requested if requested is not None else (os.cpu_count() or 1)
-    cap = os.environ.get("CHAOSLAB_THREADS")
-    if cap is not None:
-        try:
-            want = min(want, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, want)

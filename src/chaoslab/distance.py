@@ -77,17 +77,11 @@ def from_weighted_values(values: np.ndarray, weights: np.ndarray) -> Distributio
     order = np.argsort(values, kind="stable")
     v = np.asarray(values, dtype=float)[order]
     w = np.asarray(weights, dtype=float)[order]
-    # new group whenever the gap to the previous (kept) value exceeds the
+    # new group whenever the gap to the previous sorted value exceeds the
     # merge tolerance; chained sub-tolerance steps merge into one atom
-    starts = [0]
-    last = v[0]
-    for i in range(1, len(v)):
-        if v[i] - last > _MERGE_TOL:
-            starts.append(i)
-            last = v[i]
-    starts_arr = np.array(starts)
-    atoms = v[starts_arr]
-    probs = np.add.reduceat(w, starts_arr)
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(v) > _MERGE_TOL) + 1])
+    atoms = v[starts]
+    probs = np.add.reduceat(w, starts)
     probs = probs / math.fsum(probs)
     return DistributionTable(atoms, probs)
 
@@ -140,16 +134,13 @@ def _segment(a: float, b: float, level: float) -> float:
     return left + right
 
 
-def wasserstein_to_normal(dist: DistributionTable, tolerance: float = 1e-8) -> float:
+def wasserstein_to_normal(dist: DistributionTable) -> float:
     """L1 distance between the law's CDF and Phi over the whole line.
 
     Segments between consecutive atoms integrate |level - Phi| in closed
     form, and both tails are exact, so the result is limited only by
-    rounding; ``tolerance`` is an accuracy budget the closed form always
-    meets and is kept for interface stability.
+    rounding.
     """
-    if tolerance <= 0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
     atoms = dist.atoms
     levels = dist.cdf_levels
     total = _integral_cdf_below(float(atoms[0]))

@@ -1,9 +1,13 @@
 """Discrete Malliavin operators on exact tables and chaos vectors.
 
 Pathwise operators act on ``ValueTable`` entries through one-coordinate
-flips; spectral operators act on ``ChaosVector`` kernels by scaling each
-order.  At a finite horizon every functional has a finite decomposition,
-so no domain conditions beyond horizon checks are needed.
+flips, taken on the two halves that ``split_coordinate`` views; spectral
+operators act on ``ChaosVector`` kernels by scaling each order.  The
+squared field ``gamma`` works on the dense Walsh coefficient array: it
+synthesizes tables, multiplies them, analyzes the product and applies the
+generator as a scaling by ``-|S|``.  At a finite horizon every functional
+has a finite decomposition, so no domain conditions beyond horizon checks
+are needed.
 """
 
 from __future__ import annotations
@@ -13,15 +17,17 @@ import numpy as np
 from .chaos import (
     ChaosVector,
     ValueTable,
-    multiply,
+    basis_coefficients,
+    basis_synthesis,
+    join_coordinate,
+    split_coordinate,
+    subset_orders,
     to_table,
 )
 from .config import Caps, DEFAULT_CAPS
 from .errors import DomainError
 from .kernels import Kernel
 from .model import RademacherModel
-
-_AGREEMENT_TOL = 1e-11
 
 
 def _check_coord(table: ValueTable, k: int) -> None:
@@ -32,15 +38,15 @@ def _check_coord(table: ValueTable, k: int) -> None:
 def shift_plus(table: ValueTable, k: int) -> ValueTable:
     """Table of F with coordinate k forced to +1."""
     _check_coord(table, k)
-    idx = np.arange(2**table.horizon)
-    return ValueTable(table.horizon, table.values[idx | (1 << k)])
+    _, plus = split_coordinate(table.values, k)
+    return ValueTable(table.horizon, join_coordinate(plus, plus))
 
 
 def shift_minus(table: ValueTable, k: int) -> ValueTable:
     """Table of F with coordinate k forced to -1."""
     _check_coord(table, k)
-    idx = np.arange(2**table.horizon)
-    return ValueTable(table.horizon, table.values[idx & ~(1 << k)])
+    minus, _ = split_coordinate(table.values, k)
+    return ValueTable(table.horizon, join_coordinate(minus, minus))
 
 
 def d_plus(table: ValueTable, k: int) -> ValueTable:
@@ -61,8 +67,9 @@ def d(table: ValueTable, k: int, model: RademacherModel) -> ValueTable:
     _check_coord(table, k)
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
-    diff = shift_plus(table, k) - shift_minus(table, k)
-    return float(model.sqrt_pq[k]) * diff
+    minus, plus = split_coordinate(table.values, k)
+    grad = (plus - minus) * float(model.sqrt_pq[k])
+    return ValueTable(table.horizon, join_coordinate(grad, grad))
 
 
 def gradient(table: ValueTable, model: RademacherModel) -> list[ValueTable]:
@@ -70,28 +77,22 @@ def gradient(table: ValueTable, model: RademacherModel) -> list[ValueTable]:
 
 
 def ou_generator_pathwise(table: ValueTable, model: RademacherModel) -> ValueTable:
-    """Generator of the number-operator semigroup, evaluated pathwise.
+    """Generator of the number-operator semigroup, evaluated pathwise as
+    sum_k (q_k D_k^- F + p_k D_k^+ F).
 
-    Both representations are computed and cross-checked:
-        -sum_k Y_k D_k F   and   sum_k (q_k D_k^- F + p_k D_k^+ F).
+    D_k^+ F vanishes where X_k = +1 and D_k^- F where X_k = -1, so
+    coordinate k adds p_k (F+ - F-) on one half and q_k (F- - F+) on the
+    other.
     """
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
-    n = table.horizon
-    acc_y = np.zeros(2**n)
-    acc_pm = np.zeros(2**n)
-    for k in range(n):
-        dk = d(table, k, model).values
-        acc_y -= model.y_table(k) * dk
-        acc_pm += model.q[k] * d_minus(table, k).values
-        acc_pm += model.p[k] * d_plus(table, k).values
-    scale = 1.0 + float(np.abs(table.values).max())
-    gap = float(np.abs(acc_y - acc_pm).max())
-    if gap > _AGREEMENT_TOL * scale:
-        raise ArithmeticError(
-            f"pathwise generator representations disagree by {gap:.3e}"
-        )
-    return ValueTable(n, acc_y)
+    acc = np.zeros(2**table.horizon)
+    for k in range(model.n):
+        minus, plus = split_coordinate(table.values, k)
+        acc_minus, acc_plus = split_coordinate(acc, k)
+        acc_minus += model.p[k] * (plus - minus)
+        acc_plus += model.q[k] * (minus - plus)
+    return ValueTable(table.horizon, acc)
 
 
 def ou_generator_spectral(F: ChaosVector) -> ChaosVector:
@@ -121,30 +122,25 @@ def minus_pseudo_inverse(F: ChaosVector) -> ChaosVector:
 def gamma0(
     F: ValueTable, G: ValueTable, model: RademacherModel
 ) -> ValueTable:
-    """Pathwise squared-field form built from one-coordinate differences.
+    """Pathwise squared-field form built from one-coordinate differences:
+    (1/2) sum_k (q_k D_k^-F D_k^-G + p_k D_k^+F D_k^+G).
 
-    Primary form: (1/2) sum_k (q_k D_k^-F D_k^-G + p_k D_k^+F D_k^+G).
-    The equivalent representation sum_k D_kF D_kG (1 + skew_k Y_k / 2)
-    is evaluated alongside and must agree.
+    Only D_k^+ survives where X_k = -1 and only D_k^- where X_k = +1; both
+    products there equal (F+ - F-)(G+ - G-).
     """
     if F.horizon != G.horizon:
         raise DomainError("tables live on different horizons")
     if model.n != F.horizon:
         raise DomainError("model and table horizons differ")
-    n = model.n
-    acc = np.zeros(2**n)
-    acc_y = np.zeros(2**n)
-    for k in range(n):
-        dm = d_minus(F, k).values * d_minus(G, k).values
-        dp = d_plus(F, k).values * d_plus(G, k).values
-        acc += 0.5 * (model.q[k] * dm + model.p[k] * dp)
-        dd = d(F, k, model).values * d(G, k, model).values
-        acc_y += dd * (1.0 + 0.5 * model.skew[k] * model.y_table(k))
-    scale = 1.0 + F.max_abs() * G.max_abs()
-    gap = float(np.abs(acc - acc_y).max())
-    if gap > _AGREEMENT_TOL * scale:
-        raise ArithmeticError(f"squared-field representations disagree by {gap:.3e}")
-    return ValueTable(n, acc)
+    acc = np.zeros(2**model.n)
+    for k in range(model.n):
+        f_minus, f_plus = split_coordinate(F.values, k)
+        g_minus, g_plus = split_coordinate(G.values, k)
+        prod = (f_plus - f_minus) * (g_plus - g_minus)
+        acc_minus, acc_plus = split_coordinate(acc, k)
+        acc_minus += 0.5 * (model.p[k] * prod)
+        acc_plus += 0.5 * (model.q[k] * prod)
+    return ValueTable(model.n, acc)
 
 
 def gamma(
@@ -155,15 +151,15 @@ def gamma(
 ) -> ValueTable:
     """Carre du champ (1/2)(L(FG) - F LG - G LF), evaluated exactly.
 
-    The product is decomposed through tables, the generator is applied
-    spectrally, and the three pieces are re-evaluated pointwise.
+    The product table is analyzed once; on its Walsh coefficient array
+    the generator scales E[FG Y_S] by -|S| before one synthesis.
     """
-    prod = multiply(F, G, model, caps)
-    l_prod = to_table(ou_generator_spectral(prod), model, caps)
     f_t = to_table(F, model, caps)
     g_t = to_table(G, model, caps)
     lf = to_table(ou_generator_spectral(F), model, caps)
     lg = to_table(ou_generator_spectral(G), model, caps)
+    prod = basis_coefficients(f_t * g_t, model)
+    l_prod = basis_synthesis(-subset_orders(model.n) * prod, model)
     vals = 0.5 * (l_prod.values - f_t.values * lg.values - g_t.values * lf.values)
     return ValueTable(model.n, vals)
 

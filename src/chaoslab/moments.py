@@ -26,8 +26,11 @@ from .chaos import (
     ChaosVector,
     ValueTable,
     expectation,
+    integral_table,
+    join_coordinate,
     multiply,
     project,
+    split_coordinate,
     to_table,
     variance as table_variance,
 )
@@ -185,7 +188,7 @@ def var_projection_sum(
         t = to_table(project(sq, r), model, caps)
         table_cache[r] = t
         variances.append(table_variance(t, model, caps))
-    f_table = to_table(F, model, caps)
+    f_table = integral_table(f, model, caps)
     second = moment(f_table, 2, model, caps)
     fourth = moment(f_table, 4, model, caps)
     bound = fourth - 3.0 * second**2 + second * gamma_m(m) * f.sup_influence()
@@ -274,17 +277,15 @@ def sup_flip_pairing(
     if len(per_coordinate) != model.n:
         raise DomainError("need one weighting table per coordinate")
     w = model.weights(caps)
-    idx = np.arange(2**model.n)
     thresholds = []
     deltas = []
     for k in range(model.n):
         v = np.asarray(per_coordinate[k], dtype=float)
         c = w * v * model.sqrt_pq[k]
-        up = F.values[idx | (1 << k)]
-        down = F.values[idx & ~(1 << k)]
-        thresholds.append(up)
+        minus, plus = split_coordinate(F.values, k)
+        thresholds.append(join_coordinate(plus, plus))
         deltas.append(c)
-        thresholds.append(down)
+        thresholds.append(join_coordinate(minus, minus))
         deltas.append(-c)
     thr = np.concatenate(thresholds)
     dlt = np.concatenate(deltas)

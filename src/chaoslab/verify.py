@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +30,7 @@ from .chaos import (
     variance as table_variance,
 )
 from .combinat import gamma_m
-from .config import Caps, DEFAULT_CAPS, worker_count
+from .config import Caps, DEFAULT_CAPS
 from .kernels import (
     Kernel,
     off_diagonal_defect,
@@ -840,11 +839,5 @@ CHECKS: tuple[Check, ...] = tuple(
 
 
 def run_suite(seed: int = 0, caps: Caps = DEFAULT_CAPS, names: list[str] | None = None) -> list[CheckResult]:
-    selected = [c for c in CHECKS if names is None or c.name in names]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: c.run(seed, caps), selected))
-    else:
-        results = [c.run(seed, caps) for c in selected]
+    results = [c.run(seed, caps) for c in CHECKS if names is None or c.name in names]
     return sorted(results, key=lambda r: r.name)

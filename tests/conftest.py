@@ -1,14 +1,16 @@
 """Shared helpers: instance generators and slow independent oracles.
 
-The oracles here deliberately avoid the library's vectorized paths: they
-loop over outcomes and tuples directly, so agreement with the fast
-engines is meaningful.
+The oracles here deliberately avoid the library's fast paths: they loop
+over outcomes and tuples directly, or take the slower route the library
+replaced (one product table per subset, inclusion-exclusion over
+conditional expectations, the alternative pathwise forms of the generator
+and the squared field), so agreement with the fast engines is meaningful.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from chaoslab import (
     ChaosVector,
     Kernel,
     RademacherModel,
+    ValueTable,
+    conditional_expectation,
     enumerate_outcomes,
     evaluate_integral,
     random_kernel,
 )
+from chaoslab.malliavin import d
 
 
 def random_model(rng, n, lo=0.1, hi=0.9) -> RademacherModel:
@@ -88,6 +93,55 @@ def oracle_tensor_square_norms(f: Kernel, horizon: int) -> tuple[float, float]:
         if len(set(tup)) != len(tup):
             diag += v * v
     return full, diag
+
+
+def oracle_integral_table(f: Kernel, model: RademacherModel) -> np.ndarray:
+    """Multiple integral table as a sum of one product table per subset."""
+    size = 2**model.n
+    ys = [model.y_table(k) for k in range(model.n)]
+    acc = np.zeros(size)
+    for key, v in f.coeffs.items():
+        term = np.full(size, v)
+        for i in key:
+            term = term * ys[i]
+        acc += term
+    return math.factorial(f.order) * acc
+
+
+def oracle_hoeffding(W: ValueTable, model: RademacherModel) -> dict:
+    """Hoeffding components by inclusion-exclusion over conditional
+    expectations, W_J = sum_{K subset J} (-1)^{|J|-|K|} E[W | K], for every
+    J over all coordinates."""
+    n = model.n
+    cond = {}
+    out = {}
+    for size in range(n + 1):
+        for J in combinations(range(n), size):
+            acc = np.zeros(2**n)
+            for ksize in range(size + 1):
+                for K in combinations(J, ksize):
+                    if K not in cond:
+                        cond[K] = conditional_expectation(W, model, set(K)).values
+                    acc += (-1.0 if (size - ksize) % 2 else 1.0) * cond[K]
+            out[J] = acc
+    return out
+
+
+def oracle_generator(table: ValueTable, model: RademacherModel) -> np.ndarray:
+    """Pathwise generator in the form -sum_k Y_k D_k F."""
+    acc = np.zeros(2**model.n)
+    for k in range(model.n):
+        acc -= model.y_table(k) * d(table, k, model).values
+    return acc
+
+
+def oracle_squared_field(F: ValueTable, G: ValueTable, model: RademacherModel) -> np.ndarray:
+    """Squared field in the form sum_k D_kF D_kG (1 + skew_k Y_k / 2)."""
+    acc = np.zeros(2**model.n)
+    for k in range(model.n):
+        dd = d(F, k, model).values * d(G, k, model).values
+        acc += dd * (1.0 + 0.5 * model.skew[k] * model.y_table(k))
+    return acc
 
 
 def assert_kernels_close(a: Kernel, b: Kernel, tol: float):

@@ -248,22 +248,3 @@ class TestCli:
         )
         assert report["term_influence"] > report["term_fourth_moment"]
 
-
-def test_worker_count_respects_env(monkeypatch):
-    from chaoslab import worker_count
-
-    monkeypatch.setenv("CHAOSLAB_THREADS", "2")
-    assert worker_count(8) == 2
-    monkeypatch.setenv("CHAOSLAB_THREADS", "not-a-number")
-    assert worker_count(3) == 3
-    monkeypatch.delenv("CHAOSLAB_THREADS")
-    assert worker_count(5) == 5
-
-
-def test_verify_suite_single_worker_matches(monkeypatch):
-    from chaoslab import verify
-
-    base = [r.to_dict() for r in verify.run_suite(seed=11)]
-    monkeypatch.setenv("CHAOSLAB_THREADS", "1")
-    serial = [r.to_dict() for r in verify.run_suite(seed=11)]
-    assert base == serial
