@@ -8,6 +8,7 @@ status is 0 only if every assertion made by the invoked command passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -28,14 +29,9 @@ def _emit(data: dict, as_json: bool) -> None:
 
 
 def _caps_from_args(args) -> Caps:
-    caps = DEFAULT_CAPS
-    if getattr(args, "cap_enum", None) is not None:
-        caps = Caps(
-            enum_cap=args.cap_enum,
-            stroock_cap=DEFAULT_CAPS.stroock_cap,
-            factorized_support_cap=DEFAULT_CAPS.factorized_support_cap,
-        )
-    return caps
+    if getattr(args, "cap_enum", None) is None:
+        return DEFAULT_CAPS
+    return dataclasses.replace(DEFAULT_CAPS, enum_cap=args.cap_enum)
 
 
 def _load_pair(args) -> tuple[RademacherModel, "io.Kernel"]:

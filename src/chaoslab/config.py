@@ -1,7 +1,7 @@
 """Size caps and tunables.
 
 Every cap guards an exact computation whose cost is exponential in the
-horizon (or quartic in support size); the defaults keep the full identity
+horizon (or polynomial in support size); the defaults keep the full identity
 suite at desk scale.  All functions that enforce a cap accept an explicit
 ``Caps`` so callers can raise or lower limits per call.
 """
@@ -18,8 +18,9 @@ class Caps:
     # chaos extraction touches all 2**n coefficient slots; kept lower
     # because downstream consumers iterate the resulting kernels
     stroock_cap: int = 14
-    # quadruple expansion of the factorized fourth moment is O(S**4)
-    # in the number S of support subsets
+    # the product-formula fourth moment is O(S**2 2**m) in the number S
+    # of support subsets of order <= m; the benchmark derives its sparse
+    # workload sizes from this default
     factorized_support_cap: int = 60
     # success probabilities are clamped away from {0, 1} so sqrt(p/q)
     # stays representable

@@ -175,7 +175,7 @@ def random_kernel(
 
     ``seed`` may be anything ``np.random.default_rng`` accepts, including a
     Generator.  ``density < 1`` keeps a random fraction of the subsets,
-    which keeps quadruple-expansion engines cheap at larger horizons.
+    which gives sparse supports of mixed overlap at any horizon.
     """
     if m > n:
         raise DomainError(f"order {m} exceeds horizon {n}")

@@ -1,15 +1,15 @@
 """Exact moments of hypercube functionals.
 
-Three engines compute fourth moments:
+Two engines compute fourth moments:
 
 * ``moment``: weighted sum over all 2**n outcomes (the reference engine);
-* ``fourth_moment_factorized``: expands (sum_J c_J Y_J)**4 into monomials
-  and reduces each through per-index multiplicities and the closed-form
-  coordinate moments; cost O(S**4) in the support size S, independent of
-  the horizon;
-* ``fourth_moment_symmetric``: for the fair-coin model, groups ordered
-  pairs by symmetric difference so the quadruple condition
-  "I xor J == K xor L" collapses to a sum of squared class sums, O(S**2).
+* ``fourth_moment_factorized`` and ``fourth_moment_symmetric``: one
+  product-formula engine that needs no enumeration.  It expands
+  F**2 = sum_U g_U Y_U in the orthonormal Y basis through the structure
+  identity Y_k**2 = 1 + skew_k Y_k, so E[F**4] = sum_U g_U**2.  The cost is
+  O(S**2 2**m) dictionary updates for S support subsets of order at most
+  m, independent of the horizon; fair coins have skew 0 and need no
+  expansion of the overlaps at all.
 
 The remaining operations evaluate the exact quantities appearing in the
 variance-of-squared-field chain for a pure multiple integral.
@@ -38,7 +38,7 @@ from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
 from .malliavin import d, gamma
-from .model import RademacherModel, y_moment
+from .model import RademacherModel
 
 Subset = tuple[int, ...]
 
@@ -53,15 +53,38 @@ def moment(
     return float(np.dot(w, table.values**r))
 
 
-def _bit_product(mask: int, factors: list[float]) -> float:
-    out = 1.0
-    while mask:
-        low = mask & -mask
-        out *= factors[low.bit_length() - 1]
-        if out == 0.0:
-            return 0.0
-        mask ^= low
-    return out
+def _fourth_moment(coeffs: dict[Subset, float], skew=None) -> float:
+    """E[(sum_J c_J Y_J)^4] = sum_U g_U^2 over the Y expansion of F^2.
+
+    Y_I Y_J = Y_{I xor J} prod_{k in I & J} (1 + skew_k Y_k), so each
+    unordered pair contributes c_I c_J prod_{k in T} skew_k to
+    g_{(I xor J) | T} for every T inside I & J, twice when I != J.
+    ``skew`` is indexed by coordinate; None means fair coins.
+    """
+    keys, vals = [], []
+    for key, v in coeffs.items():
+        if len(set(key)) != len(key):
+            raise DomainError(f"subset {tuple(key)} repeats an index")
+        if v != 0.0:
+            keys.append(key)
+            vals.append(float(v))
+    pos = {i: b for b, i in enumerate(sorted({i for key in keys for i in key}))}
+    masks = [sum(1 << pos[i] for i in key) for key in keys]
+    bit_skew = [0.0 if skew is None else float(skew[i]) for i in pos]
+    g: dict[int, float] = {}
+    for a, (ma, ca) in enumerate(zip(masks, vals)):
+        for j, (mb, cb) in enumerate(zip(masks[a:], vals[a:])):
+            terms = [(ma ^ mb, ca * cb * (2.0 if j else 1.0))]
+            both = ma & mb
+            while both:
+                low = both & -both
+                s = bit_skew[low.bit_length() - 1]
+                if s != 0.0:
+                    terms += [(u | low, t * s) for u, t in terms]
+                both ^= low
+            for u, t in terms:
+                g[u] = g.get(u, 0.0) + t
+    return math.fsum(v * v for v in g.values())
 
 
 def fourth_moment_factorized(
@@ -69,91 +92,28 @@ def fourth_moment_factorized(
 ) -> float:
     """E[(sum_J c_J Y_J)^4] without enumerating outcomes.
 
-    Every monomial in the expansion factorizes over coordinates by
-    independence; a coordinate hit once kills the term (E[Y] = 0), twice
-    contributes 1, three or four times contributes the closed-form third
-    or fourth moment.  Subsets may have mixed sizes.
+    Subsets may have mixed sizes and lie anywhere on the horizon of
+    ``model``; see ``_fourth_moment`` for the expansion.
     """
-    items = [(tuple(k), float(v)) for k, v in coeffs.items() if v != 0.0]
-    S = len(items)
-    if S == 0:
-        return 0.0
+    S = sum(1 for v in coeffs.values() if v != 0.0)
     if S > caps.factorized_support_cap:
         raise CapacityError(
             f"support size {S} exceeds factorized_support_cap="
-            f"{caps.factorized_support_cap} (expansion is O(S**4))",
+            f"{caps.factorized_support_cap} (expansion is O(S**2 2**m))",
             cap_name="factorized_support_cap",
             cap_value=caps.factorized_support_cap,
             requested=S,
         )
-    universe = sorted({i for key, _ in items for i in key})
-    for i in universe:
-        if not 0 <= i < model.n:
-            raise DomainError(f"index {i} out of range for the model horizon {model.n}")
-    pos = {i: b for b, i in enumerate(universe)}
-    mu3 = [y_moment(model.probs[i], 3) for i in universe]
-    mu4 = [y_moment(model.probs[i], 4) for i in universe]
-
-    masks = []
-    for key, _ in items:
-        m = 0
+    for key in coeffs:
         for i in key:
-            m |= 1 << pos[i]
-        masks.append(m)
-
-    # ordered pairs (I, J): odd = coordinates hit once, twice = hit twice
-    pair_odd: list[int] = []
-    pair_two: list[int] = []
-    pair_cov: list[int] = []  # odd | twice
-    pair_w: list[float] = []
-    for a in range(S):
-        ma, ca = masks[a], items[a][1]
-        for b in range(S):
-            pair_odd.append(ma ^ masks[b])
-            pair_two.append(ma & masks[b])
-            pair_cov.append(ma | masks[b])
-            pair_w.append(ca * items[b][1])
-
-    P = len(pair_w)
-    total = 0.0
-    for i in range(P):
-        o1, t1, cov1, w1 = pair_odd[i], pair_two[i], pair_cov[i], pair_w[i]
-        row = 0.0
-        for j in range(i, P):
-            o2 = pair_odd[j]
-            if o1 & ~pair_cov[j]:
-                continue
-            if o2 & ~cov1:
-                continue
-            t2 = pair_two[j]
-            val = pair_w[j]
-            m3 = (o1 & t2) | (t1 & o2)
-            if m3:
-                val *= _bit_product(m3, mu3)
-                if val == 0.0:
-                    continue
-            m4 = t1 & t2
-            if m4:
-                val *= _bit_product(m4, mu4)
-            row += val if i == j else 2.0 * val
-        total += w1 * row
-    return total
+            if not 0 <= i < model.n:
+                raise DomainError(f"index {i} out of range for the model horizon {model.n}")
+    return _fourth_moment(coeffs, model.skew)
 
 
 def fourth_moment_symmetric(coeffs: dict[Subset, float]) -> float:
-    """E[(sum_J a_J X_J)^4] under the fair-coin model.
-
-    A quadruple survives iff the symmetric difference of its first pair
-    equals that of its second, so the sum is sum_D (class sum of D)^2
-    over ordered pairs grouped by symmetric difference D.
-    """
-    items = [(frozenset(k), float(v)) for k, v in coeffs.items() if v != 0.0]
-    class_sums: dict[frozenset, float] = {}
-    for i, (si, vi) in enumerate(items):
-        for sj, vj in items:
-            dkey = si ^ sj
-            class_sums[dkey] = class_sums.get(dkey, 0.0) + vi * vj
-    return sum(v * v for v in class_sums.values())
+    """E[(sum_J a_J X_J)^4] under the fair-coin model, where Y_k = X_k."""
+    return _fourth_moment(coeffs)
 
 
 def _pure_integral(F: ChaosVector) -> int:

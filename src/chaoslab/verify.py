@@ -489,7 +489,7 @@ def check_dual_engine(rng, caps):
         e1 = moments.moment(t, 4, model, caps)
         e2 = moments.fourth_moment_factorized(f.to_subset_coeffs(), model, caps)
         worst = max(worst, abs(e1 - e2) / abs(e1))
-    return worst, 1e-9, "quadruple expansion matches enumeration"
+    return worst, 1e-9, "product-formula engine matches enumeration"
 
 
 def check_symmetric_engine(rng, caps):
@@ -503,7 +503,7 @@ def check_symmetric_engine(rng, caps):
         e1 = moments.moment(t, 4, model, caps)
         e2 = moments.fourth_moment_symmetric(f.to_subset_coeffs())
         worst = max(worst, abs(e1 - e2) / abs(e1))
-    return worst, 1e-10, "pair-class engine matches enumeration on fair coins"
+    return worst, 1e-10, "product-formula engine matches enumeration on fair coins"
 
 
 def check_projection_variance_bound(rng, caps):

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's fast paths: they loop
 over outcomes and tuples directly, or take the slower route the library
 replaced (one product table per subset, inclusion-exclusion over
 conditional expectations, the alternative pathwise forms of the generator
-and the squared field), so agreement with the fast engines is meaningful.
+and the squared field, the quadruple expansion of the fourth moment), so
+agreement with the fast engines is meaningful.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from chaoslab import (
     enumerate_outcomes,
     evaluate_integral,
     random_kernel,
+    y_moment,
 )
 from chaoslab.malliavin import d
 
@@ -142,6 +144,55 @@ def oracle_squared_field(F: ValueTable, G: ValueTable, model: RademacherModel) -
         dd = d(F, k, model).values * d(G, k, model).values
         acc += dd * (1.0 + 0.5 * model.skew[k] * model.y_table(k))
     return acc
+
+
+def _bit_product(mask: int, factors: list[float]) -> float:
+    out = 1.0
+    while mask:
+        low = mask & -mask
+        out *= factors[low.bit_length() - 1]
+        if out == 0.0:
+            return 0.0
+        mask ^= low
+    return out
+
+
+def oracle_fourth_moment_quadruple(coeffs: dict, model: RademacherModel) -> float:
+    """E[(sum_J c_J Y_J)^4] by the O(S**4) expansion into quadruples of
+    subsets: each monomial factorizes over coordinates, a coordinate hit
+    once kills it, twice gives 1, three or four times gives E[Y^3] or
+    E[Y^4].  Keys must not repeat an index."""
+    items = [(tuple(k), float(v)) for k, v in coeffs.items() if v != 0.0]
+    universe = sorted({i for key, _ in items for i in key})
+    pos = {i: b for b, i in enumerate(universe)}
+    mu3 = [y_moment(model.probs[i], 3) for i in universe]
+    mu4 = [y_moment(model.probs[i], 4) for i in universe]
+    masks = [sum(1 << pos[i] for i in key) for key, _ in items]
+
+    # ordered pairs (I, J): odd = coordinates hit once, two = hit twice
+    pairs = [
+        (ma ^ mb, ma & mb, ma | mb, ca * cb)
+        for ma, (_, ca) in zip(masks, items)
+        for mb, (_, cb) in zip(masks, items)
+    ]
+    total = 0.0
+    for i, (o1, t1, cov1, w1) in enumerate(pairs):
+        row = 0.0
+        for j in range(i, len(pairs)):
+            o2, t2, cov2, val = pairs[j]
+            if o1 & ~cov2 or o2 & ~cov1:
+                continue
+            m3 = (o1 & t2) | (t1 & o2)
+            if m3:
+                val *= _bit_product(m3, mu3)
+                if val == 0.0:
+                    continue
+            m4 = t1 & t2
+            if m4:
+                val *= _bit_product(m4, mu4)
+            row += val if i == j else 2.0 * val
+        total += w1 * row
+    return total
 
 
 def assert_kernels_close(a: Kernel, b: Kernel, tol: float):

@@ -1,11 +1,13 @@
-"""Differential tests: the Walsh-butterfly paths against slow oracles.
+"""Differential tests: the fast paths against slow oracles.
 
 Every table, the pathwise operators and the Hoeffding read-out are
 compared with the per-subset, pathwise or inclusion-exclusion form they
-replaced, over instances drawn by hypothesis with n in 1..10 and success
+replaced, and the product-formula fourth moment with enumeration and with
+the quadruple expansion, over instances drawn by hypothesis with success
 probabilities that include the 1e-6 floor.  Tolerances are fixed in units
-of the float64 epsilon times an a-priori magnitude of the terms summed, so
-they hold at the floor, where |Y_k| reaches about 1e3.
+of the float64 epsilon times the number of terms summed times an a-priori
+magnitude of those terms, so they hold at the floor, where |Y_k| reaches
+about 1e3.
 """
 
 import math
@@ -16,17 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
+    Caps,
     ChaosVector,
     RademacherModel,
     ValueTable,
     integral_table,
     random_kernel,
     to_table,
+    zero_kernel,
 )
 from chaoslab.bounds import hoeffding_decompose
 from chaoslab.chaos import join_coordinate, split_coordinate
 from chaoslab.malliavin import d, gamma, gamma0, ou_generator_pathwise
+from chaoslab.moments import fourth_moment_factorized, fourth_moment_symmetric, moment
 from conftest import (
+    oracle_fourth_moment_quadruple,
     oracle_generator,
     oracle_hoeffding,
     oracle_integral_table,
@@ -59,8 +65,8 @@ def magnitude(F: ChaosVector, model: RademacherModel) -> float:
     )
 
 
-def tolerance(n: int, scale: float) -> float:
-    return ULPS * (n + 1) * EPS * scale
+def tolerance(terms: int, scale: float) -> float:
+    return ULPS * terms * EPS * scale
 
 
 @given(instances())
@@ -70,7 +76,7 @@ def test_tables_match_per_subset_products(inst):
     n = model.n
     F = random_chaos(rng, n, top=min(3, n), centered=False)
     want = sum(oracle_integral_table(kern, model) for kern in F.kernels)
-    tol = tolerance(n, magnitude(F, model))
+    tol = tolerance(n + 1, magnitude(F, model))
     assert np.abs(to_table(F, model).values - want).max() <= tol
     top = F.kernel(F.top_order)
     got = integral_table(top, model).values
@@ -83,7 +89,7 @@ def test_generator_matches_gradient_form(inst):
     model, rng = inst
     t = to_table(random_chaos(rng, model.n, top=min(3, model.n), centered=False), model)
     got = ou_generator_pathwise(t, model).values
-    tol = tolerance(model.n, 1.0 + t.max_abs())
+    tol = tolerance(model.n + 1, 1.0 + t.max_abs())
     assert np.abs(got - oracle_generator(t, model)).max() <= tol
 
 
@@ -100,9 +106,9 @@ def test_squared_fields_match_skew_form(inst):
         float(np.abs(d(tf, k, model).values * d(tg, k, model).values).max()) / model.pq[k]
         for k in range(n)
     )
-    assert np.abs(gamma0(tf, tg, model).values - want).max() <= tolerance(n, pathwise_scale)
+    assert np.abs(gamma0(tf, tg, model).values - want).max() <= tolerance(n + 1, pathwise_scale)
     spectral_scale = magnitude(F, model) * magnitude(G, model)
-    assert np.abs(gamma(F, G, model).values - want).max() <= tolerance(n, spectral_scale)
+    assert np.abs(gamma(F, G, model).values - want).max() <= tolerance(n + 1, spectral_scale)
 
 
 @given(instances(), st.booleans())
@@ -120,8 +126,104 @@ def test_hoeffding_matches_inclusion_exclusion(inst, integral):
     for J, ref in want.items():
         got = H.components[J].values if J in H.components else np.zeros(2**n)
         scale = 2 ** len(J) * W.max_abs() * float(np.prod(ymax[list(J)]))
-        assert np.abs(got - ref).max() <= tolerance(n, scale), J
+        assert np.abs(got - ref).max() <= tolerance(n + 1, scale), J
     assert set(H.components) <= set(want)
+
+
+
+UNCAPPED = Caps(factorized_support_cap=2**10)
+
+
+def subset_coeffs(F: ChaosVector) -> dict:
+    return {key: v for kern in F.kernels for key, v in kern.to_subset_coeffs().items()}
+
+
+def abs_fourth_moment(coeffs: dict, model: RademacherModel) -> float:
+    """E[(sum_J |c_J| |Y_J|)^4] by enumeration.  It bounds the summed
+    magnitudes on both sides: the enumeration's round-off at each outcome,
+    and every term of the product formula, whose |skew_k| <= E|Y_k|^3."""
+    ys = np.abs([model.y_table(k) for k in range(model.n)])
+    acc = sum(
+        (abs(v) * np.prod(ys[list(key)], axis=0) for key, v in coeffs.items()),
+        np.zeros(2**model.n),
+    )
+    return float(np.dot(model.weights(), acc**4))
+
+
+def folded(model: RademacherModel) -> RademacherModel:
+    """Same E[Y^4], with E[Y^3] = |skew| >= 0, so an expansion run on |c_J|
+    sums the magnitudes of its terms."""
+    return RademacherModel(tuple(min(p, 1.0 - p) for p in model.probs))
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_fourth_moment_matches_enumeration(inst):
+    model, rng = inst
+    n = model.n
+    F = ChaosVector(n, tuple(
+        random_kernel(r, n, rng, density=float(rng.uniform(0.1, 1.0)))
+        for r in range(min(3, n) + 1)
+    ))
+    coeffs = subset_coeffs(F)
+    terms = len(coeffs) ** 2 + n + 1
+    want = moment(to_table(F, model), 4, model)
+    got = fourth_moment_factorized(coeffs, model, UNCAPPED)
+    assert abs(got - want) <= tolerance(terms, abs_fourth_moment(coeffs, model))
+    fair = RademacherModel.symmetric(n)
+    want = moment(to_table(F, fair), 4, fair)
+    got = fourth_moment_symmetric(coeffs)
+    assert abs(got - want) <= tolerance(terms, abs_fourth_moment(coeffs, fair))
+
+
+def sparse_support(rng, n: int, S: int) -> dict:
+    """Up to S subsets of orders 0..3 spread over the horizon."""
+    coeffs = {}
+    for _ in range(S):
+        r = int(rng.integers(0, min(3, n) + 1))
+        key = tuple(sorted(int(i) for i in rng.choice(n, size=r, replace=False)))
+        coeffs[key] = float(rng.standard_normal())
+    return coeffs
+
+
+def assert_matches_quadruple(got: float, coeffs: dict, model: RademacherModel):
+    want = oracle_fourth_moment_quadruple(coeffs, model)
+    scale = oracle_fourth_moment_quadruple(
+        {key: abs(v) for key, v in coeffs.items()}, folded(model)
+    )
+    assert abs(got - want) <= tolerance((len(coeffs) + 1) ** 2, scale)
+
+
+@given(instances(n_max=120), st.integers(0, 24))
+@settings(max_examples=25, deadline=None)
+def test_fourth_moment_matches_quadruple_beyond_enumeration(inst, S):
+    model, rng = inst
+    coeffs = sparse_support(rng, model.n, S)
+    assert_matches_quadruple(fourth_moment_factorized(coeffs, model), coeffs, model)
+
+
+def test_fourth_moment_on_a_universe_wider_than_63_bits(rng):
+    # overlapping 4-blocks (0..3), (3..6), ..., (69..72) plus lower orders
+    # touch 74 coordinates, so the masks need more than 63 bits
+    n = 120
+    coeffs = {tuple(range(3 * i, 3 * i + 4)): float(rng.standard_normal()) for i in range(24)}
+    coeffs.update({(): 0.5, (0,): -0.7, (72,): 0.3, (1, 119): 0.9})
+    assert len({i for key in coeffs for i in key}) > 63
+    probs = rng.uniform(0.05, 0.95, n)
+    probs[::7] = FLOOR
+    model = RademacherModel(tuple(float(p) for p in probs))
+    assert_matches_quadruple(fourth_moment_factorized(coeffs, model), coeffs, model)
+    fair = RademacherModel.symmetric(n)
+    assert_matches_quadruple(fourth_moment_symmetric(coeffs), coeffs, fair)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [{}, {(0,): 0.0, (1, 2): 0.0}, zero_kernel(5, 3).to_subset_coeffs()]
+)
+def test_zero_support_has_zero_fourth_moment(coeffs):
+    model = RademacherModel((FLOOR, 0.5, 1.0 - FLOOR))
+    assert fourth_moment_factorized(coeffs, model) == 0.0
+    assert fourth_moment_symmetric(coeffs) == 0.0
 
 
 @pytest.mark.parametrize("n, k", [(1, 0), (4, 0), (4, 3), (6, 5)])

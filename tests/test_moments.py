@@ -6,6 +6,7 @@ from chaoslab import (
     CapacityError,
     Caps,
     ChaosVector,
+    DomainError,
     Kernel,
     RademacherModel,
     basis_kernel,
@@ -143,6 +144,14 @@ class TestSymmetricEngine:
             assert fourth_moment_symmetric(f.to_subset_coeffs()) == pytest.approx(
                 moment(t, 4, model), rel=1e-10
             )
+
+
+def test_repeated_index_is_rejected_by_both_engines():
+    # (1, 1) is Y_1 * Y_1, not Y_1: collapsing it would report E[Y_1^4]
+    with pytest.raises(DomainError):
+        fourth_moment_factorized({(1, 1): 1.0}, RademacherModel((0.3, 0.6)))
+    with pytest.raises(DomainError):
+        fourth_moment_symmetric({(1, 1): 0.6, (): 0.8})
 
 
 class TestProjectionVariances:
