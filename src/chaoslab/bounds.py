@@ -10,14 +10,14 @@ constants are explicit.  ``abstract_bounds`` evaluates the underlying
 term-by-term inequalities for arbitrary centered functionals; the
 Hoeffding/degenerate-U-statistic route gives an independent bound with a
 configurable constant.  For binary coordinates each Hoeffding component
-is a single Walsh term, so the decomposition is read off the coefficient
-array of one ``basis_coefficients`` transform.
+is a single Walsh term W_J = c_J Y_J, so the decomposition keeps the
+coefficients of one ``basis_coefficients`` transform; its energies are c_J^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +26,7 @@ from .chaos import (
     ChaosVector,
     ValueTable,
     basis_coefficients,
+    basis_synthesis,
     expectation,
     split_coordinate,
     to_table,
@@ -303,65 +304,65 @@ def abstract_bounds(
 
 # -- Hoeffding decomposition and the degenerate U-statistic route -----------
 
+# an order carries variance when its energy exceeds this share of the total
+_DEGENERACY_TOL = 1e-10
+# constant in the degenerate U-statistic bound; not determined by theory,
+# reported but never asserted against
+DEFAULT_KAPPA_M = 1.0
+
 
 @dataclass(frozen=True)
 class HoeffdingDecomposition:
-    """Components W_J over subsets of the coordinates W depends on."""
+    """Components W_J = c_J Y_J over subsets J of the coordinates W depends
+    on; ``components`` maps each J to its coefficient c_J = E[W * Y_J]."""
 
-    horizon: int
-    components: dict[tuple[int, ...], ValueTable]
-    dependent: tuple[int, ...] = field(default=())
+    model: RademacherModel
+    components: dict[tuple[int, ...], float]
+    dependent: tuple[int, ...] = ()
+
+    def component(self, J: tuple[int, ...]) -> ValueTable:
+        """The table of W_J; zero when J is not a component."""
+        n = self.model.n
+        term = np.full(2**n, self.components.get(J, 0.0))
+        for i in J:
+            minus, plus = split_coordinate(term, i)
+            minus *= self.model.y_minus[i]
+            plus *= self.model.y_plus[i]
+        return ValueTable(n, term)
 
     def reconstruct(self) -> ValueTable:
-        acc = np.zeros(2**self.horizon)
-        for t in self.components.values():
-            acc += t.values
-        return ValueTable(self.horizon, acc)
+        coeffs = np.zeros(2**self.model.n)
+        for J, c in self.components.items():
+            coeffs[sum(1 << i for i in J)] = c
+        return basis_synthesis(coeffs, self.model)
 
 
-def hoeffding_decompose(
-    W: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAPS
-) -> HoeffdingDecomposition:
+def hoeffding_decompose(W: ValueTable, model: RademacherModel) -> HoeffdingDecomposition:
     """Hoeffding components read off the Walsh coefficients.
 
     For independent binary coordinates the component on J is a single
-    basis term, W_J = E[W * Y_J] Y_J.  Components indexed by subsets of
-    coordinates W does not depend on vanish identically and are omitted.
+    basis term, W_J = E[W * Y_J] Y_J; only its coefficient is kept.
+    Subsets holding a coordinate W does not depend on have c_J = 0 exactly
+    and are omitted.
     """
-    if model.n != W.horizon:
-        raise DomainError("model and table horizons differ")
-    n = model.n
-    dependent = []
-    for k in range(n):
-        minus, plus = split_coordinate(W.values, k)
-        if np.any(plus != minus):
-            dependent.append(k)
     coeffs = basis_coefficients(W, model)
-    components: dict[tuple[int, ...], ValueTable] = {}
-    for size in range(len(dependent) + 1):
-        for J in combinations(dependent, size):
-            term = np.full(2**n, coeffs[sum(1 << i for i in J)])
-            for i in J:
-                minus, plus = split_coordinate(term, i)
-                minus *= model.y_minus[i]
-                plus *= model.y_plus[i]
-            components[J] = ValueTable(n, term)
-    return HoeffdingDecomposition(n, components, tuple(dependent))
+    dependent = [k for k in range(model.n) if np.any(split_coordinate(coeffs, k)[1])]
+    components = {
+        J: float(coeffs[sum(1 << i for i in J)])
+        for size in range(len(dependent) + 1)
+        for J in combinations(dependent, size)
+    }
+    return HoeffdingDecomposition(model, components, tuple(dependent))
 
 
-def degenerate_order(
-    H: HoeffdingDecomposition, model: RademacherModel, caps: Caps = DEFAULT_CAPS,
-    tol: float = 1e-10,
-) -> int:
-    """The unique component size carrying variance, or an error."""
+def degenerate_order(H: HoeffdingDecomposition) -> int:
+    """The unique component size carrying energy (sum of c_J^2), or an error."""
     energy: dict[int, float] = {}
-    for J, t in H.components.items():
-        if J == ():
-            continue
-        e = moment(t, 2, model, caps) if not np.all(t.values == 0.0) else 0.0
-        energy[len(J)] = energy.get(len(J), 0.0) + e
+    for J, c in H.components.items():
+        if J:
+            energy[len(J)] = energy.get(len(J), 0.0) + c * c
     total = sum(energy.values())
-    live = [s for s, e in energy.items() if e > tol * (1.0 + total)]
+    live = [s for s, e in energy.items() if e > _DEGENERACY_TOL * (1.0 + total)]
     if len(live) != 1:
         raise DomainError(
             f"decomposition is not degenerate of a single order; energies {energy}"
@@ -369,25 +370,21 @@ def degenerate_order(
     return live[0]
 
 
-def rho_squared(
-    H: HoeffdingDecomposition, model: RademacherModel, caps: Caps = DEFAULT_CAPS
-) -> float:
+def rho_squared(H: HoeffdingDecomposition) -> float:
     """max over coordinates j of sum of E[W_J^2] over components J owning j."""
-    m = degenerate_order(H, model, caps)
+    m = degenerate_order(H)
     per_coord: dict[int, float] = {}
-    for J, t in H.components.items():
-        if len(J) != m:
-            continue
-        e = moment(t, 2, model, caps)
-        for j in J:
-            per_coord[j] = per_coord.get(j, 0.0) + e
+    for J, c in H.components.items():
+        if len(J) == m:
+            for j in J:
+                per_coord[j] = per_coord.get(j, 0.0) + c * c
     return max(per_coord.values()) if per_coord else 0.0
 
 
 def dejong_bound(
     W: ValueTable,
     model: RademacherModel,
-    kappa_m: float = DEFAULT_CAPS.kappa_m,
+    kappa_m: float = DEFAULT_KAPPA_M,
     caps: Caps = DEFAULT_CAPS,
 ) -> BoundReport:
     """Degenerate-U-statistic Wasserstein bound with configurable kappa.
@@ -403,9 +400,9 @@ def dejong_bound(
         raise DomainError(f"input is not normalized: variance {var!r}")
     if abs(mean) > _NORMALIZATION_TOL:
         raise DomainError(f"degenerate statistic must be centered; mean {mean!r}")
-    H = hoeffding_decompose(W, model, caps)
-    m = degenerate_order(H, model, caps)
-    rho2 = rho_squared(H, model, caps)
+    H = hoeffding_decompose(W, model)
+    m = degenerate_order(H)
+    rho2 = rho_squared(H)
     fourth = moment(W, 4, model, caps)
     s2pi = math.sqrt(2.0 / math.pi)
     c_fourth = s2pi + 4.0 / 3.0

@@ -272,10 +272,10 @@ def coefficient_array(F: ChaosVector) -> np.ndarray:
 
 def subset_orders(n: int) -> np.ndarray:
     """The size |S| of every subset S of n coordinates, by bitmask."""
-    r = np.zeros(2**n)
+    r = np.zeros(2**n, dtype=np.intp)
     for k in range(n):
         _, plus = split_coordinate(r, k)
-        plus += 1.0
+        plus += 1
     return r
 
 

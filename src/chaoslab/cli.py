@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dejong", parents=[common], help="degenerate U-statistic bound and rho^2 report")
     p.add_argument("--kernel", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--kappa-m", type=float, default=DEFAULT_CAPS.kappa_m)
+    p.add_argument("--kappa-m", type=float, default=bounds.DEFAULT_KAPPA_M)
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(fn=cmd_dejong)
 

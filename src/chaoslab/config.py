@@ -25,9 +25,6 @@ class Caps:
     # success probabilities are clamped away from {0, 1} so sqrt(p/q)
     # stays representable
     prob_floor: float = 1e-6
-    # constant in the degenerate U-statistic bound; not determined by
-    # theory, reported but never asserted against
-    kappa_m: float = 1.0
 
 
 DEFAULT_CAPS = Caps()

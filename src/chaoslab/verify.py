@@ -639,10 +639,11 @@ def check_hoeffding(rng, caps):
         model = _random_model(rng, n)
         f = random_kernel(m, n, rng, normalized=True)
         W = integral_table(f, model, caps)
-        H = bounds.hoeffding_decompose(W, model, caps)
+        H = bounds.hoeffding_decompose(W, model)
         worst = max(worst, float(np.abs(H.reconstruct().values - W.values).max()))
         a = f.to_subset_coeffs()
-        for J, t in H.components.items():
+        for J in H.components:
+            t = H.component(J)
             if len(J) == m:
                 y = np.ones(2**n)
                 for i in J:
@@ -662,11 +663,11 @@ def check_hoeffding(rng, caps):
             )
             if set(J) <= set(K):
                 continue
-            ce = conditional_expectation(H.components[J], model, set(K), caps)
+            ce = conditional_expectation(H.component(J), model, set(K), caps)
             worst = max(worst, ce.max_abs())
         # random non-integral functional still reconstructs
         T = ValueTable(n, rng.standard_normal(2**n))
-        H2 = bounds.hoeffding_decompose(T, model, caps)
+        H2 = bounds.hoeffding_decompose(T, model)
         worst = max(worst, float(np.abs(H2.reconstruct().values - T.values).max()))
     return worst, 1e-9, "components reconstruct, localize, and kill conditioning"
 
@@ -674,8 +675,7 @@ def check_hoeffding(rng, caps):
 def check_dejong_ratio(rng, caps):
     model, f = _random_instance(rng, m_max=2, n_max=8)
     W = integral_table(f, model, caps)
-    H = bounds.hoeffding_decompose(W, model, caps)
-    rho2 = bounds.rho_squared(H, model, caps)
+    rho2 = bounds.rho_squared(bounds.hoeffding_decompose(W, model))
     ref = math.factorial(f.order) ** 2 * f.sup_influence()
     ratio = rho2 / ref if ref else math.nan
     return abs(ratio - 1.0), None, f"rho^2 / ((m!)^2 sup-influence) = {ratio!r} (informational)"

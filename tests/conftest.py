@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's fast paths: they loop
 over outcomes and tuples directly, or take the slower route the library
 replaced (one product table per subset, inclusion-exclusion over
 conditional expectations, the alternative pathwise forms of the generator
-and the squared field, the quadruple expansion of the fourth moment), so
-agreement with the fast engines is meaningful.
+and the squared field, the quadruple expansion of the fourth moment, the
+sparse multiply-and-project route to the projection variances of F**2),
+so agreement with the fast engines is meaningful.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from chaoslab import (
     conditional_expectation,
     enumerate_outcomes,
     evaluate_integral,
+    multiply,
+    project,
     random_kernel,
+    to_table,
+    variance,
     y_moment,
 )
 from chaoslab.malliavin import d
@@ -127,6 +132,14 @@ def oracle_hoeffding(W: ValueTable, model: RademacherModel) -> dict:
                     acc += (-1.0 if (size - ksize) % 2 else 1.0) * cond[K]
             out[J] = acc
     return out
+
+
+def oracle_projection_variances(F: ChaosVector, model: RademacherModel) -> list[float]:
+    """Var(proj_r F^2) for r = 1..2m-1 of a pure order-m integral: the
+    sparse decomposition of F^2, then one table and one variance per order."""
+    m = F.pure_order()
+    sq = multiply(F, F, model)
+    return [variance(to_table(project(sq, r), model), model) for r in range(1, 2 * m)]
 
 
 def oracle_generator(table: ValueTable, model: RademacherModel) -> np.ndarray:

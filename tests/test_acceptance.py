@@ -407,7 +407,8 @@ def test_criterion_9_hoeffding_route():
             worst_rec, float(np.abs(H.reconstruct().values - W.values).max())
         )
         a = f.to_subset_coeffs()
-        for J, t in H.components.items():
+        for J in H.components:
+            t = H.component(J)
             if len(J) == m:
                 y = np.ones(2**n)
                 for i in J:
@@ -417,7 +418,7 @@ def test_criterion_9_hoeffding_route():
                 )
             elif J != ():
                 worst_comp = max(worst_comp, t.max_abs())
-        rho2 = rho_squared(H, model)
+        rho2 = rho_squared(H)
         ratios.append(rho2 / (math.factorial(m) ** 2 * f.sup_influence()))
     ok = worst_comp <= 1e-10 and worst_rec <= 1e-9
     _report(

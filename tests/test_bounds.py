@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +19,14 @@ from chaoslab import (
     gamma_m,
     integral_table,
     random_kernel,
+    to_table,
+    zero_kernel,
 )
+from chaoslab import bounds
 from chaoslab.bounds import (
     abstract_bounds,
     dejong_bound,
+    degenerate_order,
     hoeffding_decompose,
     kolmogorov_constants,
     rho_squared,
@@ -176,7 +185,7 @@ class TestHoeffding:
         model = random_model(rng, 4)
         H = hoeffding_decompose(constant_table(3.0, 4), model)
         assert set(H.components) == {()}
-        assert H.components[()].values[0] == 3.0
+        assert H.component(()).values[0] == 3.0
 
     def test_multiple_integral_components(self, rng):
         model = random_model(rng, 6)
@@ -184,7 +193,8 @@ class TestHoeffding:
         W = integral_table(f, model)
         H = hoeffding_decompose(W, model)
         a = f.to_subset_coeffs()
-        for J, t in H.components.items():
+        for J in H.components:
+            t = H.component(J)
             if len(J) == 2:
                 y = np.ones(2**6)
                 for i in J:
@@ -216,9 +226,54 @@ class TestHoeffding:
             if set(J) <= set(K):
                 continue
             checked += 1
-            ce = conditional_expectation(H.components[J], model, set(K))
+            ce = conditional_expectation(H.component(J), model, set(K))
             assert ce.max_abs() <= 1e-10
         assert checked > 50
+
+    def test_energies_need_no_tables(self, rng, monkeypatch):
+        def no_moment(*args, **kwargs):
+            raise AssertionError("the Hoeffding route took a moment of a table")
+
+        monkeypatch.setattr(bounds, "moment", no_moment)
+        model = random_model(rng, 7)
+        f = random_kernel(2, 7, rng, normalized=True)
+        H = hoeffding_decompose(integral_table(f, model), model)
+        assert all(isinstance(c, float) for c in H.components.values())
+        assert degenerate_order(H) == 2
+        assert rho_squared(H) == pytest.approx(4.0 * f.sup_influence(), rel=1e-10)
+
+    def test_mixed_orders_are_not_degenerate(self, rng):
+        model = random_model(rng, 5)
+        F = ChaosVector(5, (zero_kernel(0, 5), random_kernel(1, 5, rng), random_kernel(2, 5, rng)))
+        with pytest.raises(DomainError, match="single order"):
+            degenerate_order(hoeffding_decompose(to_table(F, model), model))
+
+    def test_decomposition_memory_at_n12(self):
+        # one coefficient per component, no 2**n table per subset (those
+        # took about 130 MB at this size); measured in a fresh process
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from chaoslab import RademacherModel, integral_table, random_kernel
+            from chaoslab.bounds import hoeffding_decompose, rho_squared
+            rng = np.random.default_rng(7)
+            model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 12)))
+            W = integral_table(random_kernel(2, 12, rng, normalized=True), model)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            H = hoeffding_decompose(W, model)
+            rho_squared(H)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(len(H.components), (after - before) / 1024.0)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        ).stdout.split()
+        assert int(out[0]) == 2**12
+        assert float(out[1]) < 5.0
 
 
 class TestDeJong:
@@ -230,7 +285,7 @@ class TestDeJong:
         from chaoslab.moments import moment
 
         var = moment(W, 2, model)
-        assert rho_squared(H, model) == pytest.approx(var, rel=1e-12)
+        assert rho_squared(H) == pytest.approx(var, rel=1e-12)
 
     def test_rho_equals_scaled_sup_influence(self, rng):
         for _ in range(5):
@@ -239,7 +294,7 @@ class TestDeJong:
             model = random_model(rng, n)
             f = random_kernel(m, n, rng, normalized=True)
             H = hoeffding_decompose(integral_table(f, model), model)
-            assert rho_squared(H, model) == pytest.approx(
+            assert rho_squared(H) == pytest.approx(
                 math.factorial(m) ** 2 * f.sup_influence(), rel=1e-10
             )
 
@@ -248,7 +303,7 @@ class TestDeJong:
         for n in (8, 10, 12):
             kern, model = product_chaos_sequence(2, n)
             H = hoeffding_decompose(integral_table(kern, model), model)
-            vals.append(rho_squared(H, model))
+            vals.append(rho_squared(H))
         assert vals[0] == pytest.approx(vals[1], rel=1e-10)
         assert vals[1] == pytest.approx(vals[2], rel=1e-10)
 

@@ -2,8 +2,10 @@
 
 Every table, the pathwise operators and the Hoeffding read-out are
 compared with the per-subset, pathwise or inclusion-exclusion form they
-replaced, and the product-formula fourth moment with enumeration and with
-the quadruple expansion, over instances drawn by hypothesis with success
+replaced, the energy read-outs (projection variances of F**2, the
+degenerate order and rho**2) with the sparse round-trip and the
+inclusion-exclusion tables, and the product-formula fourth moment with
+enumeration and with the quadruple expansion, over instances drawn by hypothesis with success
 probabilities that include the 1e-6 floor.  Tolerances are fixed in units
 of the float64 epsilon times the number of terms summed times an a-priori
 magnitude of those terms, so they hold at the floor, where |Y_k| reaches
@@ -22,27 +24,35 @@ from chaoslab import (
     ChaosVector,
     RademacherModel,
     ValueTable,
+    basis_coefficients,
     integral_table,
     random_kernel,
     to_table,
     zero_kernel,
 )
-from chaoslab.bounds import hoeffding_decompose
-from chaoslab.chaos import join_coordinate, split_coordinate
+from chaoslab.bounds import degenerate_order, hoeffding_decompose, rho_squared
+from chaoslab.chaos import join_coordinate, split_coordinate, subset_orders
 from chaoslab.malliavin import d, gamma, gamma0, ou_generator_pathwise
-from chaoslab.moments import fourth_moment_factorized, fourth_moment_symmetric, moment
+from chaoslab.moments import (
+    fourth_moment_factorized,
+    fourth_moment_symmetric,
+    moment,
+    var_projection_sum,
+)
 from conftest import (
     oracle_fourth_moment_quadruple,
     oracle_generator,
     oracle_hoeffding,
     oracle_integral_table,
+    oracle_projection_variances,
     oracle_squared_field,
     random_chaos,
 )
 
 EPS = np.finfo(float).eps
 FLOOR = 1e-6
-# measured worst cases sit below 2 in these units; 16 leaves room
+# measured worst cases sit below 2 in these units (below 7 for the
+# projection variances); 16 leaves room
 ULPS = 16.0
 
 probs = st.one_of(st.sampled_from([FLOOR, 1.0 - FLOOR, 0.5]), st.floats(FLOOR, 1.0 - FLOOR))
@@ -122,12 +132,73 @@ def test_hoeffding_matches_inclusion_exclusion(inst, integral):
         W = ValueTable(n, rng.standard_normal(2**n))
     H = hoeffding_decompose(W, model)
     want = oracle_hoeffding(W, model)
-    ymax = np.maximum(np.abs(model.y_plus), np.abs(model.y_minus))
     for J, ref in want.items():
-        got = H.components[J].values if J in H.components else np.zeros(2**n)
-        scale = 2 ** len(J) * W.max_abs() * float(np.prod(ymax[list(J)]))
-        assert np.abs(got - ref).max() <= tolerance(n + 1, scale), J
+        got = H.component(J).values
+        assert np.abs(got - ref).max() <= component_gap(W, model, J), J
     assert set(H.components) <= set(want)
+
+
+def component_gap(W: ValueTable, model: RademacherModel, J) -> float:
+    """Pointwise bound on the round-off of the inclusion-exclusion W_J:
+    2**|J| conditional expectations, each weighted by up to prod max|Y_i|."""
+    ymax = np.maximum(np.abs(model.y_plus), np.abs(model.y_minus))
+    scale = 2 ** len(J) * W.max_abs() * float(np.prod(ymax[list(J)]))
+    return tolerance(model.n + 1, scale)
+
+
+@given(instances())
+@settings(max_examples=30, deadline=None)
+def test_hoeffding_energies_match_inclusion_exclusion(inst):
+    # E[W_J^2] of the oracle table differs from c_J^2 by at most
+    # gap (2|c_J| + gap) with gap its pointwise round-off (E|Y_J| <= 1),
+    # plus the round-off of the weighted sum of its squares
+    model, rng = inst
+    n = model.n
+    m = int(rng.integers(1, min(3, n) + 1))
+    W = integral_table(random_kernel(m, n, rng), model)
+    H = hoeffding_decompose(W, model)
+    order = degenerate_order(H)
+    assert order == m
+    energy, slack = np.zeros(n + 1), np.zeros(n + 1)
+    owned, owned_slack = np.zeros(n), np.zeros(n)
+    for J, ref in oracle_hoeffding(W, model).items():
+        c = H.components.get(J, 0.0)
+        gap = component_gap(W, model, J)
+        tol = gap * (2.0 * abs(c) + gap) + tolerance(n + 1, (abs(c) + gap) ** 2)
+        e = moment(ValueTable(n, ref), 2, model)
+        energy[len(J)] += e
+        slack[len(J)] += tol
+        if len(J) == order:
+            owned[list(J)] += e
+            owned_slack[list(J)] += tol
+    live = sum(c * c for J, c in H.components.items() if len(J) == order)
+    assert abs(energy[order] - live) <= slack[order]
+    others = [s for s in range(1, n + 1) if s != order]
+    assert np.all(energy[others] <= slack[others])
+    assert abs(rho_squared(H) - owned.max()) <= owned_slack.max()
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_projection_variances_match_sparse_round_trip(inst):
+    # both sides share the coefficients c_S of F^2; the oracle rebuilds
+    # each projection's table, whose round-off is bounded by the magnitude
+    # sum_{|S|=r} |c_S| |Y_S| it sums, and takes the variance of that table
+    model, rng = inst
+    n = model.n
+    F = ChaosVector.from_kernel(random_kernel(int(rng.integers(1, min(3, n) + 1)), n, rng))
+    got = var_projection_sum(F, model).variances
+    want = oracle_projection_variances(F, model)
+    assert len(got) == len(want)
+    t = to_table(F, model)
+    c = basis_coefficients(t * t, model)
+    orders = subset_orders(n)
+    for r, (g, w) in enumerate(zip(got, want), start=1):
+        coeffs = {
+            tuple(i for i in range(n) if mask >> i & 1): float(c[mask])
+            for mask in np.flatnonzero(orders == r)
+        }
+        assert abs(g - w) <= tolerance(n + 1, abs_moment(coeffs, model, 2)), r
 
 
 
@@ -138,16 +209,17 @@ def subset_coeffs(F: ChaosVector) -> dict:
     return {key: v for kern in F.kernels for key, v in kern.to_subset_coeffs().items()}
 
 
-def abs_fourth_moment(coeffs: dict, model: RademacherModel) -> float:
-    """E[(sum_J |c_J| |Y_J|)^4] by enumeration.  It bounds the summed
-    magnitudes on both sides: the enumeration's round-off at each outcome,
-    and every term of the product formula, whose |skew_k| <= E|Y_k|^3."""
+def abs_moment(coeffs: dict, model: RademacherModel, r: int) -> float:
+    """E[(sum_J |c_J| |Y_J|)^r] by enumeration.  For r = 4 it bounds the
+    summed magnitudes on both sides of the fourth moment: the enumeration's
+    round-off at each outcome, and every term of the product formula, whose
+    |skew_k| <= E|Y_k|^3."""
     ys = np.abs([model.y_table(k) for k in range(model.n)])
     acc = sum(
         (abs(v) * np.prod(ys[list(key)], axis=0) for key, v in coeffs.items()),
         np.zeros(2**model.n),
     )
-    return float(np.dot(model.weights(), acc**4))
+    return float(np.dot(model.weights(), acc**r))
 
 
 def folded(model: RademacherModel) -> RademacherModel:
@@ -169,11 +241,11 @@ def test_fourth_moment_matches_enumeration(inst):
     terms = len(coeffs) ** 2 + n + 1
     want = moment(to_table(F, model), 4, model)
     got = fourth_moment_factorized(coeffs, model, UNCAPPED)
-    assert abs(got - want) <= tolerance(terms, abs_fourth_moment(coeffs, model))
+    assert abs(got - want) <= tolerance(terms, abs_moment(coeffs, model, 4))
     fair = RademacherModel.symmetric(n)
     want = moment(to_table(F, fair), 4, fair)
     got = fourth_moment_symmetric(coeffs)
-    assert abs(got - want) <= tolerance(terms, abs_fourth_moment(coeffs, fair))
+    assert abs(got - want) <= tolerance(terms, abs_moment(coeffs, fair, 4))
 
 
 def sparse_support(rng, n: int, S: int) -> dict:

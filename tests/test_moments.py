@@ -3,6 +3,7 @@ import math
 import pytest
 
 from chaoslab import (
+    DEFAULT_CAPS,
     CapacityError,
     Caps,
     ChaosVector,
@@ -182,6 +183,29 @@ class TestProjectionVariances:
             F = ChaosVector.from_kernel(random_kernel(2, 8, rng, normalized=True))
             pv = var_projection_sum(F, model)
             assert pv.total <= pv.upper_bound + 1e-10
+
+    def test_zero_kernel_above_the_horizon_has_all_orders(self):
+        # orders 1..2m-1 exceed the n+1 subset sizes, yet each gets its variance
+        model = RademacherModel((1e-6, 0.5, 1.0 - 1e-6))
+        pv = var_projection_sum(ChaosVector.from_kernel(zero_kernel(5, 3)), model)
+        assert pv.variances == (0.0,) * 9
+        assert pv.total == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_field_variance_chain_above_stroock_cap(rng, m):
+    # the chain reads energies off the coefficient array, so only enum_cap bounds it
+    n = DEFAULT_CAPS.stroock_cap + 1
+    model = random_model(rng, n)
+    F = ChaosVector.from_kernel(random_kernel(m, n, rng, normalized=True))
+    pv = var_projection_sum(F, model)
+    vg = var_gamma_normalized(F, model)
+    values = pv.variances + (pv.total, pv.upper_bound, vg.value, vg.spectral, vg.upper_bound)
+    assert len(pv.variances) == 2 * m - 1
+    assert all(math.isfinite(v) for v in values)
+    assert pv.total <= pv.upper_bound + 1e-10
+    assert vg.value == pytest.approx(vg.spectral, rel=1e-10, abs=1e-10)
+    assert vg.value <= vg.upper_bound + 1e-10
 
 
 class TestSquaredFieldVariance:

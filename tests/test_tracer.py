@@ -1,0 +1,63 @@
+"""The benchmark tracer still finds every library function it wraps.
+
+``perfbench/spans.py`` shims the functions named in its ``TARGETS`` by
+attribute lookup, so renaming or removing one of them breaks the traced
+benchmark run.  These tests install and remove the tracer against the
+current library.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chaoslab
+from chaoslab import RademacherModel, bounds, integral_table, random_kernel
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        return importlib.import_module("spans")
+    finally:
+        sys.path.remove(PERFBENCH)
+
+
+def resolve(target):
+    *path, attr = target.owner.split(".")
+    owner = importlib.import_module(f"chaoslab.{target.layer}")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+def test_every_target_is_shimmed_and_restored(spans):
+    originals = {t: getattr(*resolve(t)) for t in spans.TARGETS}
+    exported = {name: getattr(chaoslab, name) for name in chaoslab.__all__}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for target, original in originals.items():
+            assert getattr(*resolve(target)) is not original, target.span
+    finally:
+        tracer.uninstall()
+    for target, original in originals.items():
+        assert getattr(*resolve(target)) is original, target.span
+    assert {name: getattr(chaoslab, name) for name in chaoslab.__all__} == exported
+
+
+def test_traced_dejong_route_records_spans_and_counts(spans):
+    rng = np.random.default_rng(3)
+    model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
+    W = integral_table(random_kernel(2, 6, rng, normalized=True), model)
+    with spans.Tracer() as tracer:
+        bounds.dejong_bound(W, model)
+    names = set(tracer.summary())
+    assert {"bounds.dejong_bound", "bounds.hoeffding_decompose", "bounds.rho_squared"} <= names
+    assert tracer.counts["bounds.hoeffding_decompose.components"] == 2**6
+    assert not tracer.errors
