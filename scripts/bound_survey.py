@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from chaoslab import ChaosVector, RademacherModel, random_kernel
-from chaoslab.bounds import theorem_bound_kolmogorov, theorem_bound_wasserstein
+from chaoslab.bounds import theorem_bounds
 
 
 def main() -> None:
@@ -33,8 +33,7 @@ def main() -> None:
         n = int(rng.integers(max(m + 1, 4), args.max_horizon + 1))
         model = RademacherModel(tuple(rng.uniform(0.1, 0.9, n)))
         F = ChaosVector.from_kernel(random_kernel(m, n, rng, normalized=True))
-        rw = theorem_bound_wasserstein(F, model)
-        rk = theorem_bound_kolmogorov(F, model)
+        rw, rk = theorem_bounds(F, model)
         worst_w = min(worst_w, rw.slack)
         worst_k = min(worst_k, rk.slack)
         ratios.append(rw.exact_distance / rw.bound_value)

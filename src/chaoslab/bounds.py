@@ -40,7 +40,6 @@ from .distance import (
     wasserstein_to_normal,
 )
 from .errors import DomainError
-from .kernels import Kernel
 from .malliavin import d, gamma0, minus_pseudo_inverse
 from .model import RademacherModel
 from .moments import moment, sup_flip_pairing
@@ -52,6 +51,7 @@ __all__ = [
     "wasserstein_constants",
     "kolmogorov_constants",
     "BoundReport",
+    "theorem_bounds",
     "theorem_bound_wasserstein",
     "theorem_bound_kolmogorov",
     "abstract_bounds",
@@ -116,7 +116,14 @@ class BoundReport:
         return out
 
 
-def _normalized_pure(F: ChaosVector, model: RademacherModel, caps: Caps) -> tuple[int, Kernel, ValueTable]:
+def theorem_bounds(
+    F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS
+) -> tuple[BoundReport, BoundReport]:
+    """(Wasserstein, Kolmogorov) bound reports with their exact distances.
+
+    The table, its second and fourth moments, the sup-influence and the
+    exact law are computed once and shared by both reports.
+    """
     m = F.pure_order()
     if m is None or m == 0:
         raise DomainError("bound expects a pure multiple integral of order >= 1")
@@ -127,28 +134,16 @@ def _normalized_pure(F: ChaosVector, model: RademacherModel, caps: Caps) -> tupl
             f"input is not normalized: measured second moment {var!r}; "
             "rescale the kernel first"
         )
-    return m, F.kernel(m), table
-
-
-def theorem_bound_wasserstein(
-    F: ChaosVector,
-    model: RademacherModel,
-    caps: Caps = DEFAULT_CAPS,
-    compute_distance: bool = True,
-) -> BoundReport:
-    m, f, table = _normalized_pure(F, model, caps)
     fourth = moment(table, 4, model, caps)
-    var = moment(table, 2, model, caps)
-    sup_inf = f.sup_influence()
+    sup_inf = F.kernel(m).sup_influence()
+    law = exact_distribution(table, model, caps)
+    root_excess = math.sqrt(abs(fourth - 3.0))
+    root_inf = math.sqrt(sup_inf)
+
     c1, c2 = wasserstein_constants(m)
-    t_fourth = c1 * math.sqrt(abs(fourth - 3.0))
-    t_inf = c2 * math.sqrt(sup_inf)
-    bound = t_fourth + t_inf
-    exact = slack = None
-    if compute_distance:
-        exact = wasserstein_to_normal(exact_distribution(table, model, caps))
-        slack = bound - exact
-    return BoundReport(
+    t_fourth, t_inf = c1 * root_excess, c2 * root_inf
+    exact = wasserstein_to_normal(law)
+    wasserstein = BoundReport(
         kind="wasserstein",
         order=m,
         fourth_moment=fourth,
@@ -156,33 +151,18 @@ def theorem_bound_wasserstein(
         sup_influence=sup_inf,
         constants={"C1": c1, "C2": c2, "gamma_m": gamma_m(m)},
         terms={"fourth_moment": t_fourth, "influence": t_inf},
-        bound_value=bound,
+        bound_value=t_fourth + t_inf,
         exact_distance=exact,
-        slack=slack,
+        slack=t_fourth + t_inf - exact,
     )
 
-
-def theorem_bound_kolmogorov(
-    F: ChaosVector,
-    model: RademacherModel,
-    caps: Caps = DEFAULT_CAPS,
-    compute_distance: bool = True,
-) -> BoundReport:
-    m, f, table = _normalized_pure(F, model, caps)
-    fourth = moment(table, 4, model, caps)
-    var = moment(table, 2, model, caps)
-    sup_inf = f.sup_influence()
     k1, k2, k3, k4 = kolmogorov_constants(m)
     beta = fourth**0.25
     pref = (beta + 1.0) * beta
-    t_fourth = (k1 + k2 * pref) * math.sqrt(abs(fourth - 3.0))
-    t_inf = (k3 + k4 * pref) * math.sqrt(sup_inf)
-    bound = t_fourth + t_inf
-    exact = slack = None
-    if compute_distance:
-        exact = kolmogorov_to_normal(exact_distribution(table, model, caps))
-        slack = bound - exact
-    return BoundReport(
+    t_fourth = (k1 + k2 * pref) * root_excess
+    t_inf = (k3 + k4 * pref) * root_inf
+    exact = kolmogorov_to_normal(law)
+    kolmogorov = BoundReport(
         kind="kolmogorov",
         order=m,
         fourth_moment=fourth,
@@ -190,10 +170,23 @@ def theorem_bound_kolmogorov(
         sup_influence=sup_inf,
         constants={"K1": k1, "K2": k2, "K3": k3, "K4": k4, "gamma_m": gamma_m(m)},
         terms={"fourth_moment": t_fourth, "influence": t_inf},
-        bound_value=bound,
+        bound_value=t_fourth + t_inf,
         exact_distance=exact,
-        slack=slack,
+        slack=t_fourth + t_inf - exact,
     )
+    return wasserstein, kolmogorov
+
+
+def theorem_bound_wasserstein(
+    F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS
+) -> BoundReport:
+    return theorem_bounds(F, model, caps)[0]
+
+
+def theorem_bound_kolmogorov(
+    F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS
+) -> BoundReport:
+    return theorem_bounds(F, model, caps)[1]
 
 
 def abstract_bounds(
@@ -318,7 +311,6 @@ class HoeffdingDecomposition:
 
     model: RademacherModel
     components: dict[tuple[int, ...], float]
-    dependent: tuple[int, ...] = ()
 
     def component(self, J: tuple[int, ...]) -> ValueTable:
         """The table of W_J; zero when J is not a component."""
@@ -352,7 +344,7 @@ def hoeffding_decompose(W: ValueTable, model: RademacherModel) -> HoeffdingDecom
         for size in range(len(dependent) + 1)
         for J in combinations(dependent, size)
     }
-    return HoeffdingDecomposition(model, components, tuple(dependent))
+    return HoeffdingDecomposition(model, components)
 
 
 def degenerate_order(H: HoeffdingDecomposition) -> int:

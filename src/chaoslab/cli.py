@@ -78,22 +78,18 @@ def cmd_bound(args) -> int:
         kern = kern.normalized()
     F = ChaosVector.from_kernel(kern)
     try:
-        reports = []
-        if args.distance in ("wasserstein", "both"):
-            reports.append(bounds.theorem_bound_wasserstein(F, model, caps))
-        if args.distance in ("kolmogorov", "both"):
-            reports.append(bounds.theorem_bound_kolmogorov(F, model, caps))
+        pair = bounds.theorem_bounds(F, model, caps)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if "not normalized" in str(exc):
             print("hint: pass --normalize to rescale the kernel", file=sys.stderr)
         return 2
     ok = True
-    for rep in reports:
-        data = rep.to_dict()
-        _emit(data, args.json)
-        if rep.slack is not None and rep.slack < 0:
-            ok = False
+    for rep in pair:
+        if args.distance in (rep.kind, "both"):
+            _emit(rep.to_dict(), args.json)
+            if rep.slack < 0:
+                ok = False
     return 0 if ok else 1
 
 

@@ -617,8 +617,7 @@ def check_bound_validity(rng, caps):
         model = _random_model(rng, n)
         f = random_kernel(m, n, rng, normalized=True)
         F = ChaosVector.from_kernel(f)
-        rw = bounds.theorem_bound_wasserstein(F, model, caps)
-        rk = bounds.theorem_bound_kolmogorov(F, model, caps)
+        rw, rk = bounds.theorem_bounds(F, model, caps)
         worst = max(worst, -rw.slack, -rk.slack)
         ab = bounds.abstract_bounds(F, model, caps)
         worst = max(

@@ -5,8 +5,9 @@ over outcomes and tuples directly, or take the slower route the library
 replaced (one product table per subset, inclusion-exclusion over
 conditional expectations, the alternative pathwise forms of the generator
 and the squared field, the quadruple expansion of the fourth moment, the
-sparse multiply-and-project route to the projection variances of F**2),
-so agreement with the fast engines is meaningful.
+sparse multiply-and-project route to the projection variances of F**2,
+the atom-by-atom Kolmogorov loop and the segment-by-segment Wasserstein
+integral), so agreement with the fast engines is meaningful.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from chaoslab import (
     variance,
     y_moment,
 )
+from chaoslab.distance import DistributionTable, normal_cdf, normal_quantile
 from chaoslab.malliavin import d
 
 
@@ -205,6 +207,53 @@ def oracle_fourth_moment_quadruple(coeffs: dict, model: RademacherModel) -> floa
                 val *= _bit_product(m4, mu4)
             row += val if i == j else 2.0 * val
         total += w1 * row
+    return total
+
+
+def oracle_kolmogorov(dist: DistributionTable) -> float:
+    """sup |P(F <= x) - Phi(x)| by one scalar ``normal_cdf`` call per atom."""
+    best = 0.0
+    level_before = 0.0
+    for atom, level in zip(dist.atoms, dist.cdf_levels):
+        phi = normal_cdf(float(atom))
+        best = max(best, abs(level - phi), abs(level_before - phi))
+        level_before = level
+    return best
+
+
+def _oracle_cdf_below(a: float) -> float:
+    return math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) + a * normal_cdf(a)
+
+
+def _oracle_sf_above(b: float) -> float:
+    return math.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi) - b * (1.0 - normal_cdf(b))
+
+
+def _oracle_segment(a: float, b: float, level: float) -> float:
+    """integral_a^b |level - Phi(x)| dx with a quantile call per segment."""
+    if level <= 0.0:
+        return _oracle_cdf_below(b) - _oracle_cdf_below(a)
+    if level >= 1.0:
+        return _oracle_sf_above(a) - _oracle_sf_above(b)
+    cross = normal_quantile(level)
+    if cross <= a:
+        return (_oracle_cdf_below(b) - _oracle_cdf_below(a)) - level * (b - a)
+    if cross >= b:
+        return level * (b - a) - (_oracle_cdf_below(b) - _oracle_cdf_below(a))
+    left = level * (cross - a) - (_oracle_cdf_below(cross) - _oracle_cdf_below(a))
+    right = (_oracle_cdf_below(b) - _oracle_cdf_below(cross)) - level * (b - cross)
+    return left + right
+
+
+def oracle_wasserstein(dist: DistributionTable) -> float:
+    """Both exact tails plus one closed-form segment per pair of atoms,
+    added left to right."""
+    atoms = dist.atoms
+    levels = dist.cdf_levels
+    total = _oracle_cdf_below(float(atoms[0]))
+    for i in range(len(atoms) - 1):
+        total += _oracle_segment(float(atoms[i]), float(atoms[i + 1]), float(levels[i]))
+    total += _oracle_sf_above(float(atoms[-1]))
     return total
 
 

@@ -30,6 +30,7 @@ from chaoslab.bounds import (
     hoeffding_decompose,
     kolmogorov_constants,
     rho_squared,
+    theorem_bounds,
     theorem_bound_kolmogorov,
     theorem_bound_wasserstein,
     wasserstein_constants,
@@ -38,7 +39,8 @@ from chaoslab.construct import (
     inhomogeneous_counterexample,
     product_chaos_sequence,
 )
-from chaoslab.distance import exact_distribution, wasserstein_to_normal
+from chaoslab.distance import exact_distribution, kolmogorov_to_normal, wasserstein_to_normal
+from chaoslab.moments import moment
 from conftest import random_model
 
 # high-precision references (40-digit evaluation, rounded)
@@ -123,6 +125,34 @@ class TestTheoremBounds:
         F = ChaosVector.from_kernel(random_kernel(2, 6, rng).scale(3.0))
         with pytest.raises(DomainError, match="second moment"):
             theorem_bound_wasserstein(F, model)
+
+    def test_shared_computation_matches_named_bounds(self, rng):
+        for _ in range(6):
+            m = int(rng.integers(1, 4))
+            n = int(rng.integers(m + 1, 11))
+            model = random_model(rng, n)
+            F = ChaosVector.from_kernel(random_kernel(m, n, rng, normalized=True))
+            rw, rk = theorem_bounds(F, model)
+            assert (rw.kind, rk.kind) == ("wasserstein", "kolmogorov")
+            assert rw == theorem_bound_wasserstein(F, model)
+            assert rk == theorem_bound_kolmogorov(F, model)
+            table = to_table(F, model)
+            law = exact_distribution(table, model)
+            for rep in (rw, rk):
+                assert rep.variance == moment(table, 2, model)
+                assert rep.fourth_moment == moment(table, 4, model)
+                assert rep.sup_influence == F.kernel(m).sup_influence()
+                assert rep.slack == rep.bound_value - rep.exact_distance
+            assert rw.exact_distance == wasserstein_to_normal(law)
+            assert rk.exact_distance == kolmogorov_to_normal(law)
+
+    def test_shared_computation_rejects_bad_input(self, rng):
+        model = random_model(rng, 6)
+        with pytest.raises(DomainError, match="second moment"):
+            theorem_bounds(ChaosVector.from_kernel(random_kernel(2, 6, rng).scale(3.0)), model)
+        mixed = ChaosVector(6, (zero_kernel(0, 6), random_kernel(1, 6, rng), random_kernel(2, 6, rng)))
+        with pytest.raises(DomainError, match="pure multiple integral"):
+            theorem_bounds(mixed, model)
 
     def test_report_serialization(self, rng):
         model = random_model(rng, 6)

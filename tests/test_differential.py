@@ -5,8 +5,10 @@ compared with the per-subset, pathwise or inclusion-exclusion form they
 replaced, the energy read-outs (projection variances of F**2, the
 degenerate order and rho**2) with the sparse round-trip and the
 inclusion-exclusion tables, and the product-formula fourth moment with
-enumeration and with the quadruple expansion, over instances drawn by hypothesis with success
-probabilities that include the 1e-6 floor.  Tolerances are fixed in units
+enumeration and with the quadruple expansion, and the blocked Kolmogorov
+and Wasserstein distances with the atom-by-atom loops, over instances
+drawn by hypothesis with success probabilities that include the 1e-6
+floor.  Tolerances are fixed in units
 of the float64 epsilon times the number of terms summed times an a-priori
 magnitude of those terms, so they hold at the floor, where |Y_k| reaches
 about 1e3.
@@ -14,6 +16,7 @@ about 1e3.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,14 @@ from chaoslab import (
 )
 from chaoslab.bounds import degenerate_order, hoeffding_decompose, rho_squared
 from chaoslab.chaos import join_coordinate, split_coordinate, subset_orders
+from chaoslab.distance import (
+    _BLOCK,
+    DistributionTable,
+    exact_distribution,
+    kolmogorov_to_normal,
+    normal_cdf,
+    wasserstein_to_normal,
+)
 from chaoslab.malliavin import d, gamma, gamma0, ou_generator_pathwise
 from chaoslab.moments import (
     fourth_moment_factorized,
@@ -44,9 +55,11 @@ from conftest import (
     oracle_generator,
     oracle_hoeffding,
     oracle_integral_table,
+    oracle_kolmogorov,
     oracle_projection_variances,
     oracle_squared_field,
     random_chaos,
+    oracle_wasserstein,
 )
 
 EPS = np.finfo(float).eps
@@ -308,3 +321,112 @@ def test_split_coordinate_halves(n, k):
     assert np.array_equal(join_coordinate(minus, plus), values)
     plus += 0.5  # the halves are views of the table
     assert np.array_equal(values[bits == 1] % 1.0, np.full(2 ** (n - 1), 0.5))
+
+
+# -- exact distances: numpy blocks against the atom-by-atom loops -----------
+
+
+def dyadic_probs(rng, size: int) -> np.ndarray:
+    """Positive probabilities k_i / 2**K summing to exactly 1, so every
+    CDF level is exact and the last level is exactly 1.0."""
+    k = rng.integers(1, 2**20, size).astype(float)
+    total = 2.0 ** math.ceil(math.log2(k.sum() + 1.0))
+    k[-1] += total - k.sum()
+    return k / total
+
+
+def distance_law(rng, size: int, kind: str, scale: float) -> DistributionTable:
+    atoms = np.unique(rng.standard_normal(size) * scale + rng.normal(0.0, scale / 4))
+    size = len(atoms)
+    if kind == "plain":
+        # probabilities from the 1e-6 floor to 1, as exact laws at the floor have
+        probs = 10.0 ** rng.uniform(-6.0, 0.0, size)
+        probs /= probs.sum()
+    elif kind == "saturated":
+        # a dyadic head whose levels reach exactly 1.0, then a tail of atoms
+        # too light to move the level off 1.0
+        heavy = max(1, size - int(rng.integers(0, size)))
+        probs = np.concatenate([dyadic_probs(rng, heavy), np.full(size - heavy, 1e-30)])
+    else:
+        # every level is Phi at one end of its segment up to rounding; the
+        # first level (probs[0] itself) is exactly Phi(atoms[shift]); far-tail
+        # levels that round together keep a 1e-300 mass to stay positive
+        shift = int(rng.integers(0, 2)) if size > 1 else 0
+        cuts = [normal_cdf(float(a)) for a in atoms[shift:shift + size - 1]]
+        probs = np.maximum(np.diff(np.concatenate([[0.0], cuts, [1.0]])), 1e-300)
+    return DistributionTable(atoms, probs)
+
+
+SIZES = st.one_of(
+    st.integers(1, 64),
+    st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1]),
+    st.integers(2 * _BLOCK, 3 * _BLOCK),
+)
+
+
+@st.composite
+def laws(draw, sizes=SIZES):
+    size = draw(sizes)
+    kind = draw(st.sampled_from(["plain", "saturated", "pinned"]))
+    # 1e5 is the size of the atoms of exact laws at the probability floor
+    scale = 1.0 if kind == "pinned" else draw(st.sampled_from([1.0, 3.0, 1e5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return distance_law(rng, size, kind, scale)
+
+
+def distance_tolerance(dist: DistributionTable) -> float:
+    """Each closed-form piece cancels terms of size 1 + |atom|; both sides
+    add N of them."""
+    return tolerance(len(dist.atoms), 1.0 + float(np.abs(dist.atoms).max()))
+
+
+def assert_distances_match(dist: DistributionTable):
+    assert kolmogorov_to_normal(dist) == oracle_kolmogorov(dist)
+    got = wasserstein_to_normal(dist)
+    assert abs(got - oracle_wasserstein(dist)) <= distance_tolerance(dist)
+
+
+@given(laws())
+@settings(max_examples=12, deadline=None)
+def test_blocked_distances_match_atom_loops(dist):
+    assert_distances_match(dist)
+
+
+@given(instances())
+@settings(max_examples=40, deadline=None)
+def test_distances_of_exact_laws_match_atom_loops(inst):
+    model, rng = inst
+    m = int(rng.integers(1, min(3, model.n) + 1))
+    table = integral_table(random_kernel(m, model.n, rng, normalized=True), model)
+    assert_distances_match(exact_distribution(table, model))
+
+
+@pytest.mark.parametrize("kind", ["plain", "saturated", "pinned"])
+def test_distances_match_atom_loops_across_three_blocks(kind):
+    rng = np.random.default_rng(11)
+    dist = distance_law(rng, 3 * _BLOCK, kind, 1.0)
+    assert len(dist.atoms) > 2 * _BLOCK
+    assert_distances_match(dist)
+
+
+def mpmath_wasserstein(dist: DistributionTable) -> float:
+    """The same segment integrals at 50 digits, with the level capped at 1."""
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(float(a)) for a in dist.atoms]
+
+        def below(t):
+            return mpmath.npdf(t) + t * mpmath.ncdf(t)
+
+        total = below(x[0]) + mpmath.npdf(x[-1]) - x[-1] * (1 - mpmath.ncdf(x[-1]))
+        for a, b, level in zip(x, x[1:], dist.cdf_levels):
+            L = min(mpmath.mpf(float(level)), mpmath.mpf(1))
+            c = b if L == 1 else min(max(mpmath.sqrt(2) * mpmath.erfinv(2 * L - 1), a), b)
+            total += L * (c - a) - (below(c) - below(a)) + (below(b) - below(c)) - L * (b - c)
+        return float(total)
+
+
+@given(laws(st.integers(1, 50)))
+@settings(max_examples=40, deadline=None)
+def test_wasserstein_matches_high_precision(dist):
+    got = wasserstein_to_normal(dist)
+    assert abs(got - mpmath_wasserstein(dist)) <= distance_tolerance(dist)

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +129,17 @@ class TestWasserstein:
             c = float(rng.uniform(-2, 2))
             assert wasserstein_to_normal(law.shift(c)) <= base + abs(c) + 1e-11
 
+    def test_far_atoms_after_the_level_reaches_one_add_nothing(self):
+        # once the CDF level is 1.0 the segments integrate 1 - Phi, which
+        # vanishes far out; the form L (b - a) - (G(b) - G(a)) would cancel
+        # terms of size 1e5 and leave about 3e-12
+        fair = DistributionTable(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        law = DistributionTable(
+            np.array([-1.0, 1.0, 1e5, 2e5]), np.array([0.5, 0.5, 1e-30, 1e-30])
+        )
+        assert list(law.cdf_levels[1:]) == [1.0, 1.0, 1.0]
+        assert abs(wasserstein_to_normal(law) - wasserstein_to_normal(fair)) <= 1e-15
+
     @given(st.floats(-3, 3), st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
     def test_two_atom_laws_nonnegative(self, center, split):
@@ -131,6 +147,31 @@ class TestWasserstein:
             np.array([center - 1.0, center + 1.0]), np.array([split, 1 - split])
         )
         assert wasserstein_to_normal(law) >= 0.0
+
+
+def test_distances_of_a_large_law_add_no_table_sized_memory():
+    # the blocked walk keeps its elementwise temporaries to one block; one
+    # object array over all 2**20 atoms grew the peak by about 58 MB
+    script = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from chaoslab.distance import DistributionTable, kolmogorov_to_normal, wasserstein_to_normal
+        size = 2**20
+        law = DistributionTable(np.linspace(-6.0, 6.0, size), np.full(size, 1.0 / size))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        kolmogorov_to_normal(law)
+        wasserstein_to_normal(law)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) / 1024.0)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert float(out) < 8.0
 
 
 class TestEmpirical:
