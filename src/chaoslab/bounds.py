@@ -28,6 +28,7 @@ from .chaos import (
     basis_coefficients,
     basis_synthesis,
     expectation,
+    fold_coordinate,
     split_coordinate,
     to_table,
     variance as table_variance,
@@ -40,9 +41,9 @@ from .distance import (
     wasserstein_to_normal,
 )
 from .errors import DomainError
-from .malliavin import d, gamma0, minus_pseudo_inverse
+from .malliavin import d_half, gamma0, minus_pseudo_inverse
 from .model import RademacherModel
-from .moments import moment, sup_flip_pairing
+from .moments import flip_weights, moment, sup_flip_pairing
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -189,6 +190,40 @@ def theorem_bound_kolmogorov(
     return theorem_bounds(F, model, caps)[1]
 
 
+def _gradient_sums(
+    table: ValueTable, linv_table: ValueTable, model: RademacherModel, caps: Caps
+) -> tuple[float, float, float, float, float]:
+    """The cubic remainder, the sums of E[(D_kF D_k L^-1 F)^2] and E[(D_kF)^4]
+    over p_k q_k, the middle Kolmogorov term and E[M^2]^(1/4), built one
+    coordinate at a time for ``abstract_bounds``.
+
+    M = sum_k (q_k on X_k = +1, p_k on X_k = -1) (D_kF)^2 / (p_k q_k) is the
+    one table kept whole; D_k is constant in coordinate k, so every other
+    sum runs on one half of each table.
+    """
+    w = model.weights(caps)
+    lifted = w * (np.abs(table.values) + math.sqrt(2.0 * math.pi) / 4.0)
+    remainder = inner_sq = quart = middle = 0.0
+    cs_table = np.zeros(2**model.n)
+    for k in range(model.n):
+        p, q, pq = model.p[k], model.q[k], model.pq[k]
+        wk = fold_coordinate(w, k)
+        df = d_half(table, k, model)
+        dlinv = np.abs(d_half(linv_table, k, model))
+        square = df * df
+        cubic = square * dlinv
+        remainder += float(np.vdot(wk, cubic)) / model.sqrt_pq[k]
+        inner_sq += float(np.vdot(wk, cubic * dlinv)) / pq
+        quart += float(np.vdot(wk, square * square)) / pq
+        lift_minus, lift_plus = split_coordinate(lifted, k)
+        middle += float(np.vdot(p * lift_minus + q * lift_plus, cubic)) / pq**1.5
+        minus, plus = split_coordinate(cs_table, k)
+        minus += square / q  # p / pq
+        plus += square / p  # q / pq
+    quart_root = float(np.dot(w, cs_table**2)) ** 0.25
+    return remainder, inner_sq, quart, 0.25 * middle, quart_root
+
+
 def abstract_bounds(
     F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS
 ) -> dict[str, float]:
@@ -207,48 +242,25 @@ def abstract_bounds(
     linv_table = to_table(minus_linv, model, caps)
 
     g0 = gamma0(table, linv_table, model)
-    dev = np.abs(1.0 - g0.values)
-    term_gamma_abs = float(np.dot(w, dev))
+    term_gamma_abs = float(np.dot(w, np.abs(1.0 - g0.values)))
     term_gamma_var = table_variance(g0, model, caps)
+    del g0  # the terms below keep a bounded number of tables alive
     var_f = moment(table, 2, model, caps)
     fourth = moment(table, 4, model, caps)
 
-    df = [d(table, k, model).values for k in range(n)]
-    dlinv = [d(linv_table, k, model).values for k in range(n)]
-
-    remainder = 0.0
-    for k in range(n):
-        remainder += float(
-            np.dot(w, df[k] ** 2 * np.abs(dlinv[k]))
-        ) / model.sqrt_pq[k]
+    remainder, inner_sq, quart, term_mid, quart_root = _gradient_sums(
+        table, linv_table, model, caps
+    )
 
     s2pi = math.sqrt(2.0 / math.pi)
     gb1 = s2pi * term_gamma_abs + remainder
     gb2 = s2pi * abs(1.0 - var_f) + s2pi * math.sqrt(term_gamma_var) + remainder
 
     # indicator pairing sup_x sum_k E[(pq)^{-1/2} D_kF D_k 1_{F>x} |D_k L^-1 F|]
-    per_k = [df[k] * np.abs(dlinv[k]) / model.sqrt_pq[k] for k in range(n)]
-    sup_term = sup_flip_pairing(table, per_k, model, caps)
-
-    # middle Kolmogorov term, with the sign-conditional weight (q on +, p on -)
-    abs_f = np.abs(table.values)
-    mid = np.zeros(2**n)
-    mid2_sq = np.zeros(2**n)
-    inner_sq = 0.0
-    for k in range(n):
-        square = df[k] ** 2
-        cubic = square * np.abs(dlinv[k])
-        for t in (cubic, square):
-            minus, plus = split_coordinate(t, k)
-            minus *= model.p[k]
-            plus *= model.q[k]
-        mid += cubic / model.pq[k] ** 1.5
-        mid2_sq += square / model.pq[k]
-        inner_sq += float(np.dot(w, df[k] ** 2 * dlinv[k] ** 2)) / model.pq[k]
-    term_mid = 0.25 * float(np.dot(w, (abs_f + math.sqrt(2.0 * math.pi) / 4.0) * mid))
+    sup_term = sup_flip_pairing(table, flip_weights(table, linv_table, model), model, caps)
+    del linv_table
     kb1 = term_gamma_abs + term_mid + sup_term
 
-    quart_root = float(np.dot(w, mid2_sq**2)) ** 0.25
     term_mid2 = (
         (1.0 / (2.0 * math.sqrt(2.0)))
         * math.sqrt(inner_sq)
@@ -272,9 +284,8 @@ def abstract_bounds(
 
     m = F.pure_order()
     if m and abs(var_f - 1.0) <= _NORMALIZATION_TOL:
-        quart = 0.0
-        for k in range(n):
-            quart += float(np.dot(w, df[k] ** 4)) / model.pq[k]
+        # the sup runs before g0_self exists, so their peaks do not add
+        sup_self = sup_flip_pairing(table, flip_weights(table, table, model), model, caps) / m
         g0_self = gamma0(table, table, model)
         var_g_self = table_variance(
             ValueTable(n, g0_self.values / m), model, caps
@@ -282,8 +293,6 @@ def abstract_bounds(
         out["wasserstein_single_order"] = s2pi * math.sqrt(var_g_self) + math.sqrt(
             quart / m
         )
-        per_k_self = [df[k] * np.abs(df[k]) / model.sqrt_pq[k] for k in range(n)]
-        sup_self = sup_flip_pairing(table, per_k_self, model, caps) / m
         out["kolmogorov_single_order"] = (
             math.sqrt(var_g_self)
             + (1.0 / (2.0 * math.sqrt(2.0) * m))

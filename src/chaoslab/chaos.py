@@ -85,8 +85,9 @@ def expectation(table: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_
 
 
 def variance(table: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAPS) -> float:
-    mu = expectation(table, model, caps)
-    return expectation(table * table, model, caps) - mu * mu
+    """E[(F - E F)^2], summed about the mean so it is never negative."""
+    centered = table.values - expectation(table, model, caps)
+    return float(np.dot(model.weights(caps), centered * centered))
 
 
 def split_coordinate(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +104,12 @@ def split_coordinate(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 def join_coordinate(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
     """Flat table whose ``X_k = -1`` half is ``minus`` and ``+1`` half is ``plus``."""
     return np.stack([minus, plus], axis=1).reshape(-1)
+
+
+def fold_coordinate(values: np.ndarray, k: int) -> np.ndarray:
+    """Sum of the two ``split_coordinate`` halves of a table along coordinate k."""
+    minus, plus = split_coordinate(values, k)
+    return minus + plus
 
 
 def conditional_expectation(

@@ -47,11 +47,6 @@ def inhomogeneous_counterexample(m: int, sign: str = "+") -> tuple[RademacherMod
     return model, kern
 
 
-def counterexample_probability(m: int, sign: str = "+") -> float:
-    model, _ = inhomogeneous_counterexample(m, sign)
-    return model.probs[0]
-
-
 def g_value(a: dict[Subset, float]) -> float:
     """Quadruple sum over coefficient quadruples with matching symmetric
     differences, for a point on the coefficient sphere."""

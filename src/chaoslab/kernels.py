@@ -119,9 +119,6 @@ class Kernel:
             merged[k] = merged.get(k, 0.0) + v
         return Kernel(self.order, horizon, merged)
 
-    def with_horizon(self, n: int) -> "Kernel":
-        return Kernel(self.order, n, dict(self.coeffs))
-
     def truncate(self, n_prime: int) -> "Kernel":
         """Zero every coefficient whose subset leaves {0, .., n_prime-1}."""
         if n_prime > self.horizon:

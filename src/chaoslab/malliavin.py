@@ -59,21 +59,28 @@ def d_minus(table: ValueTable, k: int) -> ValueTable:
     return shift_minus(table, k) - table
 
 
-def d(table: ValueTable, k: int, model: RademacherModel) -> ValueTable:
-    """Gradient sqrt(p_k q_k) (F(k -> +1) - F(k -> -1)).
+def d_half(table: ValueTable, k: int, model: RademacherModel) -> np.ndarray:
+    """D_k F on one ``split_coordinate`` half, shape ``(2**(n-k-1), 2**k)``.
 
-    Constant in coordinate k; equals sqrt(p_k q_k) (d_plus - d_minus).
+    D_k F is constant in coordinate k, so this half holds all of it; sums
+    against it take the weights of both halves added.
     """
     _check_coord(table, k)
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
     minus, plus = split_coordinate(table.values, k)
-    grad = (plus - minus) * float(model.sqrt_pq[k])
+    grad = plus - minus
+    grad *= model.sqrt_pq[k]
+    return grad
+
+
+def d(table: ValueTable, k: int, model: RademacherModel) -> ValueTable:
+    """Gradient sqrt(p_k q_k) (F(k -> +1) - F(k -> -1)).
+
+    Constant in coordinate k; equals sqrt(p_k q_k) (d_plus - d_minus).
+    """
+    grad = d_half(table, k, model)
     return ValueTable(table.horizon, join_coordinate(grad, grad))
-
-
-def gradient(table: ValueTable, model: RademacherModel) -> list[ValueTable]:
-    return [d(table, k, model) for k in range(model.n)]
 
 
 def ou_generator_pathwise(table: ValueTable, model: RademacherModel) -> ValueTable:

@@ -16,11 +16,19 @@ variance-of-squared-field chain for a pure multiple integral.  The
 variance of the order-r chaos projection of F**2 is the energy
 sum_{|S|=r} E[F**2 Y_S]**2, read off one ``basis_coefficients`` transform
 of the squared table, so the chain is bounded by ``enum_cap`` alone.
+
+The gradient sums and the indicator pairing take one coordinate at a time,
+on one half of each table since D_k F is constant in coordinate k, so a
+constant number of 2**n tables is alive whatever n is.  The indicator sup
+groups outcomes by one rank table of F's distinct values: exact ties merge,
+and only the summation order differs from a sort of all 2n 2**n flip
+thresholds, in the last digits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +38,7 @@ from .chaos import (
     ValueTable,
     basis_coefficients,
     expectation,
+    fold_coordinate,
     integral_table,
     join_coordinate,
     split_coordinate,
@@ -40,7 +49,7 @@ from .chaos import (
 from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
-from .malliavin import d, gamma
+from .malliavin import d_half, gamma
 from .model import RademacherModel
 
 Subset = tuple[int, ...]
@@ -187,8 +196,8 @@ def quartic_gradient_sum(
     w = model.weights(caps)
     total = 0.0
     for k in range(model.n):
-        dk = d(table, k, model).values
-        total += float(np.dot(w, dk**4)) / model.pq[k]
+        square = d_half(table, k, model) ** 2
+        total += float(np.vdot(fold_coordinate(w, k), square * square)) / model.pq[k]
     return total / (2.0 * m)
 
 
@@ -221,41 +230,71 @@ def quartic_gradient_bound(
     ) / (2.0 * m) * second * gamma_m(m) * f.sup_influence()
 
 
+def flip_weights(
+    F: ValueTable, G: ValueTable, model: RademacherModel
+) -> Iterator[np.ndarray]:
+    """The tables D_kF |D_kG| / sqrt(p_k q_k) for k = 0..n-1, one at a time."""
+    for k in range(model.n):
+        half = d_half(F, k, model)
+        half *= np.abs(half if G is F else d_half(G, k, model))
+        half /= model.sqrt_pq[k]
+        yield join_coordinate(half, half)
+
+
+def _flip_flow(
+    per_coordinate: Iterable[np.ndarray], model: RademacherModel, w: np.ndarray
+) -> np.ndarray:
+    """Net mass the tables v_k move onto each outcome; see ``sup_flip_pairing``."""
+    n = model.n
+    flow = np.zeros(2**n)
+    count = 0
+    for k, v in enumerate(per_coordinate):
+        if k >= n:
+            raise DomainError("need one weighting table per coordinate")
+        v = np.asarray(v, dtype=float)
+        if v.shape != (2**n,):
+            raise DomainError(
+                f"weighting table {k} must have 2**{n} entries, got shape {v.shape}"
+            )
+        moved = fold_coordinate(w * v, k)
+        moved *= model.sqrt_pq[k]
+        at_minus, at_plus = split_coordinate(flow, k)
+        at_minus -= moved
+        at_plus += moved
+        count = k + 1
+    if count != n:
+        raise DomainError("need one weighting table per coordinate")
+    return flow
+
+
 def sup_flip_pairing(
     F: ValueTable,
-    per_coordinate: list[np.ndarray],
+    per_coordinate: Iterable[np.ndarray],
     model: RademacherModel,
     caps: Caps = DEFAULT_CAPS,
 ) -> float:
     """sup over x of sum_k E[v_k * D_k 1_{F > x}] for given tables v_k.
 
-    The inner expectation is piecewise constant in x with breakpoints in
-    the value set of F, so the sup is a max over finitely many suffix
-    sums of threshold events.
+    D_k 1_{F > x} = sqrt(p_k q_k) (1{F(k -> +1) > x} - 1{F(k -> -1) > x}),
+    so the pairing is sum_j a_j 1{F_j > x} over outcomes j, where
+    coordinate k moves the mass c_- + c_+ of each pair of its halves
+    (c = w v_k sqrt(p_k q_k)) off the outcome with X_k = -1 and onto the
+    one with X_k = +1.  One rank table of F's distinct values then gives
+    the mass of every level, and the sup is the largest mass strictly
+    above a level (0 above the top one).  Exact ties share one level; the
+    masses are summed outcome by outcome and level by level rather than
+    along a sort of all 2n 2**n flip thresholds, so the value differs from
+    that order only in the last digits.  ``per_coordinate`` is consumed
+    one table at a time.
     """
-    if len(per_coordinate) != model.n:
-        raise DomainError("need one weighting table per coordinate")
-    w = model.weights(caps)
-    thresholds = []
-    deltas = []
-    for k in range(model.n):
-        v = np.asarray(per_coordinate[k], dtype=float)
-        c = w * v * model.sqrt_pq[k]
-        minus, plus = split_coordinate(F.values, k)
-        thresholds.append(join_coordinate(plus, plus))
-        deltas.append(c)
-        thresholds.append(join_coordinate(minus, minus))
-        deltas.append(-c)
-    thr = np.concatenate(thresholds)
-    dlt = np.concatenate(deltas)
-    order = np.argsort(thr, kind="stable")
-    thr = thr[order]
-    dlt = dlt[order]
-    suffix = np.concatenate([np.cumsum(dlt[::-1])[::-1], [0.0]])
-    uniq = np.unique(thr)
-    positions = np.searchsorted(thr, uniq, side="right")
-    best = float(suffix[positions].max()) if len(uniq) else 0.0
-    return max(best, 0.0)
+    n = model.n
+    if F.horizon != n:
+        raise DomainError(f"table horizon {F.horizon} differs from the model horizon {n}")
+    flow = _flip_flow(per_coordinate, model, model.weights(caps))
+    levels, rank = np.unique(F.values, return_inverse=True)
+    mass = np.bincount(rank, weights=flow, minlength=len(levels))
+    above = np.cumsum(mass[:0:-1])  # mass strictly above each level but the top
+    return max(float(above.max(initial=0.0)), 0.0)
 
 
 def kolmogorov_term(
@@ -264,11 +303,7 @@ def kolmogorov_term(
     """(1/m) sup_x sum_k E[(p_k q_k)^{-1/2} D_kF |D_kF| D_k 1_{F > x}]."""
     m = _pure_integral(F)
     table = to_table(F, model, caps)
-    per_k = []
-    for k in range(model.n):
-        dk = d(table, k, model).values
-        per_k.append(dk * np.abs(dk) / model.sqrt_pq[k])
-    return sup_flip_pairing(table, per_k, model, caps) / m
+    return sup_flip_pairing(table, flip_weights(table, table, model), model, caps) / m
 
 
 def kolmogorov_term_bound(

@@ -6,8 +6,10 @@ replaced (one product table per subset, inclusion-exclusion over
 conditional expectations, the alternative pathwise forms of the generator
 and the squared field, the quadruple expansion of the fourth moment, the
 sparse multiply-and-project route to the projection variances of F**2,
-the atom-by-atom Kolmogorov loop and the segment-by-segment Wasserstein
-integral), so agreement with the fast engines is meaningful.
+the atom-by-atom Kolmogorov loop, the segment-by-segment Wasserstein
+integral, the sort of all 2n 2**n flip thresholds for the indicator sup,
+and the abstract-bound terms on one full gradient table per coordinate),
+so agreement with the fast engines is meaningful.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from chaoslab import (
     variance,
     y_moment,
 )
+from chaoslab.chaos import join_coordinate, split_coordinate
 from chaoslab.distance import DistributionTable, normal_cdf, normal_quantile
-from chaoslab.malliavin import d
+from chaoslab.malliavin import d, gamma0, minus_pseudo_inverse
+from chaoslab.moments import moment
 
 
 def random_model(rng, n, lo=0.1, hi=0.9) -> RademacherModel:
@@ -255,6 +259,106 @@ def oracle_wasserstein(dist: DistributionTable) -> float:
         total += _oracle_segment(float(atoms[i]), float(atoms[i + 1]), float(levels[i]))
     total += _oracle_sf_above(float(atoms[-1]))
     return total
+
+
+def oracle_flip_thresholds(F: ValueTable, per_coordinate, model: RademacherModel):
+    """The 2n 2**n flip thresholds F(k -> +-1) with their signed masses
+    +-w v_k sqrt(p_k q_k), one pair of full tables per coordinate."""
+    w = model.weights()
+    thresholds, deltas = [], []
+    for k in range(model.n):
+        c = w * np.asarray(per_coordinate[k], dtype=float) * model.sqrt_pq[k]
+        minus, plus = split_coordinate(F.values, k)
+        thresholds += [join_coordinate(plus, plus), join_coordinate(minus, minus)]
+        deltas += [c, -c]
+    return np.concatenate(thresholds), np.concatenate(deltas)
+
+
+def oracle_sup_flip_pairing(F: ValueTable, per_coordinate, model: RademacherModel) -> float:
+    """sup_x sum_k E[v_k D_k 1_{F > x}] by a stable sort of every flip
+    threshold and one suffix sum, read after each distinct threshold."""
+    thr, dlt = oracle_flip_thresholds(F, per_coordinate, model)
+    order = np.argsort(thr, kind="stable")
+    thr = thr[order]
+    suffix = np.concatenate([np.cumsum(dlt[order][::-1])[::-1], [0.0]])
+    positions = np.searchsorted(thr, np.unique(thr), side="right")
+    best = float(suffix[positions].max()) if len(thr) else 0.0
+    return max(best, 0.0)
+
+
+def oracle_quartic_gradient_sum(F: ChaosVector, model: RademacherModel) -> float:
+    """(1/2m) sum_k E|D_kF|^4 / (p_k q_k) on full gradient tables."""
+    table = to_table(F, model)
+    w = model.weights()
+    total = sum(
+        float(np.dot(w, d(table, k, model).values ** 4)) / model.pq[k]
+        for k in range(model.n)
+    )
+    return total / (2.0 * F.top_order)
+
+
+def oracle_abstract_bounds(F: ChaosVector, model: RademacherModel) -> dict[str, float]:
+    """Every ``abstract_bounds`` entry with all n gradient tables of F and
+    of -L^-1 F held at once, the middle term on a full table and the
+    indicator sups by ``oracle_sup_flip_pairing``."""
+    n = model.n
+    w = model.weights()
+    table = to_table(F, model)
+    linv_table = to_table(minus_pseudo_inverse(F), model)
+    g0 = gamma0(table, linv_table, model)
+    term_gamma_abs = float(np.dot(w, np.abs(1.0 - g0.values)))
+    term_gamma_var = variance(g0, model)
+    var_f = moment(table, 2, model)
+    fourth = moment(table, 4, model)
+    df = [d(table, k, model).values for k in range(n)]
+    dlinv = [d(linv_table, k, model).values for k in range(n)]
+    remainder = sum(
+        float(np.dot(w, df[k] ** 2 * np.abs(dlinv[k]))) / model.sqrt_pq[k] for k in range(n)
+    )
+    s2pi = math.sqrt(2.0 / math.pi)
+    per_k = [df[k] * np.abs(dlinv[k]) / model.sqrt_pq[k] for k in range(n)]
+    sup_term = oracle_sup_flip_pairing(table, per_k, model)
+    mid = np.zeros(2**n)
+    mid2_sq = np.zeros(2**n)
+    inner_sq = 0.0
+    for k in range(n):
+        side = np.where(model.signs_table(k) > 0, model.q[k], model.p[k])
+        mid += side * df[k] ** 2 * np.abs(dlinv[k]) / model.pq[k] ** 1.5
+        mid2_sq += side * df[k] ** 2 / model.pq[k]
+        inner_sq += float(np.dot(w, df[k] ** 2 * dlinv[k] ** 2)) / model.pq[k]
+    term_mid = 0.25 * float(
+        np.dot(w, (np.abs(table.values) + math.sqrt(2.0 * math.pi) / 4.0) * mid)
+    )
+    quart_root = float(np.dot(w, mid2_sq**2)) ** 0.25
+    term_mid2 = (
+        math.sqrt(inner_sq) * (fourth**0.25 + 1.0) * quart_root / (2.0 * math.sqrt(2.0))
+    )
+    out = {
+        "gamma_deviation_abs": term_gamma_abs,
+        "gamma_deviation_var": term_gamma_var,
+        "cubic_remainder": remainder,
+        "indicator_sup": sup_term,
+        "kolmogorov_middle": term_mid,
+        "kolmogorov_middle_cs": term_mid2,
+        "wasserstein_line1": s2pi * term_gamma_abs + remainder,
+        "wasserstein_line2": s2pi * abs(1.0 - var_f) + s2pi * math.sqrt(term_gamma_var)
+        + remainder,
+        "kolmogorov_line1": term_gamma_abs + term_mid + sup_term,
+        "kolmogorov_line2": abs(1.0 - var_f) + math.sqrt(term_gamma_var) + term_mid2
+        + sup_term,
+    }
+    m = F.pure_order()
+    if m and abs(var_f - 1.0) <= 1e-6:
+        quart = sum(float(np.dot(w, df[k] ** 4)) / model.pq[k] for k in range(n))
+        var_g_self = variance(ValueTable(n, gamma0(table, table, model).values / m), model)
+        per_k_self = [df[k] * np.abs(df[k]) / model.sqrt_pq[k] for k in range(n)]
+        out["wasserstein_single_order"] = s2pi * math.sqrt(var_g_self) + math.sqrt(quart / m)
+        out["kolmogorov_single_order"] = (
+            math.sqrt(var_g_self)
+            + math.sqrt(quart) * (fourth**0.25 + 1.0) * quart_root / (2.0 * math.sqrt(2.0) * m)
+            + oracle_sup_flip_pairing(table, per_k_self, model) / m
+        )
+    return out
 
 
 def assert_kernels_close(a: Kernel, b: Kernel, tol: float):

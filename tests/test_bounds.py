@@ -161,6 +161,34 @@ class TestTheoremBounds:
         assert {"bound_value", "exact_distance", "slack", "fourth_moment"} <= set(data)
 
 
+def test_operator_terms_at_n16_hold_a_bounded_number_of_tables():
+    # coordinates are streamed and the indicator sup sums on one rank table;
+    # holding every per-coordinate table grew the peak by about 155 MB
+    script = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from chaoslab import ChaosVector, RademacherModel, random_kernel
+        from chaoslab.bounds import abstract_bounds
+        from chaoslab.moments import kolmogorov_term
+        rng = np.random.default_rng(7)
+        model = RademacherModel(tuple(float(p) for p in rng.uniform(0.1, 0.9, 16)))
+        F = ChaosVector.from_kernel(random_kernel(2, 16, rng, normalized=True))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        abstract_bounds(F, model)
+        kolmogorov_term(F, model)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) / 1024.0)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert float(out) <= 16 * 2**16 * 8 / 2**20  # 16 tables of 2**16 floats: 8 MB
+
+
 class TestAbstractBounds:
     def test_single_fair_coordinate_has_unit_field(self):
         model = RademacherModel.symmetric(2)
@@ -191,6 +219,14 @@ class TestAbstractBounds:
         model = random_model(rng, 4)
         with pytest.raises(DomainError):
             abstract_bounds(ChaosVector.constant(1.0, 4), model)
+
+    def test_constant_field_has_zero_deviation_variance(self):
+        # Gamma0(F, -L^-1 F) = 1 at every outcome of this sum of coordinates;
+        # the uncentered variance came out near -1e-17 and sqrt raised
+        model = RademacherModel.symmetric(7)
+        F = ChaosVector.from_kernel(Kernel(1, 7, {(i,): 1.0 / math.sqrt(7) for i in range(7)}))
+        terms = abstract_bounds(F, model)
+        assert 0.0 <= terms["gamma_deviation_var"] <= 1e-30
 
     def test_conditional_weight_sum_is_twice_the_field(self, rng):
         # sum_k (D_kF)^2 (q_k on X_k=+1, p_k on X_k=-1) / (p_k q_k) equals

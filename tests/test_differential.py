@@ -6,7 +6,9 @@ replaced, the energy read-outs (projection variances of F**2, the
 degenerate order and rho**2) with the sparse round-trip and the
 inclusion-exclusion tables, and the product-formula fourth moment with
 enumeration and with the quadruple expansion, and the blocked Kolmogorov
-and Wasserstein distances with the atom-by-atom loops, over instances
+and Wasserstein distances with the atom-by-atom loops, and the indicator
+sup, the abstract-bound terms and the quartic gradient sum with the sort of
+every flip threshold and the full gradient tables, over instances
 drawn by hypothesis with success probabilities that include the 1e-6
 floor.  Tolerances are fixed in units
 of the float64 epsilon times the number of terms summed times an a-priori
@@ -15,6 +17,7 @@ about 1e3.
 """
 
 import math
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from chaoslab import (
     Caps,
     ChaosVector,
+    Kernel,
     RademacherModel,
     ValueTable,
     basis_coefficients,
@@ -33,7 +37,7 @@ from chaoslab import (
     to_table,
     zero_kernel,
 )
-from chaoslab.bounds import degenerate_order, hoeffding_decompose, rho_squared
+from chaoslab.bounds import abstract_bounds, degenerate_order, hoeffding_decompose, rho_squared
 from chaoslab.chaos import join_coordinate, split_coordinate, subset_orders
 from chaoslab.distance import (
     _BLOCK,
@@ -43,21 +47,29 @@ from chaoslab.distance import (
     normal_cdf,
     wasserstein_to_normal,
 )
-from chaoslab.malliavin import d, gamma, gamma0, ou_generator_pathwise
+from chaoslab.malliavin import d, gamma, gamma0, minus_pseudo_inverse, ou_generator_pathwise
 from chaoslab.moments import (
+    flip_weights,
     fourth_moment_factorized,
     fourth_moment_symmetric,
+    kolmogorov_term,
     moment,
+    quartic_gradient_sum,
+    sup_flip_pairing,
     var_projection_sum,
 )
 from conftest import (
+    oracle_abstract_bounds,
+    oracle_flip_thresholds,
     oracle_fourth_moment_quadruple,
     oracle_generator,
     oracle_hoeffding,
     oracle_integral_table,
     oracle_kolmogorov,
     oracle_projection_variances,
+    oracle_quartic_gradient_sum,
     oracle_squared_field,
+    oracle_sup_flip_pairing,
     random_chaos,
     oracle_wasserstein,
 )
@@ -430,3 +442,66 @@ def mpmath_wasserstein(dist: DistributionTable) -> float:
 def test_wasserstein_matches_high_precision(dist):
     got = wasserstein_to_normal(dist)
     assert abs(got - mpmath_wasserstein(dist)) <= distance_tolerance(dist)
+
+
+# -- indicator sup and the streamed gradient terms ---------------------------
+
+
+@st.composite
+def pure_integrals(draw):
+    """Random kernels on drawn probabilities, the symmetric kernel on fair
+    coins (many exactly tied values of F) and zero kernels (one level)."""
+    model, rng = draw(instances())
+    n = model.n
+    m = draw(st.integers(1, min(3, n)))
+    kind = draw(st.sampled_from(["random", "symmetric", "zero"]))
+    if kind == "symmetric":
+        model = RademacherModel((0.5,) * n)
+        c = 1.0 / (math.factorial(m) * math.sqrt(math.comb(n, m)))
+        kern = Kernel(m, n, {J: c for J in combinations(range(n), m)})
+    elif kind == "zero":
+        kern = zero_kernel(m, n)
+    else:
+        kern = random_kernel(m, n, rng, normalized=draw(st.booleans()))
+    return model, ChaosVector.from_kernel(kern)
+
+
+def pairing_tolerance(table: ValueTable, per_coordinate, model: RademacherModel) -> float:
+    """ULPS * (2n 2**n) * eps * sum |deltas| over every flip threshold."""
+    thr, dlt = oracle_flip_thresholds(table, per_coordinate, model)
+    return tolerance(len(thr), float(np.abs(dlt).sum()))
+
+
+@given(pure_integrals(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_indicator_sup_matches_threshold_sort(inst, self_pairing):
+    model, F = inst
+    t = to_table(F, model)
+    other = t if self_pairing else to_table(minus_pseudo_inverse(F), model)
+    per_k = list(flip_weights(t, other, model))
+    want = oracle_sup_flip_pairing(t, per_k, model)
+    got = sup_flip_pairing(t, iter(per_k), model)
+    assert abs(got - want) <= pairing_tolerance(t, per_k, model)
+    m = F.top_order
+    got = kolmogorov_term(F, model)
+    want = oracle_sup_flip_pairing(t, list(flip_weights(t, t, model)), model) / m
+    assert abs(got - want) <= pairing_tolerance(t, list(flip_weights(t, t, model)), model) / m
+
+
+@given(pure_integrals())
+@settings(max_examples=40, deadline=None)
+def test_streamed_gradient_terms_match_full_tables(inst):
+    model, F = inst
+    n = model.n
+    got, want = abstract_bounds(F, model), oracle_abstract_bounds(F, model)
+    assert got.keys() == want.keys()
+    t = to_table(F, model)
+    linv = to_table(minus_pseudo_inverse(F), model)
+    indicator = pairing_tolerance(t, list(flip_weights(t, linv, model)), model)
+    indicator += pairing_tolerance(t, list(flip_weights(t, t, model)), model) / F.top_order
+    for key, value in want.items():
+        gap = abs(got[key] - value)
+        # every entry but the sups is a sum of nonnegative terms
+        assert gap <= tolerance(2 * n * 2**n, abs(value)) + indicator, key
+    got, want = quartic_gradient_sum(F, model), oracle_quartic_gradient_sum(F, model)
+    assert abs(got - want) <= tolerance(2 * n * 2**n, want)

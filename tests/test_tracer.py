@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab import RademacherModel, bounds, integral_table, random_kernel
+from chaoslab import ChaosVector, RademacherModel, bounds, integral_table, moments, random_kernel
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
@@ -60,4 +60,17 @@ def test_traced_dejong_route_records_spans_and_counts(spans):
     names = set(tracer.summary())
     assert {"bounds.dejong_bound", "bounds.hoeffding_decompose", "bounds.rho_squared"} <= names
     assert tracer.counts["bounds.hoeffding_decompose.components"] == 2**6
+    assert not tracer.errors
+
+
+@pytest.mark.parametrize("call", ["abstract_bounds", "kolmogorov_term"])
+def test_traced_operator_terms_record_the_indicator_span(spans, call):
+    rng = np.random.default_rng(5)
+    model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
+    F = ChaosVector.from_kernel(random_kernel(2, 6, rng, normalized=True))
+    owner = bounds if call == "abstract_bounds" else moments
+    with spans.Tracer() as tracer:
+        getattr(owner, call)(F, model)
+    names = set(tracer.summary())
+    assert {f"{owner.__name__.split('.')[-1]}.{call}", "moments.sup_flip_pairing"} <= names
     assert not tracer.errors
