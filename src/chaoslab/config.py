@@ -18,8 +18,9 @@ class Caps:
     # chaos extraction touches all 2**n coefficient slots; kept lower
     # because downstream consumers iterate the resulting kernels
     stroock_cap: int = 14
-    # the product-formula fourth moment is O(S**2 2**m) in the number S
-    # of support subsets of order <= m; the benchmark derives its sparse
+    # the product-formula fourth moment is O(P 2**m) in the number P of
+    # pairs of support subsets of order <= m that share a coordinate, at
+    # most S**2 / 2 for S subsets; the benchmark derives its sparse
     # workload sizes from this default
     factorized_support_cap: int = 60
     # success probabilities are clamped away from {0, 1} so sqrt(p/q)

@@ -6,10 +6,12 @@ Two engines compute fourth moments:
 * ``fourth_moment_factorized`` and ``fourth_moment_symmetric``: one
   product-formula engine that needs no enumeration.  It expands
   F**2 = sum_U g_U Y_U in the orthonormal Y basis through the structure
-  identity Y_k**2 = 1 + skew_k Y_k, so E[F**4] = sum_U g_U**2.  The cost is
-  O(S**2 2**m) dictionary updates for S support subsets of order at most
-  m, independent of the horizon; fair coins have skew 0 and need no
-  expansion of the overlaps at all.
+  identity Y_k**2 = 1 + skew_k Y_k, so E[F**4] = sum_U g_U**2.  Only the
+  pairs of support subsets that share a coordinate are expanded
+  (``kernels._overlap_pairs``); the disjoint pairs enter through a closed
+  sum.  The cost is O(P 2**m) for P overlapping pairs of subsets of order
+  at most m, P <= S**2 / 2, independent of the horizon; fair coins have
+  skew 0 and need no expansion of the overlaps at all.
 
 The remaining operations evaluate the exact quantities appearing in the
 variance-of-squared-field chain for a pure multiple integral.  The
@@ -49,6 +51,7 @@ from .chaos import (
 from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
+from .kernels import _fourth_moment
 from .malliavin import d_half, gamma
 from .model import RademacherModel
 
@@ -65,53 +68,20 @@ def moment(
     return float(np.dot(w, table.values**r))
 
 
-def _fourth_moment(coeffs: dict[Subset, float], skew=None) -> float:
-    """E[(sum_J c_J Y_J)^4] = sum_U g_U^2 over the Y expansion of F^2.
-
-    Y_I Y_J = Y_{I xor J} prod_{k in I & J} (1 + skew_k Y_k), so each
-    unordered pair contributes c_I c_J prod_{k in T} skew_k to
-    g_{(I xor J) | T} for every T inside I & J, twice when I != J.
-    ``skew`` is indexed by coordinate; None means fair coins.
-    """
-    keys, vals = [], []
-    for key, v in coeffs.items():
-        if len(set(key)) != len(key):
-            raise DomainError(f"subset {tuple(key)} repeats an index")
-        if v != 0.0:
-            keys.append(key)
-            vals.append(float(v))
-    pos = {i: b for b, i in enumerate(sorted({i for key in keys for i in key}))}
-    masks = [sum(1 << pos[i] for i in key) for key in keys]
-    bit_skew = [0.0 if skew is None else float(skew[i]) for i in pos]
-    g: dict[int, float] = {}
-    for a, (ma, ca) in enumerate(zip(masks, vals)):
-        for j, (mb, cb) in enumerate(zip(masks[a:], vals[a:])):
-            terms = [(ma ^ mb, ca * cb * (2.0 if j else 1.0))]
-            both = ma & mb
-            while both:
-                low = both & -both
-                s = bit_skew[low.bit_length() - 1]
-                if s != 0.0:
-                    terms += [(u | low, t * s) for u, t in terms]
-                both ^= low
-            for u, t in terms:
-                g[u] = g.get(u, 0.0) + t
-    return math.fsum(v * v for v in g.values())
-
-
 def fourth_moment_factorized(
     coeffs: dict[Subset, float], model: RademacherModel, caps: Caps = DEFAULT_CAPS
 ) -> float:
     """E[(sum_J c_J Y_J)^4] without enumerating outcomes.
 
     Subsets may have mixed sizes and lie anywhere on the horizon of
-    ``model``; see ``_fourth_moment`` for the expansion.
+    ``model``; see ``kernels._fourth_moment`` for the expansion.
     """
     S = sum(1 for v in coeffs.values() if v != 0.0)
     if S > caps.factorized_support_cap:
         raise CapacityError(
             f"support size {S} exceeds factorized_support_cap="
-            f"{caps.factorized_support_cap} (expansion is O(S**2 2**m))",
+            f"{caps.factorized_support_cap} (expansion is O(P 2**m) for the "
+            f"P <= S**2/2 pairs of support subsets that share a coordinate)",
             cap_name="factorized_support_cap",
             cap_value=caps.factorized_support_cap,
             requested=S,

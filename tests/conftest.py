@@ -4,8 +4,10 @@ The oracles here deliberately avoid the library's fast paths: they loop
 over outcomes and tuples directly, or take the slower route the library
 replaced (one product table per subset, inclusion-exclusion over
 conditional expectations, the alternative pathwise forms of the generator
-and the squared field, the quadruple expansion of the fourth moment, the
-sparse multiply-and-project route to the projection variances of F**2,
+and the squared field, the quadruple expansion of the fourth moment and
+the expansion of F**2 over all pairs of subsets, the contraction sum of the
+tensor-square residual over explicit tuples, the sparse multiply-and-project
+route to the projection variances of F**2,
 the atom-by-atom Kolmogorov loop, the segment-by-segment Wasserstein
 integral, the sort of all 2n 2**n flip thresholds for the indicator sup,
 and the abstract-bound terms on one full gradient table per coordinate),
@@ -106,6 +108,24 @@ def oracle_tensor_square_norms(f: Kernel, horizon: int) -> tuple[float, float]:
         if len(set(tup)) != len(tup):
             diag += v * v
     return full, diag
+
+
+def oracle_contraction_residual(f: Kernel, horizon: int) -> float:
+    """(m!)^2 sum_{r=1}^{m-1} C(m, r)^2 ||f (x)_r f||^2, where the contraction
+    (f (x)_r f)(x, y) = sum_z f(x, z) f(y, z) runs over explicit tuples x, y
+    of length m - r and z of length r."""
+    m = f.order
+    total = 0.0
+    for r in range(1, m):
+        norm = 0.0
+        outer = list(product(range(horizon), repeat=m - r))
+        inner = list(product(range(horizon), repeat=r))
+        for x in outer:
+            for y in outer:
+                c = sum(f.value(x + z) * f.value(y + z) for z in inner)
+                norm += c * c
+        total += math.comb(m, r) ** 2 * norm
+    return math.factorial(m) ** 2 * total
 
 
 def oracle_integral_table(f: Kernel, model: RademacherModel) -> np.ndarray:
@@ -212,6 +232,36 @@ def oracle_fourth_moment_quadruple(coeffs: dict, model: RademacherModel) -> floa
             row += val if i == j else 2.0 * val
         total += w1 * row
     return total
+
+
+def oracle_fourth_moment_pairs(coeffs: dict, skew=None) -> float:
+    """E[(sum_J c_J Y_J)^4] = sum_U g_U^2 by expanding F**2 over all S**2 / 2
+    pairs of subsets: Y_I Y_J = Y_{I xor J} prod_{k in I & J} (1 + skew_k Y_k),
+    so each unordered pair adds c_I c_J prod_{k in T} skew_k to
+    g_{(I xor J) | T} for every T inside I & J, twice when I != J.  ``skew``
+    is indexed by coordinate; None means fair coins."""
+    keys, vals = [], []
+    for key, v in coeffs.items():
+        if v != 0.0:
+            keys.append(key)
+            vals.append(float(v))
+    pos = {i: b for b, i in enumerate(sorted({i for key in keys for i in key}))}
+    masks = [sum(1 << pos[i] for i in key) for key in keys]
+    bit_skew = [0.0 if skew is None else float(skew[i]) for i in pos]
+    g: dict[int, float] = {}
+    for a, (ma, ca) in enumerate(zip(masks, vals)):
+        for j, (mb, cb) in enumerate(zip(masks[a:], vals[a:])):
+            terms = [(ma ^ mb, ca * cb * (2.0 if j else 1.0))]
+            both = ma & mb
+            while both:
+                low = both & -both
+                s = bit_skew[low.bit_length() - 1]
+                if s != 0.0:
+                    terms += [(u | low, t * s) for u, t in terms]
+                both ^= low
+            for u, t in terms:
+                g[u] = g.get(u, 0.0) + t
+    return math.fsum(v * v for v in g.values())
 
 
 def oracle_kolmogorov(dist: DistributionTable) -> float:

@@ -33,7 +33,10 @@ from chaoslab import (
     ValueTable,
     basis_coefficients,
     integral_table,
+    off_diagonal_defect,
     random_kernel,
+    symmetrized_tensor,
+    tensor_square_residual,
     to_table,
     zero_kernel,
 )
@@ -61,6 +64,7 @@ from chaoslab.moments import (
 from conftest import (
     oracle_abstract_bounds,
     oracle_flip_thresholds,
+    oracle_fourth_moment_pairs,
     oracle_fourth_moment_quadruple,
     oracle_generator,
     oracle_hoeffding,
@@ -70,6 +74,7 @@ from conftest import (
     oracle_quartic_gradient_sum,
     oracle_squared_field,
     oracle_sup_flip_pairing,
+    oracle_tensor_square_norms,
     random_chaos,
     oracle_wasserstein,
 )
@@ -321,6 +326,155 @@ def test_zero_support_has_zero_fourth_moment(coeffs):
     model = RademacherModel((FLOOR, 0.5, 1.0 - FLOOR))
     assert fourth_moment_factorized(coeffs, model) == 0.0
     assert fourth_moment_symmetric(coeffs) == 0.0
+
+
+# -- the overlapping-pair pass ------------------------------------------------
+# Supports where nearly every pair overlaps (dense, star), mixed orders with
+# the constant key, zero supports and an order above the horizon, on
+# horizons from 1, plus universes wider than 63 coordinates.
+
+KINDS = ("dense", "star", "mixed", "zero", "above_horizon")
+
+
+def star_support(rng, n: int, m: int) -> dict:
+    """Every m-subset through coordinate 0."""
+    return {(0,) + rest: float(rng.standard_normal()) for rest in combinations(range(1, n), m - 1)}
+
+
+def draw_support(rng, kind: str, n: int) -> dict:
+    m = int(rng.integers(1, min(3, n) + 1))
+    if kind == "dense":
+        return random_kernel(m, n, rng, density=float(rng.uniform(0.8, 1.0))).to_subset_coeffs()
+    if kind == "star":
+        return star_support(rng, n, m)
+    if kind == "mixed":
+        return {(): float(rng.standard_normal()), **sparse_support(rng, n, int(rng.integers(1, 16)))}
+    if kind == "zero":
+        return {key: 0.0 for key in sparse_support(rng, n, 4)}
+    return zero_kernel(n + 1, n).to_subset_coeffs()
+
+
+def wide_support(rng, n: int, S: int) -> dict:
+    """A star through coordinate 0 on every other coordinate of a horizon
+    n >= 128, so the universe is wider than 63, plus S mixed-order subsets."""
+    coeffs = {(0, i): float(rng.standard_normal()) for i in range(1, n, 2)}
+    coeffs.update(sparse_support(rng, n, S))
+    return coeffs
+
+
+def pair_scale(coeffs: dict, model: RademacherModel) -> float:
+    """sum_U (sum of |terms| of g_U)^2: the pair expansion on |c_J| and |skew|."""
+    return oracle_fourth_moment_pairs({k: abs(v) for k, v in coeffs.items()}, folded(model).skew)
+
+
+def coeff_table(coeffs: dict, model: RademacherModel) -> np.ndarray:
+    ys = [model.y_table(k) for k in range(model.n)]
+    acc = np.zeros(2**model.n)
+    for key, v in coeffs.items():
+        acc += v * np.prod([ys[i] for i in key], axis=0)
+    return acc
+
+
+def assert_fourth_moments_match(coeffs: dict, model: RademacherModel, quadruple: bool):
+    terms = (len(coeffs) + 1) ** 2
+    fair = RademacherModel.symmetric(model.n)
+    for got, mod, skew in [
+        (fourth_moment_factorized(coeffs, model, UNCAPPED), model, model.skew),
+        (fourth_moment_symmetric(coeffs), fair, None),
+    ]:
+        tol = tolerance(terms, pair_scale(coeffs, mod))
+        assert abs(got - oracle_fourth_moment_pairs(coeffs, skew)) <= tol
+        if quadruple:
+            assert abs(got - oracle_fourth_moment_quadruple(coeffs, mod)) <= tol
+            want = float(np.dot(mod.weights(), coeff_table(coeffs, mod) ** 4))
+            assert abs(got - want) <= tolerance(terms + mod.n, abs_moment(coeffs, mod, 4)) + tol
+
+
+@given(instances(n_max=6), st.sampled_from(KINDS))
+@settings(max_examples=80, deadline=None)
+def test_overlap_pass_matches_pairs_quadruples_and_enumeration(inst, kind):
+    model, rng = inst
+    assert_fourth_moments_match(draw_support(rng, kind, model.n), model, quadruple=True)
+
+
+@given(instances(n_max=12), st.sampled_from(KINDS))
+@settings(max_examples=40, deadline=None)
+def test_overlap_pass_matches_pair_loop(inst, kind):
+    model, rng = inst
+    assert_fourth_moments_match(draw_support(rng, kind, model.n), model, quadruple=False)
+
+
+@given(st.integers(128, 300), st.integers(0, 60), st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_overlap_pass_matches_pair_loop_on_wide_universes(n, S, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = wide_support(rng, n, S)
+    assert len({i for key in coeffs for i in key}) > 63
+    probs = rng.uniform(FLOOR, 1.0 - FLOOR, n)
+    probs[::5] = FLOOR
+    probs[1::5] = 1.0 - FLOOR
+    model = RademacherModel(tuple(float(p) for p in probs))
+    assert_fourth_moments_match(coeffs, model, quadruple=False)
+
+
+def tensor_tolerance(f: Kernel) -> float:
+    """Every term is a product of four a_J weighted by at most 2^m."""
+    a = f.to_subset_coeffs()
+    return tolerance((len(a) + 1) ** 2, 2.0**f.order * sum(abs(v) for v in a.values()) ** 4)
+
+
+def assert_tensor_terms_match(f: Kernel):
+    t = symmetrized_tensor(f, f)
+    full = math.factorial(2 * f.order) * t.norm_sq()
+    diag = math.factorial(2 * f.order) * t.norm_sq_off_diagonal()
+    square = sum(v * v for v in f.to_subset_coeffs().values())
+    tol = tensor_tolerance(f)
+    assert abs(off_diagonal_defect(f) - diag) <= tol
+    assert abs(tensor_square_residual(f) - (full - 2.0 * square**2)) <= tol
+
+
+def draw_kernel(rng, kind: str, n: int, m_max: int = 3) -> Kernel:
+    m = int(rng.integers(1, min(m_max, n) + 1))
+    if kind == "dense":
+        return random_kernel(m, n, rng, density=float(rng.uniform(0.8, 1.0)))
+    if kind == "star":
+        return Kernel(m, n, star_support(rng, n, m))
+    if kind == "mixed":  # a kernel has one order: a sparse one
+        return random_kernel(m, n, rng, density=float(rng.uniform(0.05, 0.5)))
+    if kind == "zero":
+        return zero_kernel(m, n)
+    return zero_kernel(n + 1, n)
+
+
+@given(st.integers(1, 8), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tensor_terms_match_symmetrized_tensor(n, kind, seed):
+    assert_tensor_terms_match(draw_kernel(np.random.default_rng(seed), kind, n))
+
+
+@given(st.integers(1, 5), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_tensor_terms_match_tuple_enumeration(n, kind, seed):
+    f = draw_kernel(np.random.default_rng(seed), kind, n, m_max=2)
+    if f.order > 2:  # the zero kernel of an order above n: n**(2m) tuples are too many
+        assert off_diagonal_defect(f) == tensor_square_residual(f) == 0.0
+        return
+    full, diag = oracle_tensor_square_norms(f, n)
+    square = sum(v * v for v in f.to_subset_coeffs().values())
+    tol = tensor_tolerance(f)
+    k = math.factorial(2 * f.order)
+    assert abs(off_diagonal_defect(f) - k * diag) <= tol
+    assert abs(tensor_square_residual(f) - (k * full - 2.0 * square**2)) <= tol
+
+
+@given(st.integers(65, 160), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_tensor_terms_match_on_wide_universes(n, S, seed):
+    rng = np.random.default_rng(seed)
+    keys = {tuple(sorted(int(i) for i in rng.choice(n, size=2, replace=False))) for _ in range(S)}
+    keys |= {(0, i) for i in range(1, 65)}
+    f = Kernel(2, n, {key: float(rng.standard_normal()) for key in keys})
+    assert_tensor_terms_match(f)
 
 
 @pytest.mark.parametrize("n, k", [(1, 0), (4, 0), (4, 3), (6, 5)])

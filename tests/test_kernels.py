@@ -15,7 +15,7 @@ from chaoslab import (
     tensor_square_residual,
     zero_kernel,
 )
-from conftest import oracle_tensor_square_norms
+from conftest import oracle_contraction_residual, oracle_tensor_square_norms
 
 
 class TestValidation:
@@ -173,6 +173,22 @@ class TestSymmetrizedTensor:
     def test_residual_vanishes_order_one(self, rng):
         f = random_kernel(1, 6, rng)
         assert abs(tensor_square_residual(f)) <= 1e-12 * (1 + f.norm_sq() ** 2)
+
+    def test_residual_of_one_pair_is_its_contraction(self):
+        # a_{01} = 2! f_{01} = 2: the full norm is 2^2 (a^2)^2 = 64, less
+        # 2 (a^2)^2 = 32; the contraction f (x)_1 f is 1 at (0, 0) and (1, 1),
+        # so (2!)^2 C(2, 1)^2 ||f (x)_1 f||^2 = 4 * 4 * 2 = 32 as well
+        f = Kernel(2, 4, {(0, 1): 1.0})
+        assert tensor_square_residual(f) == pytest.approx(32.0, rel=1e-14)
+        assert oracle_contraction_residual(f, 4) == pytest.approx(32.0, rel=1e-14)
+
+    @pytest.mark.parametrize("m,n", [(1, 5), (2, 5), (2, 6), (3, 5), (4, 5)])
+    def test_residual_matches_contraction_sum(self, rng, m, n):
+        for _ in range(3):
+            f = random_kernel(m, n, rng, density=0.7)
+            want = oracle_contraction_residual(f, n)
+            scale = 2.0 * f.second_moment() ** 2
+            assert abs(tensor_square_residual(f) - want) <= 1e-12 * (1.0 + scale)
 
 
 class TestOffDiagonalDefect:

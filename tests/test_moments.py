@@ -17,7 +17,11 @@ from chaoslab import (
     to_table,
     zero_kernel,
 )
-from chaoslab.construct import inhomogeneous_counterexample
+from chaoslab.construct import (
+    inhomogeneous_counterexample,
+    matched_pairs_kernel,
+    product_chaos_sequence,
+)
 from chaoslab.moments import (
     fourth_moment_factorized,
     fourth_moment_symmetric,
@@ -147,6 +151,32 @@ class TestSymmetricEngine:
             assert fourth_moment_symmetric(f.to_subset_coeffs()) == pytest.approx(
                 moment(t, 4, model), rel=1e-10
             )
+
+
+class TestClosedFormsAtScale:
+    """The horizon-free engine on hundreds and thousands of coordinates, against
+    exact fourth moments.  The bound covers the rounding of the inputs
+    1/sqrt(N), at most 4 eps on E[F^4] or about 6 ulps of 3, and the
+    rounding of the sums."""
+
+    ULPS = 32
+
+    def assert_within_ulps(self, got: float, want: float):
+        assert abs(got - want) <= self.ULPS * math.ulp(want)
+
+    def test_matched_pairs(self):
+        # a standardized sum of N = n/2 independent signs: 3 - 2/N
+        n = 2000
+        kern, _ = matched_pairs_kernel(n)
+        self.assert_within_ulps(fourth_moment_symmetric(kern.to_subset_coeffs()), 3.0 - 4.0 / n)
+
+    def test_sign_times_average_star(self):
+        # X_0 times the average of n - 1 signs: every pair of subsets overlaps
+        n = 400
+        kern, _ = product_chaos_sequence(2, n)
+        self.assert_within_ulps(
+            fourth_moment_symmetric(kern.to_subset_coeffs()), 3.0 - 2.0 / (n - 1)
+        )
 
 
 def test_repeated_index_is_rejected_by_both_engines():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab import ChaosVector, RademacherModel, bounds, integral_table, moments, random_kernel
+from chaoslab import ChaosVector, RademacherModel, bounds, integral_table, kernels, moments, random_kernel
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
@@ -73,4 +73,17 @@ def test_traced_operator_terms_record_the_indicator_span(spans, call):
         getattr(owner, call)(F, model)
     names = set(tracer.summary())
     assert {f"{owner.__name__.split('.')[-1]}.{call}", "moments.sup_flip_pairing"} <= names
+    assert not tracer.errors
+
+
+@pytest.mark.parametrize("call", ["off_diagonal_defect", "tensor_square_residual"])
+def test_traced_tensor_terms_skip_the_multiset_enumeration(spans, call):
+    # both read the overlapping support pairs; symmetrized_tensor stays for
+    # check_product_top_kernel only
+    f = random_kernel(3, 8, np.random.default_rng(7))
+    with spans.Tracer() as tracer:
+        getattr(kernels, call)(f)
+    names = set(tracer.summary())
+    assert f"kernels.{call}" in names
+    assert "kernels.symmetrized_tensor" not in names
     assert not tracer.errors
