@@ -288,7 +288,7 @@ def abstract_bounds(
         sup_self = sup_flip_pairing(table, flip_weights(table, table, model), model, caps) / m
         g0_self = gamma0(table, table, model)
         var_g_self = table_variance(
-            ValueTable(n, g0_self.values / m), model, caps
+            ValueTable._owning(n, g0_self.values / m), model, caps
         )
         out["wasserstein_single_order"] = s2pi * math.sqrt(var_g_self) + math.sqrt(
             quart / m
@@ -329,7 +329,7 @@ class HoeffdingDecomposition:
             minus, plus = split_coordinate(term, i)
             minus *= self.model.y_minus[i]
             plus *= self.model.y_plus[i]
-        return ValueTable(n, term)
+        return ValueTable._owning(n, term)
 
     def reconstruct(self) -> ValueTable:
         coeffs = np.zeros(2**self.model.n)

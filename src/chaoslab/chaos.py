@@ -17,6 +17,13 @@ to that array (``basis_coefficients``) and back (``basis_synthesis``):
 
 Every per-coordinate operation goes through ``split_coordinate``, which
 views a table as its ``X_k = -1`` and ``X_k = +1`` halves.
+
+A table's array is copied once.  The public ``ValueTable`` constructor
+copies its input; arithmetic, the butterfly and the Malliavin operators
+hand over the array they have just allocated (``ValueTable._owning``),
+with the same shape and finiteness checks.  ``to_table`` synthesizes in
+place on its own coefficient array, so its peak is that array plus a
+half-sized scratch.
 """
 
 from __future__ import annotations
@@ -29,7 +36,17 @@ import numpy as np
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
 from .kernels import Kernel, zero_kernel
-from .model import Outcome, RademacherModel
+from .model import Outcome, RademacherModel, split_coordinate
+
+
+def _frozen(horizon: int, v: np.ndarray) -> np.ndarray:
+    """``v`` after the shape and finiteness checks, marked read-only."""
+    if v.shape != (2**horizon,):
+        raise DomainError(f"table must have 2**{horizon} entries, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise DomainError("table contains non-finite values")
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -38,16 +55,16 @@ class ValueTable:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (2**self.horizon,):
-            raise DomainError(
-                f"table must have 2**{self.horizon} entries, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise DomainError("table contains non-finite values")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        v = np.array(self.values, dtype=float)
+        object.__setattr__(self, "values", _frozen(self.horizon, v))
+
+    @classmethod
+    def _owning(cls, horizon: int, values: np.ndarray) -> "ValueTable":
+        """A table that takes ``values``, a float array nothing else holds."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "horizon", horizon)
+        object.__setattr__(table, "values", _frozen(horizon, values))
+        return table
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b)
@@ -64,18 +81,18 @@ class ValueTable:
         if isinstance(other, ValueTable):
             if other.horizon != self.horizon:
                 raise DomainError("tables live on different horizons")
-            return ValueTable(self.horizon, op(self.values, other.values))
-        return ValueTable(self.horizon, op(self.values, float(other)))
+            return ValueTable._owning(self.horizon, op(self.values, other.values))
+        return ValueTable._owning(self.horizon, op(self.values, float(other)))
 
     def abs(self) -> "ValueTable":
-        return ValueTable(self.horizon, np.abs(self.values))
+        return ValueTable._owning(self.horizon, np.abs(self.values))
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
 
 
 def constant_table(value: float, horizon: int) -> ValueTable:
-    return ValueTable(horizon, np.full(2**horizon, float(value)))
+    return ValueTable._owning(horizon, np.full(2**horizon, float(value)))
 
 
 def expectation(table: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAPS) -> float:
@@ -88,17 +105,6 @@ def variance(table: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAP
     """E[(F - E F)^2], summed about the mean so it is never negative."""
     centered = table.values - expectation(table, model, caps)
     return float(np.dot(model.weights(caps), centered * centered))
-
-
-def split_coordinate(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``X_k = -1`` and ``X_k = +1`` halves of a 2**n table, as views.
-
-    Bit k of an outcome index selects the middle axis of the reshape
-    ``(2**(n-k-1), 2, 2**k)``; writing to a half writes to ``values``.
-    ``join_coordinate`` is the inverse.
-    """
-    v = values.reshape(-1, 2, 1 << k)
-    return v[:, 0, :], v[:, 1, :]
 
 
 def join_coordinate(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
@@ -127,7 +133,7 @@ def conditional_expectation(
         mean = model.p[k] * plus + model.q[k] * minus
         minus[...] = mean
         plus[...] = mean
-    return ValueTable(table.horizon, vals)
+    return ValueTable._owning(table.horizon, vals)
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,7 @@ def to_table(F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS) 
     if model.n != F.horizon:
         raise DomainError("chaos vector and model horizons differ")
     model.check_enumerable(caps)
-    return basis_synthesis(coefficient_array(F), model)
+    return _synthesize(coefficient_array(F), model)
 
 
 # -- orthonormal basis transform -------------------------------------------
@@ -255,16 +261,27 @@ def basis_coefficients(table: ValueTable, model: RademacherModel) -> np.ndarray:
 
 def basis_synthesis(coeffs: np.ndarray, model: RademacherModel) -> ValueTable:
     """Inverse of ``basis_coefficients``: rebuild the table from E[F Y_S]."""
-    v = np.asarray(coeffs, dtype=float).copy()
-    n = model.n
-    if v.shape != (2**n,):
+    v = np.array(coeffs, dtype=float)
+    if v.shape != (2**model.n,):
         raise DomainError("coefficient array size does not match the model")
-    for k in range(n):
+    return _synthesize(v, model)
+
+
+def _synthesize(v: np.ndarray, model: RademacherModel) -> ValueTable:
+    """``basis_synthesis`` in place on ``v``, a float coefficient array of
+    the model's size that nothing else holds; the table takes ``v``.
+
+    Per coordinate, F- = A + B y_minus and F+ = A + B y_plus, with one
+    half-sized scratch array shared by all coordinates.
+    """
+    scratch = np.empty(v.size // 2)
+    for k in range(model.n):
         minus, plus = split_coordinate(v, k)
-        at_plus = minus + plus * model.y_plus[k]
-        minus += plus * model.y_minus[k]
-        plus[...] = at_plus
-    return ValueTable(n, v)
+        at_minus = np.multiply(plus, model.y_minus[k], out=scratch.reshape(minus.shape))
+        plus *= model.y_plus[k]
+        plus += minus
+        minus += at_minus
+    return ValueTable._owning(model.n, v)
 
 
 def coefficient_array(F: ChaosVector) -> np.ndarray:
@@ -323,7 +340,7 @@ def stroock_decompose(
         subset = _mask_to_subset(int(mask))
         r = len(subset)
         per_order[r][subset] = float(coeffs[mask]) / math.factorial(r)
-    kernels = tuple(Kernel(r, n, per_order[r]) for r in range(n + 1))
+    kernels = tuple(Kernel._from_valid_keys(r, n, per_order[r]) for r in range(n + 1))
     return ChaosVector(n, kernels).trimmed()
 
 

@@ -11,6 +11,14 @@ the *ordering value* ``f_J`` stored here, and the *subset coefficient*
 ``sum_J a_J * Y_J``.  Conversions are explicit named operations to keep
 the factor of m! in one place.
 
+Keys are validated once, at the public ``Kernel`` constructor.  A kernel
+derived from valid ones (``scale``, ``add``, ``truncate``,
+``random_kernel`` and the chaos and Malliavin operators) has keys that
+are valid by construction and skips that check
+(``Kernel._from_valid_keys``).  Every path still stores float values,
+drops zeros and rejects a non-finite value with ``DomainError``, so an
+overflowing ``scale`` fails typed.
+
 The norms of the symmetrized tensor square and the product-formula fourth
 moment in ``moments`` come from one pass over the pairs of support subsets
 that share a coordinate (``_overlap_pairs``); the disjoint pairs enter
@@ -32,13 +40,34 @@ from .errors import DomainError
 Subset = tuple[int, ...]
 
 
-def _check_subset(key: Subset, m: int, n: int) -> None:
+def _checked_subset(key: Iterable[int], m: int, n: int) -> Subset:
+    key = tuple(int(i) for i in key)
     if len(key) != m:
         raise DomainError(f"subset {key} has size {len(key)}, kernel order is {m}")
     if any(not 0 <= i < n for i in key):
         raise DomainError(f"subset {key} out of range for horizon {n}")
     if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
         raise DomainError(f"subset {key} must be strictly increasing")
+    return key
+
+
+def _clean_values(
+    order: int, horizon: int, items: Iterable[tuple[Subset, float]]
+) -> dict[Subset, float]:
+    """The checks both kernel constructors share: coefficients become
+    floats, zeros are dropped and non-finite values rejected."""
+    if order < 0:
+        raise DomainError(f"order must be >= 0, got {order}")
+    if horizon < 1:
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    clean = {}
+    for key, val in items:
+        val = float(val)
+        if val != 0.0:
+            clean[key] = val
+    if not all(map(math.isfinite, clean.values())):
+        raise DomainError("kernel coefficients must be finite")
+    return clean
 
 
 @dataclass(frozen=True)
@@ -48,19 +77,24 @@ class Kernel:
     coeffs: Mapping[Subset, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.order < 0:
-            raise DomainError(f"order must be >= 0, got {self.order}")
-        if self.horizon < 1:
-            raise DomainError(f"horizon must be >= 1, got {self.horizon}")
         # order may exceed the horizon: such a kernel is necessarily zero,
-        # and the subset check below rejects any attempted support
-        clean = {}
-        for key, val in self.coeffs.items():
-            key = tuple(int(i) for i in key)
-            _check_subset(key, self.order, self.horizon)
-            if val != 0.0:
-                clean[key] = float(val)
-        object.__setattr__(self, "coeffs", clean)
+        # and the subset check rejects any attempted support
+        m, n = self.order, self.horizon
+        items = ((_checked_subset(k, m, n), v) for k, v in self.coeffs.items())
+        object.__setattr__(self, "coeffs", _clean_values(m, n, items))
+
+    @classmethod
+    def _from_valid_keys(
+        cls, order: int, horizon: int, coeffs: Mapping[Subset, float]
+    ) -> "Kernel":
+        """A kernel whose keys are already strictly increasing int tuples of
+        size ``order`` inside ``horizon``.  Values are still converted to
+        float, zeros dropped and non-finite values rejected."""
+        kern = object.__new__(cls)
+        object.__setattr__(kern, "order", order)
+        object.__setattr__(kern, "horizon", horizon)
+        object.__setattr__(kern, "coeffs", _clean_values(order, horizon, coeffs.items()))
+        return kern
 
     # -- basic queries ---------------------------------------------------
 
@@ -114,7 +148,9 @@ class Kernel:
     # -- algebra ---------------------------------------------------------
 
     def scale(self, c: float) -> "Kernel":
-        return Kernel(self.order, self.horizon, {k: c * v for k, v in self.coeffs.items()})
+        return Kernel._from_valid_keys(
+            self.order, self.horizon, {k: c * v for k, v in self.coeffs.items()}
+        )
 
     def add(self, other: "Kernel") -> "Kernel":
         if other.order != self.order:
@@ -123,7 +159,7 @@ class Kernel:
         merged = dict(self.coeffs)
         for k, v in other.coeffs.items():
             merged[k] = merged.get(k, 0.0) + v
-        return Kernel(self.order, horizon, merged)
+        return Kernel._from_valid_keys(self.order, horizon, merged)
 
     def truncate(self, n_prime: int) -> "Kernel":
         """Zero every coefficient whose subset leaves {0, .., n_prime-1}."""
@@ -134,13 +170,15 @@ class Kernel:
         if n_prime < 1:
             raise DomainError(f"truncation horizon must be >= 1, got {n_prime}")
         kept = {k: v for k, v in self.coeffs.items() if not k or k[-1] < n_prime}
-        return Kernel(self.order, self.horizon, kept)
+        return Kernel._from_valid_keys(self.order, self.horizon, kept)
 
     def normalized(self) -> "Kernel":
         """Scale so the multiple integral has second moment exactly 1."""
         s = self.second_moment()
         if s <= 0.0:
             raise DomainError("cannot normalize the zero kernel")
+        if not math.isfinite(s):
+            raise DomainError("second moment overflows; cannot normalize")
         return self.scale(1.0 / math.sqrt(s))
 
     # -- coefficient conventions ------------------------------------------
@@ -188,12 +226,11 @@ def random_kernel(
         if density < 1.0 and rng.random() >= density:
             continue
         coeffs[key] = float(rng.standard_normal())
-    kern = Kernel(m, n, coeffs)
+    kern = Kernel._from_valid_keys(m, n, coeffs)
     if normalized:
         if kern.is_zero():
             # density pruning may drop everything at tiny sizes; re-seat one entry
-            key = tuple(range(m))
-            kern = Kernel(m, n, {key: 1.0})
+            kern = Kernel._from_valid_keys(m, n, {tuple(range(m)): 1.0})
         kern = kern.normalized()
     return kern
 
@@ -240,7 +277,11 @@ class SymmetrizedTensor:
         )
 
     def diagonal_free(self) -> Kernel:
-        """Restriction to distinct tuples, as a kernel."""
+        """Restriction to distinct tuples, as a kernel.
+
+        The tensor's constructor is public and takes any keys, so the
+        kernel goes through the validating constructor.
+        """
         kept = {k: v for k, v in self.values.items() if len(set(k)) == len(k)}
         return Kernel(self.order, self.horizon, kept)
 
@@ -357,6 +398,8 @@ def _overlap_pairs(coeffs: Mapping[Subset, float]) -> _PairSums:
     for key, v in coeffs.items():
         if len(set(key)) != len(key):
             raise DomainError(f"subset {tuple(key)} repeats an index")
+        if not math.isfinite(v):
+            raise DomainError(f"coefficient of {tuple(key)} is {v}, not finite")
         if v != 0.0:
             mask = sum(1 << pos[int(i)] for i in key)
             coeff[mask] = coeff.get(mask, 0.0) + float(v)

@@ -39,14 +39,14 @@ def shift_plus(table: ValueTable, k: int) -> ValueTable:
     """Table of F with coordinate k forced to +1."""
     _check_coord(table, k)
     _, plus = split_coordinate(table.values, k)
-    return ValueTable(table.horizon, join_coordinate(plus, plus))
+    return ValueTable._owning(table.horizon, join_coordinate(plus, plus))
 
 
 def shift_minus(table: ValueTable, k: int) -> ValueTable:
     """Table of F with coordinate k forced to -1."""
     _check_coord(table, k)
     minus, _ = split_coordinate(table.values, k)
-    return ValueTable(table.horizon, join_coordinate(minus, minus))
+    return ValueTable._owning(table.horizon, join_coordinate(minus, minus))
 
 
 def d_plus(table: ValueTable, k: int) -> ValueTable:
@@ -80,7 +80,7 @@ def d(table: ValueTable, k: int, model: RademacherModel) -> ValueTable:
     Constant in coordinate k; equals sqrt(p_k q_k) (d_plus - d_minus).
     """
     grad = d_half(table, k, model)
-    return ValueTable(table.horizon, join_coordinate(grad, grad))
+    return ValueTable._owning(table.horizon, join_coordinate(grad, grad))
 
 
 def ou_generator_pathwise(table: ValueTable, model: RademacherModel) -> ValueTable:
@@ -99,7 +99,7 @@ def ou_generator_pathwise(table: ValueTable, model: RademacherModel) -> ValueTab
         acc_minus, acc_plus = split_coordinate(acc, k)
         acc_minus += model.p[k] * (plus - minus)
         acc_plus += model.q[k] * (minus - plus)
-    return ValueTable(table.horizon, acc)
+    return ValueTable._owning(table.horizon, acc)
 
 
 def ou_generator_spectral(F: ChaosVector) -> ChaosVector:
@@ -147,7 +147,7 @@ def gamma0(
         acc_minus, acc_plus = split_coordinate(acc, k)
         acc_minus += 0.5 * (model.p[k] * prod)
         acc_plus += 0.5 * (model.q[k] * prod)
-    return ValueTable(model.n, acc)
+    return ValueTable._owning(model.n, acc)
 
 
 def gamma(
@@ -168,7 +168,7 @@ def gamma(
     prod = basis_coefficients(f_t * g_t, model)
     l_prod = basis_synthesis(-subset_orders(model.n) * prod, model)
     vals = 0.5 * (l_prod.values - f_t.values * lg.values - g_t.values * lf.values)
-    return ValueTable(model.n, vals)
+    return ValueTable._owning(model.n, vals)
 
 
 def skorohod(
@@ -198,7 +198,7 @@ def skorohod(
                 target = tuple(sorted(key + (k,)))
                 bucket = per_order[r + 1]
                 bucket[target] = bucket.get(target, 0.0) + val / (r + 1)
-    kernels = tuple(Kernel(r, n, per_order[r]) for r in range(top + 2))
+    kernels = tuple(Kernel._from_valid_keys(r, n, per_order[r]) for r in range(top + 2))
     return ChaosVector(n, kernels).trimmed()
 
 
@@ -220,6 +220,8 @@ def gradient_process(F: ChaosVector) -> list[ChaosVector]:
                 rest = tuple(i for i in key if i != k)
                 bucket = per_order[r - 1]
                 bucket[rest] = bucket.get(rest, 0.0) + r * val
-        kernels = tuple(Kernel(r, n, per_order[r]) for r in range(len(per_order)))
+        kernels = tuple(
+            Kernel._from_valid_keys(r, n, per_order[r]) for r in range(len(per_order))
+        )
         out.append(ChaosVector(n, kernels).trimmed())
     return out

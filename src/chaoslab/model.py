@@ -26,6 +26,17 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
 
 
+def split_coordinate(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``X_k = -1`` and ``X_k = +1`` halves of a 2**n table, as views.
+
+    Bit k of an outcome index selects the middle axis of the reshape
+    ``(2**(n-k-1), 2, 2**k)``; writing to a half writes to ``values``.
+    ``chaos.join_coordinate`` is the inverse.
+    """
+    v = values.reshape(-1, 2, 1 << k)
+    return v[:, 0, :], v[:, 1, :]
+
+
 def normalized_value(p: float, sign: int) -> float:
     """Value of the normalized coordinate Y for one sign of X.
 
@@ -147,14 +158,24 @@ class RademacherModel:
 
     def y_table(self, k: int) -> np.ndarray:
         """Values of Y_k at all 2**n outcomes, bitmask order."""
-        if not 0 <= k < self.n:
-            raise DomainError(f"coordinate {k} out of range for n={self.n}")
-        idx = np.arange(2**self.n)
-        return np.where((idx >> k) & 1, self.y_plus[k], self.y_minus[k])
+        return self._coordinate_table(k, self.y_minus, self.y_plus)
 
     def signs_table(self, k: int) -> np.ndarray:
-        idx = np.arange(2**self.n)
-        return np.where((idx >> k) & 1, 1.0, -1.0)
+        """Values of X_k at all 2**n outcomes, bitmask order."""
+        return self._coordinate_table(k, -np.ones(self.n), np.ones(self.n))
+
+    def _coordinate_table(
+        self, k: int, at_minus: np.ndarray, at_plus: np.ndarray
+    ) -> np.ndarray:
+        """The table equal to ``at_minus[k]`` where X_k = -1 and to
+        ``at_plus[k]`` where X_k = +1."""
+        if not 0 <= k < self.n:
+            raise DomainError(f"coordinate {k} out of range for n={self.n}")
+        out = np.empty(2**self.n)
+        minus, plus = split_coordinate(out, k)
+        minus[...] = at_minus[k]
+        plus[...] = at_plus[k]
+        return out
 
 
 @dataclass(frozen=True)

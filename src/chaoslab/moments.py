@@ -147,7 +147,7 @@ def var_gamma_normalized(
 ) -> SquaredFieldVariance:
     m = _pure_integral(F)
     g = gamma(F, F, model, caps)
-    value = table_variance(ValueTable(g.horizon, g.values / m), model, caps)
+    value = table_variance(ValueTable._owning(g.horizon, g.values / m), model, caps)
     proj = var_projection_sum(F, model, caps)
     spectral = sum(
         (1.0 - r / (2.0 * m)) ** 2 * v

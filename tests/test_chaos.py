@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from chaoslab import (
     DomainError,
     Kernel,
     RademacherModel,
+    ValueTable,
+    basis_coefficients,
     basis_kernel,
+    basis_synthesis,
     conditional_expectation,
     constant_kernel,
+    constant_table,
     enumerate_outcomes,
     evaluate_integral,
     expectation,
@@ -27,6 +32,17 @@ from chaoslab import (
     symmetrized_tensor,
     to_table,
     variance,
+)
+from chaoslab.bounds import hoeffding_decompose
+from chaoslab.malliavin import (
+    d,
+    d_minus,
+    d_plus,
+    gamma,
+    gamma0,
+    ou_generator_pathwise,
+    shift_minus,
+    shift_plus,
 )
 from conftest import (
     assert_kernels_close,
@@ -255,3 +271,95 @@ def test_truncation_is_conditional_expectation(rng):
             integral_table(f, model), model, set(range(h))
         )
         assert np.abs(lhs.values - rhs.values).max() <= 1e-11
+
+
+# every operation that hands a freshly allocated array to its result table
+OWNED_OPERATIONS = {
+    "add": lambda F, G, model: F + G,
+    "sub": lambda F, G, model: F - G,
+    "mul": lambda F, G, model: F * G,
+    "mul_scalar": lambda F, G, model: F * 2.0,
+    "rmul_scalar": lambda F, G, model: 2.0 * F,
+    "abs": lambda F, G, model: F.abs(),
+    "conditional_expectation": lambda F, G, model: conditional_expectation(
+        F, model, {0}
+    ),
+    "basis_synthesis": lambda F, G, model: basis_synthesis(
+        basis_coefficients(F, model), model
+    ),
+    "shift_plus": lambda F, G, model: shift_plus(F, 2),
+    "shift_minus": lambda F, G, model: shift_minus(F, 0),
+    "d_plus": lambda F, G, model: d_plus(F, 0),
+    "d_minus": lambda F, G, model: d_minus(F, 2),
+    "d": lambda F, G, model: d(F, 1, model),
+    "ou_generator_pathwise": lambda F, G, model: ou_generator_pathwise(F, model),
+    "gamma0": lambda F, G, model: gamma0(F, G, model),
+    "hoeffding_component": lambda F, G, model: hoeffding_decompose(F, model).component(
+        (0,)
+    ),
+}
+
+
+class TestOwnedTables:
+    """Operations hand their freshly allocated result to the table without a
+    copy; the result must still be checked, read-only and its own."""
+
+    @pytest.mark.parametrize("name", sorted(OWNED_OPERATIONS))
+    def test_result_is_read_only_and_never_aliases_an_input(self, name, rng):
+        model = random_model(rng, 3)
+        F = ValueTable(3, rng.standard_normal(8))
+        G = ValueTable(3, rng.standard_normal(8))
+        before = F.values.copy(), G.values.copy()
+        out = OWNED_OPERATIONS[name](F, G, model)
+        assert isinstance(out, ValueTable)
+        assert not out.values.flags.writeable
+        with pytest.raises(ValueError):
+            out.values[0] = 1.0
+        for table, old in zip((F, G), before):
+            assert not np.shares_memory(out.values, table.values)
+            assert np.array_equal(table.values, old)
+
+    def test_tables_built_from_kernels_are_read_only(self, rng):
+        model = random_model(rng, 4)
+        F = random_chaos(rng, 4)
+        for out in (
+            to_table(F, model),
+            integral_table(F.kernel(2), model),
+            constant_table(1.5, 4),
+            gamma(F, F, model),
+        ):
+            assert not out.values.flags.writeable
+
+    def test_public_constructor_and_synthesis_copy_their_input(self, rng):
+        model = random_model(rng, 3)
+        raw = rng.standard_normal(8)
+        kept = raw.copy()
+        table = ValueTable(3, raw)
+        synth = basis_synthesis(raw, model)
+        assert np.array_equal(raw, kept)
+        raw[:] = 0.0
+        assert np.array_equal(table.values, kept)
+        assert not np.shares_memory(synth.values, raw)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_typed(self):
+        T = constant_table(2.0, 3)
+        with pytest.raises(DomainError):
+            (T * 1e308) * 1e308
+        with pytest.raises(DomainError):
+            T * math.nan
+        with pytest.raises(DomainError):
+            basis_synthesis(np.full(8, 1e308), RademacherModel.homogeneous(1e-6, 3))
+
+    def test_integral_table_peaks_below_two_tables(self):
+        n = 16
+        model = RademacherModel.homogeneous(0.3, n)
+        f = random_kernel(2, n, 7)
+        integral_table(f, model)  # fill the model's cached coordinate arrays
+        tracemalloc.start()
+        try:
+            table = integral_table(f, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.values.nbytes

@@ -28,13 +28,16 @@ from hypothesis import strategies as st
 from chaoslab import (
     Caps,
     ChaosVector,
+    DomainError,
     Kernel,
     RademacherModel,
     ValueTable,
     basis_coefficients,
     integral_table,
     off_diagonal_defect,
+    ou_semigroup,
     random_kernel,
+    stroock_decompose,
     symmetrized_tensor,
     tensor_square_residual,
     to_table,
@@ -50,7 +53,16 @@ from chaoslab.distance import (
     normal_cdf,
     wasserstein_to_normal,
 )
-from chaoslab.malliavin import d, gamma, gamma0, minus_pseudo_inverse, ou_generator_pathwise
+from chaoslab.malliavin import (
+    d,
+    gamma,
+    gamma0,
+    gradient_process,
+    minus_pseudo_inverse,
+    ou_generator_pathwise,
+    ou_generator_spectral,
+    skorohod,
+)
 from chaoslab.moments import (
     flip_weights,
     fourth_moment_factorized,
@@ -107,6 +119,58 @@ def magnitude(F: ChaosVector, model: RademacherModel) -> float:
 
 def tolerance(terms: int, scale: float) -> float:
     return ULPS * terms * EPS * scale
+
+
+def assert_rebuilds_through_public_constructor(kern: Kernel) -> None:
+    """A derived kernel skips the key checks; the public constructor must
+    accept its keys and leave it unchanged."""
+    assert Kernel(kern.order, kern.horizon, dict(kern.coeffs)) == kern
+    assert all(type(v) is float for v in kern.coeffs.values())
+    assert all(type(i) is int for key in kern.coeffs for i in key)
+
+
+@given(
+    instances(),
+    st.integers(0, 11),
+    st.one_of(st.sampled_from([0.0, -1.0, 1e-300]), st.floats(-1e3, 1e3)),
+    st.integers(1, 10),
+)
+@settings(max_examples=60, deadline=None)
+def test_derived_kernels_match_public_constructor(inst, m, c, cut):
+    model, rng = inst
+    n = model.n
+    # an order above the horizon leaves only the zero kernel
+    f = random_kernel(m, n, rng, density=0.6) if m <= n else zero_kernel(m, n)
+    g = random_kernel(m, n, rng, density=0.6) if m <= n else zero_kernel(m, n)
+    derived = [
+        f.scale(c),
+        f.scale(0.0),
+        f.add(g),
+        f.add(f.scale(-1.0)),
+        f.truncate(min(cut, n)),
+        zero_kernel(m, n).scale(c),
+    ]
+    if not f.is_zero():
+        derived.append(f.normalized())
+        with pytest.raises(DomainError):
+            f.scale(1e300).scale(1e300)
+    if m <= n:
+        derived.append(random_kernel(m, n, rng, normalized=True, density=0.3))
+    F = random_chaos(rng, n, top=min(3, n), centered=False)
+    centered = random_chaos(rng, n, top=min(3, n))
+    vectors = [
+        F.scale(c),
+        F + F,
+        ou_semigroup(F, abs(c)),
+        ou_generator_spectral(F),
+        minus_pseudo_inverse(centered),
+        stroock_decompose(to_table(F, model), model),
+        skorohod(gradient_process(F), model),
+        *gradient_process(F),
+    ]
+    derived += [kern for vec in vectors for kern in vec.kernels]
+    for kern in derived:
+        assert_rebuilds_through_public_constructor(kern)
 
 
 @given(instances())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from chaoslab import (
     DomainError,
     Kernel,
+    SymmetrizedTensor,
     basis_kernel,
     gamma_m,
     off_diagonal_defect,
@@ -30,6 +31,27 @@ class TestValidation:
     def test_rejects_wrong_size(self):
         with pytest.raises(DomainError):
             Kernel(2, 4, {(1,): 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(DomainError):
+            Kernel(2, 4, {(0, 1): bad})
+        with pytest.raises(DomainError):
+            Kernel.from_subset_coeffs(2, 4, {(0, 1): bad})
+
+    def test_scale_overflow_is_typed(self):
+        with pytest.raises(DomainError):
+            Kernel(2, 4, {(0, 1): 1e300}).scale(1e300)
+        with pytest.raises(DomainError):
+            Kernel(1, 2, {(0,): 1e308}).add(Kernel(1, 2, {(0,): 1e308}))
+
+    def test_normalize_overflow_is_typed(self):
+        with pytest.raises(DomainError):
+            Kernel(2, 4, {(0, 1): 1e200}).normalized()
+
+    def test_hand_built_tensor_keys_are_checked(self):
+        with pytest.raises(DomainError):
+            SymmetrizedTensor(2, 4, {(3, 1): 1.0}).diagonal_free()
 
     def test_order_zero_is_scalar(self):
         k = Kernel(0, 3, {(): 2.5})

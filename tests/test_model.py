@@ -122,6 +122,25 @@ class TestModel:
                 )
 
 
+    def test_coordinate_tables_follow_the_bitmask_order(self):
+        model = RademacherModel((0.3, 0.6, 0.2))
+        idx = np.arange(8)
+        for k in range(3):
+            bit = (idx >> k) & 1
+            assert np.array_equal(model.signs_table(k), np.where(bit, 1.0, -1.0))
+            assert np.array_equal(
+                model.y_table(k), np.where(bit, model.y_plus[k], model.y_minus[k])
+            )
+
+    @pytest.mark.parametrize("k", [-1, 3, 7])
+    def test_coordinate_tables_reject_out_of_range(self, k):
+        model = RademacherModel.symmetric(3)
+        with pytest.raises(DomainError):
+            model.signs_table(k)
+        with pytest.raises(DomainError):
+            model.y_table(k)
+
+
 class TestSampling:
     def test_same_seed_identical(self):
         model = RademacherModel((0.4, 0.6, 0.5))

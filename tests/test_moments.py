@@ -135,6 +135,14 @@ class TestSymmetricEngine:
                   [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
         assert fourth_moment_symmetric(coeffs) == pytest.approx(14.0 / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_is_typed(self, bad):
+        coeffs = {(0, 1): bad, (1, 2): 1.0}
+        with pytest.raises(DomainError):
+            fourth_moment_symmetric(coeffs)
+        with pytest.raises(DomainError):
+            fourth_moment_factorized(coeffs, RademacherModel((0.3, 0.5, 0.7)))
+
     @pytest.mark.parametrize("n", [4, 6, 9])
     def test_first_coordinate_family(self, n):
         coeffs = {(0, j): 1 / math.sqrt(n - 1) for j in range(1, n)}
