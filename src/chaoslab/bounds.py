@@ -35,15 +35,11 @@ from .chaos import (
 )
 from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
-from .distance import (
-    exact_distribution,
-    kolmogorov_to_normal,
-    wasserstein_to_normal,
-)
+from .distance import exact_distribution, normal_distances
 from .errors import DomainError
 from .malliavin import d_half, gamma0, minus_pseudo_inverse
 from .model import RademacherModel
-from .moments import flip_weights, moment, sup_flip_pairing
+from .moments import even_moments, flip_weights, moment, sup_flip_pairing
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -129,21 +125,19 @@ def theorem_bounds(
     if m is None or m == 0:
         raise DomainError("bound expects a pure multiple integral of order >= 1")
     table = to_table(F, model, caps)
-    var = moment(table, 2, model, caps)
+    var, fourth = even_moments(table, model, caps)
     if abs(var - 1.0) > _NORMALIZATION_TOL:
         raise DomainError(
             f"input is not normalized: measured second moment {var!r}; "
             "rescale the kernel first"
         )
-    fourth = moment(table, 4, model, caps)
     sup_inf = F.kernel(m).sup_influence()
-    law = exact_distribution(table, model, caps)
+    w1, dk = normal_distances(exact_distribution(table, model, caps))
     root_excess = math.sqrt(abs(fourth - 3.0))
     root_inf = math.sqrt(sup_inf)
 
     c1, c2 = wasserstein_constants(m)
     t_fourth, t_inf = c1 * root_excess, c2 * root_inf
-    exact = wasserstein_to_normal(law)
     wasserstein = BoundReport(
         kind="wasserstein",
         order=m,
@@ -153,8 +147,8 @@ def theorem_bounds(
         constants={"C1": c1, "C2": c2, "gamma_m": gamma_m(m)},
         terms={"fourth_moment": t_fourth, "influence": t_inf},
         bound_value=t_fourth + t_inf,
-        exact_distance=exact,
-        slack=t_fourth + t_inf - exact,
+        exact_distance=w1,
+        slack=t_fourth + t_inf - w1,
     )
 
     k1, k2, k3, k4 = kolmogorov_constants(m)
@@ -162,7 +156,6 @@ def theorem_bounds(
     pref = (beta + 1.0) * beta
     t_fourth = (k1 + k2 * pref) * root_excess
     t_inf = (k3 + k4 * pref) * root_inf
-    exact = kolmogorov_to_normal(law)
     kolmogorov = BoundReport(
         kind="kolmogorov",
         order=m,
@@ -172,8 +165,8 @@ def theorem_bounds(
         constants={"K1": k1, "K2": k2, "K3": k3, "K4": k4, "gamma_m": gamma_m(m)},
         terms={"fourth_moment": t_fourth, "influence": t_inf},
         bound_value=t_fourth + t_inf,
-        exact_distance=exact,
-        slack=t_fourth + t_inf - exact,
+        exact_distance=dk,
+        slack=t_fourth + t_inf - dk,
     )
     return wasserstein, kolmogorov
 
@@ -245,8 +238,7 @@ def abstract_bounds(
     term_gamma_abs = float(np.dot(w, np.abs(1.0 - g0.values)))
     term_gamma_var = table_variance(g0, model, caps)
     del g0  # the terms below keep a bounded number of tables alive
-    var_f = moment(table, 2, model, caps)
-    fourth = moment(table, 4, model, caps)
+    var_f, fourth = even_moments(table, model, caps)
 
     remainder, inner_sq, quart, term_mid, quart_root = _gradient_sums(
         table, linv_table, model, caps

@@ -121,17 +121,18 @@ def cmd_counterexample(args) -> int:
         provenance = {"kind": args.kind, "m": args.m, "n": args.n}
 
     table = integral_table(kern, model, caps)
-    var = moments.moment(table, 2, model, caps)
-    fourth = moments.moment(table, 4, model, caps)
-    law = distance.exact_distribution(table, model, caps)
+    var, fourth = moments.even_moments(table, model, caps)
+    wasserstein, kolmogorov = distance.normal_distances(
+        distance.exact_distribution(table, model, caps)
+    )
     report = dict(provenance)
     report.update(
         {
             "variance": var,
             "fourth_moment": fourth,
             "sup_influence": kern.sup_influence(),
-            "kolmogorov_distance": distance.kolmogorov_to_normal(law),
-            "wasserstein_distance": distance.wasserstein_to_normal(law),
+            "kolmogorov_distance": kolmogorov,
+            "wasserstein_distance": wasserstein,
         }
     )
     if args.out:
@@ -155,8 +156,7 @@ def cmd_moments(args) -> int:
     symmetric = all(abs(p - 0.5) <= 1e-15 for p in model.probs)
     if want in ("enumerate", "both"):
         table = integral_table(kern, model, caps)
-        engines["enumerate"] = moments.moment(table, 4, model, caps)
-        report["second_moment"] = moments.moment(table, 2, model, caps)
+        report["second_moment"], engines["enumerate"] = moments.even_moments(table, model, caps)
     if want in ("factorized", "both"):
         engines["factorized"] = moments.fourth_moment_factorized(
             kern.to_subset_coeffs(), model, caps
@@ -187,9 +187,13 @@ def cmd_distance(args) -> int:
         "atoms": len(law.atoms),
         "variance": moments.moment(table, 2, model, caps),
     }
-    if args.distance in ("kolmogorov", "both"):
+    if args.distance == "both":
+        report["wasserstein_distance"], report["kolmogorov_distance"] = (
+            distance.normal_distances(law)
+        )
+    elif args.distance == "kolmogorov":
         report["kolmogorov_distance"] = distance.kolmogorov_to_normal(law)
-    if args.distance in ("wasserstein", "both"):
+    else:
         report["wasserstein_distance"] = distance.wasserstein_to_normal(law)
     _emit(report, args.json)
     return 0

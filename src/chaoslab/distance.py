@@ -5,19 +5,24 @@ distance is a max over atoms of one-sided CDF gaps, and the Wasserstein
 distance is the L1 distance between CDFs, integrated segment by segment
 using E[(a - N)^+] = phi(a) + a Phi(a) and its mirror image.
 
-Both walk the atoms in numpy blocks of ``_BLOCK``.  Phi is ``math.erfc``
-applied elementwise, the same scalar as ``normal_cdf``, so the Kolmogorov
-distance equals an atom-by-atom loop bit for bit; Phi^{-1} is evaluated
-only on the segments the CDF level crosses inside.  The Wasserstein
-pieces are added with ``math.fsum``.  Blocks bound the object temporaries
-of the elementwise calls, so the distances add no 2^n-sized memory.
+A law is built by one unstable sort of the values and one of their
+indices; ties merge into one atom, so the sort order inside a tie only
+changes the order in which its weights are added, and the probabilities are
+renormalized by one numpy sum.  Both distances walk the atoms in numpy
+blocks of ``_BLOCK``.  Phi is ``math.erfc`` applied elementwise, the same
+scalar as ``normal_cdf``, so the Kolmogorov distance equals an atom-by-atom
+loop bit for bit; Phi^{-1} is evaluated only on the segments the CDF level
+crosses inside.  Each block's Wasserstein pieces are non-negative and are
+added by one numpy sum, and ``math.fsum`` adds the block sums.
+``normal_distances`` computes both distances from one walk that evaluates
+Phi once per atom.  Blocks bound the object temporaries of the elementwise
+calls, so the distances add no 2^n-sized memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from statistics import NormalDist
 
 import numpy as np
@@ -92,15 +97,16 @@ class DistributionTable:
 
 def from_weighted_values(values: np.ndarray, weights: np.ndarray) -> DistributionTable:
     """Aggregate weighted values into a law, merging atoms within 1e-12."""
-    order = np.argsort(values, kind="stable")
-    v = np.asarray(values, dtype=float)[order]
-    w = np.asarray(weights, dtype=float)[order]
+    values = np.asarray(values, dtype=float)
+    v = np.sort(values)
+    w = np.asarray(weights, dtype=float)[np.argsort(values)]
     # new group whenever the gap to the previous sorted value exceeds the
     # merge tolerance; chained sub-tolerance steps merge into one atom
     starts = np.concatenate([[0], np.flatnonzero(np.diff(v) > _MERGE_TOL) + 1])
     atoms = v[starts]
     probs = np.add.reduceat(w, starts)
-    probs = probs / math.fsum(probs)
+    probs /= probs.sum()
+    del v, w, starts  # the table copies atoms and probs
     return DistributionTable(atoms, probs)
 
 
@@ -113,21 +119,25 @@ def exact_distribution(
     return from_weighted_values(table.values, model.weights(caps))
 
 
+def _phi_blocks(atoms: np.ndarray):
+    """(lo, Phi of atoms[lo:lo + _BLOCK]) for each block of atoms."""
+    for lo in range(0, len(atoms), _BLOCK):
+        yield lo, _normal_cdf_array(atoms[lo:lo + _BLOCK])
+
+
+def _gap(levels: np.ndarray, lo: int, phi: np.ndarray) -> float:
+    """Largest one-sided CDF gap |level - Phi| at the atoms of one block."""
+    after = levels[lo:lo + len(phi)]
+    before = np.empty_like(after)
+    before[0] = levels[lo - 1] if lo else 0.0
+    before[1:] = after[:-1]
+    return float(max(np.max(np.abs(after - phi)), np.max(np.abs(before - phi))))
+
+
 def kolmogorov_to_normal(dist: DistributionTable) -> float:
     """sup_x |P(F <= x) - Phi(x)|, attained at an atom from one side."""
-    atoms = dist.atoms
     levels = dist.cdf_levels
-    best = 0.0
-    for lo in range(0, len(atoms), _BLOCK):
-        hi = lo + _BLOCK
-        phi = _normal_cdf_array(atoms[lo:hi])
-        after = levels[lo:hi]
-        before = np.empty_like(after)
-        before[0] = levels[lo - 1] if lo else 0.0
-        before[1:] = after[:-1]
-        gap = max(np.max(np.abs(after - phi)), np.max(np.abs(before - phi)))
-        best = max(best, float(gap))
-    return best
+    return max(_gap(levels, lo, phi) for lo, phi in _phi_blocks(dist.atoms))
 
 
 def _integral_cdf_below(a, phi):
@@ -140,50 +150,81 @@ def _integral_sf_above(b, phi):
     return normal_pdf(b) - b * (1.0 - phi)
 
 
-def _segments(atoms: np.ndarray, levels: np.ndarray):
-    """Per block, integral_a^b |level - Phi(x)| dx over consecutive atoms a < b.
+def _segment_sum(
+    atoms: np.ndarray, levels: np.ndarray, lo: int, phi: np.ndarray, phi_before
+) -> float:
+    """Sum of integral_a^b |level - Phi(x)| dx over the consecutive atoms
+    a < b whose right end b lies in the block at ``lo``.
 
-    Phi - level changes sign once, at the crossing c = Phi^{-1}(level)
-    clipped to [a, b]; the quantile is evaluated only where level lies
-    strictly between Phi(a) and Phi(b).  A level that rounds to 1 uses the
-    survival form, which has no cancellation far in the right tail.
+    ``phi`` is Phi on the block and ``phi_before`` is Phi of the atom before
+    it (unused at lo = 0).  Phi - level changes sign once, at the crossing
+    c = Phi^{-1}(level) clipped to [a, b]; the quantile is evaluated only
+    where level lies strictly between Phi(a) and Phi(b).  A level that
+    rounds to 1 uses the survival form, which has no cancellation far in the
+    right tail.  Every piece is non-negative, so one numpy sum adds them.
     """
-    for lo in range(0, len(atoms) - 1, _BLOCK):
-        ends = atoms[lo:lo + _BLOCK + 1]
-        phi = _normal_cdf_array(ends)
-        g = _integral_cdf_below(ends, phi)
-        a, b = ends[:-1], ends[1:]
-        phi_a, phi_b = phi[:-1], phi[1:]
-        g_a, g_b = g[:-1], g[1:]
-        level = levels[lo:lo + len(a)]
-        below = level <= phi_a
-        cross = np.where(below, a, b)
-        g_cross = np.where(below, g_a, g_b)
-        inside = np.flatnonzero(~below & (level < phi_b))
-        if len(inside):
-            c = np.clip(_INV_CDF(level[inside]).astype(float), a[inside], b[inside])
-            cross[inside] = c
-            g_cross[inside] = _integral_cdf_below(c, _normal_cdf_array(c))
-        seg = (level * (cross - a) - (g_cross - g_a)) + ((g_b - g_cross) - level * (b - cross))
-        top = np.flatnonzero(level >= 1.0)
-        if len(top):
-            seg[top] = _integral_sf_above(a[top], phi_a[top]) - _integral_sf_above(b[top], phi_b[top])
-        yield seg
+    if lo:
+        lo -= 1
+        phi = np.concatenate(([phi_before], phi))
+    ends = atoms[lo:lo + len(phi)]
+    g = _integral_cdf_below(ends, phi)
+    a, b = ends[:-1], ends[1:]
+    phi_a, phi_b = phi[:-1], phi[1:]
+    g_a, g_b = g[:-1], g[1:]
+    level = levels[lo:lo + len(a)]
+    below = level <= phi_a
+    cross = np.where(below, a, b)
+    g_cross = np.where(below, g_a, g_b)
+    inside = np.flatnonzero(~below & (level < phi_b))
+    if len(inside):
+        c = np.clip(_INV_CDF(level[inside]).astype(float), a[inside], b[inside])
+        cross[inside] = c
+        g_cross[inside] = _integral_cdf_below(c, _normal_cdf_array(c))
+    seg = (level * (cross - a) - (g_cross - g_a)) + ((g_b - g_cross) - level * (b - cross))
+    top = np.flatnonzero(level >= 1.0)
+    if len(top):
+        seg[top] = _integral_sf_above(a[top], phi_a[top]) - _integral_sf_above(b[top], phi_b[top])
+    return float(seg.sum())
+
+
+def _wasserstein(atoms: np.ndarray, levels: np.ndarray, blocks) -> float:
+    """W1 from the ``_phi_blocks`` of the atoms: ``math.fsum`` adds both exact
+    tails and the per-block sums of the segment pieces."""
+    pieces, phi_before = [], None
+    for lo, phi in blocks:
+        if not lo:
+            pieces.append(_integral_cdf_below(float(atoms[0]), float(phi[0])))
+        pieces.append(_segment_sum(atoms, levels, lo, phi, phi_before))
+        phi_before = phi[-1]
+    pieces.append(_integral_sf_above(float(atoms[-1]), float(phi_before)))
+    return math.fsum(pieces)
+
+
+def normal_distances(dist: DistributionTable) -> tuple[float, float]:
+    """(Wasserstein, Kolmogorov) distances to the normal from one block walk.
+
+    Phi is evaluated once per atom and feeds both; each equals the value of
+    ``wasserstein_to_normal`` and ``kolmogorov_to_normal`` bit for bit.
+    """
+    atoms, levels = dist.atoms, dist.cdf_levels
+    gaps = []
+
+    def blocks():
+        for lo, phi in _phi_blocks(atoms):
+            gaps.append(_gap(levels, lo, phi))
+            yield lo, phi
+
+    return _wasserstein(atoms, levels, blocks()), max(gaps)
 
 
 def wasserstein_to_normal(dist: DistributionTable) -> float:
     """L1 distance between the law's CDF and Phi over the whole line.
 
     Segments between consecutive atoms integrate |level - Phi| in closed
-    form, both tails are exact, and ``math.fsum`` adds the pieces, so the
-    result is limited only by the rounding of each piece.
+    form and both tails are exact, so the result is limited only by the
+    rounding of each piece and of the per-block sums.
     """
-    atoms = dist.atoms
-    levels = dist.cdf_levels
-    first, last = float(atoms[0]), float(atoms[-1])
-    head = _integral_cdf_below(first, normal_cdf(first))
-    tail = _integral_sf_above(last, normal_cdf(last))
-    return math.fsum(chain([head], chain.from_iterable(_segments(atoms, levels)), [tail]))
+    return _wasserstein(dist.atoms, dist.cdf_levels, _phi_blocks(dist.atoms))
 
 
 def empirical_distances(
@@ -200,8 +241,7 @@ def empirical_distances(
     if N < 1000:
         raise DomainError(f"need at least 1000 samples, got {N}")
     law = from_weighted_values(x, np.full(N, 1.0 / N))
-    dk = kolmogorov_to_normal(law)
-    dw = wasserstein_to_normal(law)
+    dw, dk = normal_distances(law)
     delta = 1.0 - confidence
     half_width = math.sqrt(math.log(2.0 / delta) / (2.0 * N))
     return dk, dw, half_width

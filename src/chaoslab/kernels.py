@@ -23,7 +23,8 @@ The norms of the symmetrized tensor square and the product-formula fourth
 moment in ``moments`` come from one pass over the pairs of support subsets
 that share a coordinate (``_overlap_pairs``); the disjoint pairs enter
 through closed sums.  ``symmetrized_tensor`` enumerates the multisets
-themselves and serves the top kernel of a product.
+themselves and serves the top kernel of a product.  Finite coefficients
+whose fourth-order sums leave the float range raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -365,6 +366,22 @@ class _PairSums:
     diagonal_free: float  # D0 = sum_U (g0_U)**2, g0 over the disjoint pairs
 
 
+def _finite_sum(terms: Iterable[float]) -> float:
+    """``math.fsum`` of a fourth-order sum over finite coefficients.
+
+    The coefficients are checked finite, so a power or an fsum partial past
+    the float range, an inf term, or fsum's inf - inf can only mean that
+    the coefficients overflow the fourth moment.
+    """
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError("the coefficients overflow the fourth moment") from exc
+    if not math.isfinite(total):
+        raise DomainError("the coefficients overflow the fourth moment")
+    return total
+
+
 def _overlap_pairs(coeffs: Mapping[Subset, float]) -> _PairSums:
     """One pass over the pairs of support subsets that share a coordinate.
 
@@ -440,10 +457,10 @@ def _overlap_pairs(coeffs: Mapping[Subset, float]) -> _PairSums:
             rows.append(ca * ca * row)
         multisets.append(half)
 
-    fourth = math.fsum(ca**4 for ma, ca in coeff.items() if ma)
+    fourth = _finite_sum(ca**4 for ma, ca in coeff.items() if ma)
     const = coeff.get(0, 0.0)
-    diagonal = math.fsum(ca * ca for ma, ca in coeff.items() if ma)
-    square_sum = math.fsum((diagonal, const * const))
+    diagonal = _finite_sum(ca * ca for ma, ca in coeff.items() if ma)
+    square_sum = _finite_sum((diagonal, const * const))
     # c_B c_C is nonzero only if B and C are both in the support, which
     # needs mixed orders: |B| < |I| for an overlapping pair (I, J)
     cross = []
@@ -452,15 +469,15 @@ def _overlap_pairs(coeffs: Mapping[Subset, float]) -> _PairSums:
             t = _split_mask(k) + digits  # digits 2, 1, 0 mark B, neither, C
             cb = coeff.get(t >> 1 & digits, 0.0)
             cross.append(4.0 * hk * cb * coeff.get(digits & ~(t | t >> 1), 0.0))
-    d0 = math.fsum(
+    d0 = _finite_sum(
         [
             square_sum * square_sum,
-            -2.0 * math.fsum(rows),
+            -2.0 * _finite_sum(rows),
             -fourth,
             diagonal * (2.0 * const * const + diagonal),
             # each split stands for (B, C) and (C, B)
-            2.0 * math.fsum(h * h for h in splits.values()),
-            -4.0 * math.fsum(g * g for half in multisets for g in half.values()),
+            2.0 * _finite_sum(h * h for h in splits.values()),
+            -4.0 * _finite_sum(g * g for half in multisets for g in half.values()),
             *cross,
         ]
     )
@@ -472,7 +489,7 @@ def _overlap_pairs(coeffs: Mapping[Subset, float]) -> _PairSums:
 def _defect(sums: _PairSums) -> float:
     """sum_M 2^{|I & J|} G_M**2 over the multisets of the overlapping pairs."""
     odd = sums.digits << 1
-    return math.fsum(
+    return _finite_sum(
         2.0 ** (2 + (k >> _LOW & odd).bit_count()) * v * v
         for half in sums.multisets
         for k, v in half.items()
@@ -530,10 +547,10 @@ def _fourth_moment(coeffs: Mapping[Subset, float], skew=None) -> float:
                 return total
             sub = (sub - 1) & u
 
-    cross = math.fsum(
+    cross = _finite_sum(
         2.0 * t * g0(u >> _LOW) for u, t in g1.items() if (u >> _LOW).bit_count() in paired
     )
-    return math.fsum((sums.diagonal_free, cross, math.fsum(t * t for t in g1.values())))
+    return _finite_sum((sums.diagonal_free, cross, _finite_sum(t * t for t in g1.values())))
 
 
 def off_diagonal_defect(f: Kernel) -> float:
@@ -563,4 +580,5 @@ def tensor_square_residual(f: Kernel) -> float:
     if f.order == 0:
         return 0.0
     sums = _overlap_pairs(f.to_subset_coeffs())
-    return math.fsum((sums.diagonal_free, _defect(sums), -2.0 * sums.square_sum**2))
+    square = sums.square_sum * sums.square_sum
+    return _finite_sum((sums.diagonal_free, _defect(sums), -2.0 * square))

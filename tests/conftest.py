@@ -8,6 +8,7 @@ and the squared field, the quadruple expansion of the fourth moment and
 the expansion of F**2 over all pairs of subsets, the contraction sum of the
 tensor-square residual over explicit tuples, the sparse multiply-and-project
 route to the projection variances of F**2,
+the law by a stable sort with an fsum renormalization,
 the atom-by-atom Kolmogorov loop, the segment-by-segment Wasserstein
 integral, the sort of all 2n 2**n flip thresholds for the indicator sup,
 and the abstract-bound terms on one full gradient table per coordinate),
@@ -38,7 +39,7 @@ from chaoslab import (
     y_moment,
 )
 from chaoslab.chaos import join_coordinate, split_coordinate
-from chaoslab.distance import DistributionTable, normal_cdf, normal_quantile
+from chaoslab.distance import _MERGE_TOL, DistributionTable, normal_cdf, normal_quantile
 from chaoslab.malliavin import d, gamma0, minus_pseudo_inverse
 from chaoslab.moments import moment
 
@@ -262,6 +263,17 @@ def oracle_fourth_moment_pairs(coeffs: dict, skew=None) -> float:
             for u, t in terms:
                 g[u] = g.get(u, 0.0) + t
     return math.fsum(v * v for v in g.values())
+
+
+def oracle_from_weighted_values(values: np.ndarray, weights: np.ndarray) -> DistributionTable:
+    """The law by a stable argsort, so the weights of an exact tie add in
+    input order, renormalized by ``math.fsum``."""
+    order = np.argsort(values, kind="stable")
+    v = np.asarray(values, dtype=float)[order]
+    w = np.asarray(weights, dtype=float)[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(v) > _MERGE_TOL) + 1])
+    probs = np.add.reduceat(w, starts)
+    return DistributionTable(v[starts], probs / math.fsum(probs))
 
 
 def oracle_kolmogorov(dist: DistributionTable) -> float:

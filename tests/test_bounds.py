@@ -161,10 +161,21 @@ class TestTheoremBounds:
         assert {"bound_value", "exact_distance", "slack", "fourth_moment"} <= set(data)
 
 
+def _rss_growth_mb(script: str) -> float:
+    """Run ``script`` in a fresh interpreter; it prints its ru_maxrss growth in MB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    return float(out)
+
+
 def test_operator_terms_at_n16_hold_a_bounded_number_of_tables():
     # coordinates are streamed and the indicator sup sums on one rank table;
     # holding every per-coordinate table grew the peak by about 155 MB
-    script = textwrap.dedent(
+    growth = _rss_growth_mb(
         """
         import resource
         import numpy as np
@@ -181,12 +192,30 @@ def test_operator_terms_at_n16_hold_a_bounded_number_of_tables():
         print((after - before) / 1024.0)
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    ).stdout
-    assert float(out) <= 16 * 2**16 * 8 / 2**20  # 16 tables of 2**16 floats: 8 MB
+    assert growth <= 16 * 2**16 * 8 / 2**20  # 16 tables of 2**16 floats: 8 MB
+
+
+def test_theorem_bounds_at_n20_holds_a_bounded_number_of_tables():
+    # one table of 2**20 floats is 8 MB; with about 10**6 distinct atoms the
+    # growth measured 7.1 tables (10.4 before the law dropped its stable sort
+    # and freed the sort temporaries before copying atoms and probabilities),
+    # and the cap adds 25%
+    growth = _rss_growth_mb(
+        """
+        import resource
+        import numpy as np
+        from chaoslab import ChaosVector, RademacherModel, random_kernel
+        from chaoslab.bounds import theorem_bounds
+        rng = np.random.default_rng(7)
+        model = RademacherModel(tuple(float(p) for p in rng.uniform(0.2, 0.8, 20)))
+        F = ChaosVector.from_kernel(random_kernel(2, 20, rng, normalized=True))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        theorem_bounds(F, model)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) / 1024.0)
+        """
+    )
+    assert growth <= 8.9 * 8.0
 
 
 class TestAbstractBounds:

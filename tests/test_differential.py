@@ -5,7 +5,8 @@ compared with the per-subset, pathwise or inclusion-exclusion form they
 replaced, the energy read-outs (projection variances of F**2, the
 degenerate order and rho**2) with the sparse round-trip and the
 inclusion-exclusion tables, and the product-formula fourth moment with
-enumeration and with the quadruple expansion, and the blocked Kolmogorov
+enumeration and with the quadruple expansion, the law with a stable sort,
+and the blocked Kolmogorov
 and Wasserstein distances with the atom-by-atom loops, and the indicator
 sup, the abstract-bound terms and the quartic gradient sum with the sort of
 every flip threshold and the full gradient tables, over instances
@@ -47,10 +48,13 @@ from chaoslab.bounds import abstract_bounds, degenerate_order, hoeffding_decompo
 from chaoslab.chaos import join_coordinate, split_coordinate, subset_orders
 from chaoslab.distance import (
     _BLOCK,
+    _MERGE_TOL,
     DistributionTable,
     exact_distribution,
+    from_weighted_values,
     kolmogorov_to_normal,
     normal_cdf,
+    normal_distances,
     wasserstein_to_normal,
 )
 from chaoslab.malliavin import (
@@ -78,6 +82,7 @@ from conftest import (
     oracle_flip_thresholds,
     oracle_fourth_moment_pairs,
     oracle_fourth_moment_quadruple,
+    oracle_from_weighted_values,
     oracle_generator,
     oracle_hoeffding,
     oracle_integral_table,
@@ -611,9 +616,10 @@ def distance_tolerance(dist: DistributionTable) -> float:
 
 
 def assert_distances_match(dist: DistributionTable):
-    assert kolmogorov_to_normal(dist) == oracle_kolmogorov(dist)
-    got = wasserstein_to_normal(dist)
-    assert abs(got - oracle_wasserstein(dist)) <= distance_tolerance(dist)
+    w1, dk = normal_distances(dist)
+    assert dk == kolmogorov_to_normal(dist) == oracle_kolmogorov(dist)
+    assert w1 == wasserstein_to_normal(dist)
+    assert abs(w1 - oracle_wasserstein(dist)) <= distance_tolerance(dist)
 
 
 @given(laws())
@@ -637,6 +643,59 @@ def test_distances_match_atom_loops_across_three_blocks(kind):
     dist = distance_law(rng, 3 * _BLOCK, kind, 1.0)
     assert len(dist.atoms) > 2 * _BLOCK
     assert_distances_match(dist)
+
+
+@st.composite
+def weighted_values(draw):
+    """Values and positive weights for ``from_weighted_values``.
+
+    Tables of exact laws (n = 1..10, probabilities down to the 1e-6 floor,
+    where atoms reach about 1e5, and constant tables), and drawn values with
+    exact ties, chains of steps below the merge tolerance, or atoms near 1e5
+    carrying masses at the floor.
+    """
+    kind = draw(st.sampled_from(["exact", "constant", "ties", "chains", "floor"]))
+    if kind in ("exact", "constant"):
+        model, rng = draw(instances())
+        if kind == "constant":
+            values = np.full(2**model.n, float(rng.normal(0.0, 1e5)))
+        else:
+            m = int(rng.integers(1, min(3, model.n) + 1))
+            values = integral_table(random_kernel(m, model.n, rng, normalized=True), model).values
+        return values, model.weights(), rng
+    size = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e5]))
+    if kind == "ties":
+        pool = rng.standard_normal(int(rng.integers(1, 8))) * scale
+        values = rng.choice(np.concatenate([pool, [0.0, -0.0]]), size)
+    elif kind == "chains":
+        # steps of 0.4e-12 chain into groups wider than the tolerance
+        steps = rng.integers(0, 6, size) * (0.4 * _MERGE_TOL)
+        values = rng.choice(rng.standard_normal(4), size) + steps
+    else:
+        values = 1e5 + rng.integers(-3, 4, size) * np.spacing(1e5)
+        values[: size // 2] = rng.standard_normal(size // 2) * scale
+    weights = np.where(rng.random(size) < 0.5, FLOOR, rng.random(size))
+    return values, weights / weights.sum(), rng
+
+
+@given(weighted_values())
+@settings(max_examples=80, deadline=None)
+def test_law_matches_stable_sort_oracle(drawn):
+    values, weights, rng = drawn
+    want = oracle_from_weighted_values(values, weights)
+    perm = rng.permutation(len(values))
+    for got in (
+        from_weighted_values(values, weights),
+        from_weighted_values(values[perm], weights[perm]),
+    ):
+        # the same atoms (a signed zero may stand for a tie of 0.0 and -0.0)
+        assert np.array_equal(got.atoms, want.atoms)
+        # only the order of the weights inside an exact tie, and the
+        # renormalization, differ
+        assert np.abs(got.probs - want.probs).max() <= len(values) * EPS
+        assert_distances_match(got)
 
 
 def mpmath_wasserstein(dist: DistributionTable) -> float:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from chaoslab import Kernel, RademacherModel, random_kernel
+from chaoslab import Kernel, RademacherModel, integral_table, random_kernel
 from chaoslab import cli, io
+from chaoslab.construct import product_chaos_sequence
+from chaoslab.distance import exact_distribution, kolmogorov_to_normal, wasserstein_to_normal
+from chaoslab.moments import moment
 from chaoslab.errors import FormatError
 
 
@@ -179,6 +182,32 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["kolmogorov_distance"] == pytest.approx(0.34134474606854293)
         assert report["wasserstein_distance"] == pytest.approx(0.5353773215478796)
+
+    def test_distance_and_counterexample_json_equal_the_library(self, fair_pair, capsys):
+        kpath, mpath, f, model = fair_pair
+        law = exact_distribution(integral_table(f, model), model)
+        want = {
+            "kolmogorov_distance": kolmogorov_to_normal(law),
+            "wasserstein_distance": wasserstein_to_normal(law),
+        }
+        for which in ("both", "kolmogorov", "wasserstein"):
+            rc = cli.main(["distance", "--kernel", kpath, "--model", mpath,
+                           "--distance", which, "--json"])
+            assert rc == 0
+            report = json.loads(capsys.readouterr().out)
+            assert {k: v for k, v in report.items() if k in want} == (
+                want if which == "both" else {f"{which}_distance": want[f"{which}_distance"]}
+            )
+        rc = cli.main(["counterexample", "--kind", "product", "-m", "2", "-n", "4", "--json"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        kern, model = product_chaos_sequence(2, 4)
+        table = integral_table(kern, model)
+        law = exact_distribution(table, model)
+        assert report["variance"] == moment(table, 2, model)
+        assert report["fourth_moment"] == moment(table, 4, model)
+        assert report["kolmogorov_distance"] == kolmogorov_to_normal(law)
+        assert report["wasserstein_distance"] == wasserstein_to_normal(law)
 
     def test_dejong_reports_ratio(self, fair_pair, capsys):
         kpath, mpath, f, _ = fair_pair

@@ -196,6 +196,14 @@ class TestSymmetrizedTensor:
         f = random_kernel(1, 6, rng)
         assert abs(tensor_square_residual(f)) <= 1e-12 * (1 + f.norm_sq() ** 2)
 
+    @pytest.mark.parametrize("big", [1e100, 1e80])
+    def test_overflowing_coefficient_is_typed(self, big):
+        f = Kernel(2, 3, {(0, 1): big, (1, 2): 1.0})
+        with pytest.raises(DomainError, match="overflow the fourth moment"):
+            tensor_square_residual(f)
+        with pytest.raises(DomainError, match="overflow the fourth moment"):
+            off_diagonal_defect(f)
+
     def test_residual_of_one_pair_is_its_contraction(self):
         # a_{01} = 2! f_{01} = 2: the full norm is 2^2 (a^2)^2 = 64, less
         # 2 (a^2)^2 = 32; the contraction f (x)_1 f is 1 at (0, 0) and (1, 1),

@@ -143,6 +143,15 @@ class TestSymmetricEngine:
         with pytest.raises(DomainError):
             fourth_moment_factorized(coeffs, RademacherModel((0.3, 0.5, 0.7)))
 
+    @pytest.mark.parametrize("big", [1e100, 1e80])
+    def test_overflowing_coefficient_is_typed(self, big):
+        # finite coefficients whose fourth powers leave the float range
+        coeffs = {(0, 1): big, (1, 2): 1.0}
+        with pytest.raises(DomainError, match="overflow the fourth moment"):
+            fourth_moment_symmetric(coeffs)
+        with pytest.raises(DomainError, match="overflow the fourth moment"):
+            fourth_moment_factorized(coeffs, RademacherModel((0.3, 0.5, 0.7)))
+
     @pytest.mark.parametrize("n", [4, 6, 9])
     def test_first_coordinate_family(self, n):
         coeffs = {(0, j): 1 / math.sqrt(n - 1) for j in range(1, n)}
