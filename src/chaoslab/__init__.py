@@ -15,7 +15,6 @@ from .chaos import (
     basis_synthesis,
     conditional_expectation,
     constant_table,
-    evaluate_integral,
     expectation,
     integral_table,
     multiply,
@@ -40,11 +39,8 @@ from .kernels import (
     zero_kernel,
 )
 from .model import (
-    Outcome,
     RademacherModel,
-    enumerate_outcomes,
     normalized_value,
-    sample,
     sample_y_matrix,
     y_moment,
 )
@@ -58,7 +54,6 @@ __all__ = [
     "DomainError",
     "FormatError",
     "Kernel",
-    "Outcome",
     "RademacherModel",
     "SymmetrizedTensor",
     "ValueTable",
@@ -68,8 +63,6 @@ __all__ = [
     "conditional_expectation",
     "constant_kernel",
     "constant_table",
-    "enumerate_outcomes",
-    "evaluate_integral",
     "expectation",
     "gamma_m",
     "integral_table",
@@ -79,7 +72,6 @@ __all__ = [
     "ou_semigroup",
     "project",
     "random_kernel",
-    "sample",
     "sample_y_matrix",
     "stroock_decompose",
     "symmetrized_tensor",

@@ -36,7 +36,7 @@ import numpy as np
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
 from .kernels import Kernel, zero_kernel
-from .model import Outcome, RademacherModel, split_coordinate
+from .model import RademacherModel, split_coordinate
 
 
 def _frozen(horizon: int, v: np.ndarray) -> np.ndarray:
@@ -201,25 +201,6 @@ class ChaosVector:
 
 
 # -- evaluation ------------------------------------------------------------
-
-
-def evaluate_integral(f: Kernel, outcome: Outcome, model: RademacherModel) -> float:
-    """Multiple integral of f at one outcome: m! sum_J f_J prod_{i in J} Y_i."""
-    if model.n != f.horizon:
-        raise DomainError("kernel and model horizons differ")
-    if len(outcome.signs) != model.n:
-        raise DomainError("outcome and model horizons differ")
-    y = [
-        model.y_plus[k] if outcome.signs[k] == 1 else model.y_minus[k]
-        for k in range(model.n)
-    ]
-    acc = 0.0
-    for key, v in f.coeffs.items():
-        prod = v
-        for i in key:
-            prod *= y[i]
-        acc += prod
-    return math.factorial(f.order) * acc
 
 
 def integral_table(f: Kernel, model: RademacherModel, caps: Caps = DEFAULT_CAPS) -> ValueTable:

@@ -311,9 +311,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error ({exc.cap_name}={exc.cap_value}): {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ChaoslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
-"""Size caps and tunables.
+"""Size caps.
 
 Every cap guards an exact computation whose cost is exponential in the
 horizon (or polynomial in support size); the defaults keep the full identity
 suite at desk scale.  All functions that enforce a cap accept an explicit
-``Caps`` so callers can raise or lower limits per call.
+``Caps`` so callers can raise or lower limits per call.  The probability
+floor is not a cap: it is the constant ``model.PROB_FLOOR``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ class Caps:
     # most S**2 / 2 for S subsets; the benchmark derives its sparse
     # workload sizes from this default
     factorized_support_cap: int = 60
-    # success probabilities are clamped away from {0, 1} so sqrt(p/q)
-    # stays representable
-    prob_floor: float = 1e-6
 
 
 DEFAULT_CAPS = Caps()
-

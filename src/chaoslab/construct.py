@@ -28,6 +28,9 @@ from .moments import fourth_moment_symmetric, moment
 
 Subset = tuple[int, ...]
 
+# halvings of the sphere path before the bisection gives up
+_MAX_BISECTION_STEPS = 200
+
 
 def inhomogeneous_counterexample(m: int, sign: str = "+") -> tuple[RademacherModel, Kernel]:
     """Homogeneous model and kernel with E[F^4] = 3 but F finitely supported.
@@ -95,7 +98,7 @@ def _sphere_path_point(
 
 
 def symmetric_counterexample(
-    m: int, n: int, bisection_tol: float = 1e-12, max_iter: int = 200
+    m: int, n: int, bisection_tol: float = 1e-12
 ) -> tuple[Kernel, BisectionTrace]:
     """Fair-coin kernel of order m with fourth moment exactly 3 (to tol).
 
@@ -131,7 +134,7 @@ def symmetric_counterexample(
     theta = 0.5
     residual = math.inf
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTION_STEPS):
         theta = 0.5 * (lo + hi)
         iterations += 1
         h_mid = g_value(_sphere_path_point(c, b, theta)) - 3.0
@@ -146,8 +149,8 @@ def symmetric_counterexample(
         brackets.append((lo, hi))
     else:
         raise ArithmeticError(
-            f"bisection did not reach tolerance {bisection_tol} in {max_iter} "
-            f"iterations; last residual {residual}"
+            f"bisection did not reach tolerance {bisection_tol} in "
+            f"{_MAX_BISECTION_STEPS} iterations; last residual {residual}"
         )
 
     a = _sphere_path_point(c, b, theta)

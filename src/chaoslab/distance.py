@@ -33,11 +33,11 @@ from .errors import DomainError
 from .model import RademacherModel
 
 _MERGE_TOL = 1e-12
-_STD_NORMAL = NormalDist()
 # atoms per numpy block of the distance walks
 _BLOCK = 1 << 16
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
-_INV_CDF = np.frompyfunc(_STD_NORMAL.inv_cdf, 1, 1)
+_INV_CDF = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+_DKW_CONFIDENCE = 0.95
 
 
 def normal_cdf(x: float) -> float:
@@ -53,12 +53,6 @@ def normal_pdf(x):
 def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
     """``normal_cdf`` elementwise, bit for bit."""
     return 0.5 * _ERFC(-x / math.sqrt(2.0)).astype(float)
-
-
-def normal_quantile(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile argument must lie in (0,1), got {p}")
-    return _STD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -227,14 +221,12 @@ def wasserstein_to_normal(dist: DistributionTable) -> float:
     return _wasserstein(dist.atoms, dist.cdf_levels, _phi_blocks(dist.atoms))
 
 
-def empirical_distances(
-    samples, confidence: float = 0.95
-) -> tuple[float, float, float]:
+def empirical_distances(samples) -> tuple[float, float, float]:
     """Empirical-CDF distances to the normal plus a DKW half-width.
 
     Returns (d_K estimate, Wasserstein estimate, half-width h) where the
-    true d_K of the sampled law lies within h of the estimate with the
-    requested confidence.
+    true d_K of the sampled law lies within h of the estimate with 95%
+    confidence (``_DKW_CONFIDENCE``).
     """
     x = np.asarray(samples, dtype=float)
     N = len(x)
@@ -242,6 +234,6 @@ def empirical_distances(
         raise DomainError(f"need at least 1000 samples, got {N}")
     law = from_weighted_values(x, np.full(N, 1.0 / N))
     dw, dk = normal_distances(law)
-    delta = 1.0 - confidence
+    delta = 1.0 - _DKW_CONFIDENCE
     half_width = math.sqrt(math.log(2.0 / delta) / (2.0 * N))
     return dk, dw, half_width

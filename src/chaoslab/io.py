@@ -5,8 +5,7 @@ All indices are 0-based.  A kernel file looks like
     {"m": 2, "n": 4, "entries": [{"set": [0, 1], "value": 0.5}, ...]}
 
 and a model file is either {"probs": [p0, p1, ...]} or
-{"homogeneous": p, "n": n}.  Chaos vectors serialize as a list of kernel
-records ordered by rising order.
+{"homogeneous": p, "n": n}.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .chaos import ChaosVector
 from .errors import FormatError
 from .kernels import Kernel
 from .model import RademacherModel
@@ -68,8 +66,6 @@ def model_from_dict(data: dict) -> RademacherModel:
     if "probs" in data:
         try:
             return RademacherModel(tuple(float(p) for p in data["probs"]))
-        except FormatError:
-            raise
         except Exception as exc:
             raise FormatError(f"model record invalid: {exc}")
     if "homogeneous" in data:
@@ -78,17 +74,6 @@ def model_from_dict(data: dict) -> RademacherModel:
         except Exception as exc:
             raise FormatError(f"model record invalid: {exc}")
     raise FormatError("model record needs either 'probs' or 'homogeneous' + 'n'")
-
-
-def chaos_to_list(F: ChaosVector) -> list[dict]:
-    return [kernel_to_dict(kern) for kern in F.kernels]
-
-
-def chaos_from_list(records: list[dict]) -> ChaosVector:
-    kernels = tuple(kernel_from_dict(rec) for rec in records)
-    if not kernels:
-        raise FormatError("chaos record must contain at least the order-0 kernel")
-    return ChaosVector(kernels[0].horizon, kernels)
 
 
 def load_json(path: str | Path) -> Any:

@@ -243,39 +243,13 @@ def random_kernel(
 class SymmetrizedTensor:
     """Canonical symmetrization of f (x) g as a map from sorted multisets.
 
-    Multisets may repeat indices; the plain tensor square norm over all
-    tuples weights each multiset by its number of distinct orderings.
-    Built on demand, never stored inside kernels.
+    Multisets may repeat indices.  Built on demand, never stored inside
+    kernels; ``diagonal_free`` gives the top kernel of a product.
     """
 
     order: int
     horizon: int
     values: Mapping[Subset, float]  # key: sorted tuple, repeats allowed
-
-    @staticmethod
-    def _orderings(multiset: Subset) -> int:
-        total = math.factorial(len(multiset))
-        run = 1
-        for i in range(1, len(multiset)):
-            if multiset[i] == multiset[i - 1]:
-                run += 1
-            else:
-                total //= math.factorial(run)
-                run = 1
-        total //= math.factorial(run)
-        return total
-
-    def norm_sq(self) -> float:
-        """Squared norm over all (m+n)-tuples."""
-        return sum(self._orderings(k) * v * v for k, v in self.values.items())
-
-    def norm_sq_off_diagonal(self) -> float:
-        """Squared norm restricted to tuples with a repeated index."""
-        return sum(
-            self._orderings(k) * v * v
-            for k, v in self.values.items()
-            if len(set(k)) != len(k)
-        )
 
     def diagonal_free(self) -> Kernel:
         """Restriction to distinct tuples, as a kernel.

@@ -1,4 +1,4 @@
-"""Finite-horizon Rademacher sequences and exact outcome enumeration.
+"""Finite-horizon Rademacher sequences: exact outcome weights and tables.
 
 A model is a vector of success probabilities ``p_0 .. p_{n-1}`` for
 independent signs ``X_k`` with ``P(X_k = +1) = p_k``.  The normalized
@@ -10,20 +10,27 @@ have mean 0 and variance 1; they take the value ``sqrt(q_k/p_k)`` on
 ``X_k = +1`` and ``-sqrt(p_k/q_k)`` on ``X_k = -1``.
 
 Outcomes of the whole sequence are indexed by bitmask: bit ``k`` of the
-index is set iff ``X_k = +1``.  All coordinate indices are 0-based.
+index is set iff ``X_k = +1``.  A model gives the exact weights of all
+2**n outcomes and the tables of ``X_k`` and ``Y_k`` in that order;
+``sample_y_matrix`` draws rows of ``Y`` for the empirical checks.  Every
+``p_k`` must lie in ``[PROB_FLOOR, 1 - PROB_FLOOR]``.  All coordinate
+indices are 0-based.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
+
+# success probabilities must lie in [PROB_FLOOR, 1 - PROB_FLOOR], so that
+# sqrt(q/p) and sqrt(p/q) stay representable
+PROB_FLOOR = 1e-6
 
 
 def split_coordinate(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,12 +83,11 @@ class RademacherModel:
     """Product measure on {-1,+1}^n with per-coordinate success probabilities."""
 
     probs: tuple[float, ...]
-    prob_floor: float = field(default=DEFAULT_CAPS.prob_floor, repr=False)
 
     def __post_init__(self):
         if len(self.probs) == 0:
             raise DomainError("model needs at least one coordinate")
-        lo, hi = self.prob_floor, 1.0 - self.prob_floor
+        lo, hi = PROB_FLOOR, 1.0 - PROB_FLOOR
         for k, p in enumerate(self.probs):
             if not (lo <= p <= hi):
                 raise DomainError(
@@ -176,45 +182,6 @@ class RademacherModel:
         minus[...] = at_minus[k]
         plus[...] = at_plus[k]
         return out
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """One point of {-1,+1}^n together with its exact probability."""
-
-    signs: tuple[int, ...]
-    weight: float
-
-    @property
-    def index(self) -> int:
-        return sum(1 << k for k, s in enumerate(self.signs) if s == 1)
-
-
-def enumerate_outcomes(
-    model: RademacherModel, caps: Caps = DEFAULT_CAPS
-) -> Iterator[Outcome]:
-    """Yield all 2**n outcomes exactly once, with exact weights."""
-    model.check_enumerable(caps)
-    w = model.weights(caps)
-    n = model.n
-    for idx in range(2**n):
-        signs = tuple(1 if (idx >> k) & 1 else -1 for k in range(n))
-        yield Outcome(signs=signs, weight=float(w[idx]))
-
-
-def sample(model: RademacherModel, seed: int, count: int) -> list[Outcome]:
-    """Draw i.i.d. outcomes; deterministic for a given seed."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    u = rng.random((count, model.n))
-    plus = u < model.p
-    out = []
-    for row in plus:
-        signs = tuple(1 if b else -1 for b in row)
-        weight = float(np.prod(np.where(row, model.p, model.q)))
-        out.append(Outcome(signs=signs, weight=weight))
-    return out
 
 
 def sample_y_matrix(model: RademacherModel, seed: int, count: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from .kernels import (
     random_kernel,
     symmetrized_tensor,
     tensor_square_residual,
+    zero_kernel,
 )
 from .model import RademacherModel, normalized_value, sample_y_matrix, y_moment
 
@@ -71,8 +72,14 @@ class Check:
         return CheckResult(self.name, float(residual), threshold, passed, detail)
 
 
-def _random_model(rng, n, lo=0.1, hi=0.9) -> RademacherModel:
-    return RademacherModel(tuple(float(x) for x in rng.uniform(lo, hi, n)))
+def _kernel_gap(a: Kernel, b: Kernel) -> float:
+    """Largest |a_J - b_J| over the union of both supports."""
+    keys = set(a.coeffs) | set(b.coeffs)
+    return max((abs(a.value(k) - b.value(k)) for k in keys), default=0.0)
+
+
+def _random_model(rng, n) -> RademacherModel:
+    return RademacherModel(tuple(float(x) for x in rng.uniform(0.1, 0.9, n)))
 
 
 def _random_instance(rng, m_max=3, n_max=10) -> tuple[RademacherModel, Kernel]:
@@ -165,10 +172,7 @@ def check_truncation(rng, caps):
         b = int(rng.integers(1, n + 1))
         lhs = f.truncate(a).truncate(b)
         rhs = f.truncate(min(a, b))
-        keys = set(lhs.coeffs) | set(rhs.coeffs)
-        worst = max(
-            worst, max((abs(lhs.value(k) - rhs.value(k)) for k in keys), default=0.0)
-        )
+        worst = max(worst, _kernel_gap(lhs, rhs))
         last = 0.0
         for h in range(1, n + 1):
             cur = f.truncate(h).norm_sq()
@@ -222,14 +226,8 @@ def check_stroock_roundtrip(rng, caps):
         f = random_kernel(int(rng.integers(1, 4)), n, rng)
         dec = stroock_decompose(integral_table(f, model, caps), model, caps)
         for r in range(dec.top_order + 1):
-            if r == f.order:
-                keys = set(dec.kernel(r).coeffs) | set(f.coeffs)
-                worst = max(
-                    worst,
-                    max((abs(dec.kernel(r).value(k) - f.value(k)) for k in keys), default=0.0),
-                )
-            else:
-                worst = max(worst, max((abs(v) for v in dec.kernel(r).coeffs.values()), default=0.0))
+            want = f if r == f.order else zero_kernel(r, n)
+            worst = max(worst, _kernel_gap(dec.kernel(r), want))
     return worst, 1e-9, "extraction recovers kernels; reconstruction is exact"
 
 
@@ -257,11 +255,7 @@ def check_semigroup(rng, caps):
         lhs = ou_semigroup(ou_semigroup(F, s), t)
         rhs = ou_semigroup(F, s + t)
         for r in range(F.top_order + 1):
-            keys = set(lhs.kernel(r).coeffs) | set(rhs.kernel(r).coeffs)
-            worst = max(
-                worst,
-                max((abs(lhs.kernel(r).value(k) - rhs.kernel(r).value(k)) for k in keys), default=0.0),
-            )
+            worst = max(worst, _kernel_gap(lhs.kernel(r), rhs.kernel(r)))
     return worst, 1e-12, "composition of heat flows adds times"
 
 
@@ -279,12 +273,9 @@ def check_product_top_kernel(rng, caps):
         )
         top = prod.kernel(mf + mg)
         ref = symmetrized_tensor(f, g).diagonal_free()
-        keys = set(top.coeffs) | set(ref.coeffs)
-        worst = max(
-            worst, max((abs(top.value(k) - ref.value(k)) for k in keys), default=0.0)
-        )
+        worst = max(worst, _kernel_gap(top, ref))
         for r in range(mf + mg + 1, prod.top_order + 1):
-            worst = max(worst, max((abs(v) for v in prod.kernel(r).coeffs.values()), default=0.0))
+            worst = max(worst, _kernel_gap(prod.kernel(r), zero_kernel(r, n)))
     return worst, 1e-10, "top product kernel is the off-diagonal symmetrized tensor"
 
 
@@ -329,11 +320,7 @@ def check_gradient_skorohod_link(rng, caps):
         lhs = mv.skorohod(mv.gradient_process(F), _random_model(rng, n), caps)
         rhs = mv.ou_generator_spectral(F).scale(-1.0)
         for r in range(max(lhs.top_order, rhs.top_order) + 1):
-            keys = set(lhs.kernel(r).coeffs) | set(rhs.kernel(r).coeffs)
-            worst = max(
-                worst,
-                max((abs(lhs.kernel(r).value(k) - rhs.kernel(r).value(k)) for k in keys), default=0.0),
-            )
+            worst = max(worst, _kernel_gap(lhs.kernel(r), rhs.kernel(r)))
     return worst, 1e-10, "divergence of the gradient is the negative generator"
 
 

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's fast paths: they loop
 over outcomes and tuples directly, or take the slower route the library
-replaced (one product table per subset, inclusion-exclusion over
+replaced (the multiple integral evaluated one outcome at a time, the
+squared norms of a symmetrized tensor weighted by multiset orderings,
+one product table per subset, inclusion-exclusion over
 conditional expectations, the alternative pathwise forms of the generator
 and the squared field, the quadruple expansion of the fourth moment and
 the expansion of F**2 over all pairs of subsets, the contraction sum of the
@@ -18,7 +20,11 @@ so agreement with the fast engines is meaningful.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from statistics import NormalDist
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -27,10 +33,9 @@ from chaoslab import (
     ChaosVector,
     Kernel,
     RademacherModel,
+    SymmetrizedTensor,
     ValueTable,
     conditional_expectation,
-    enumerate_outcomes,
-    evaluate_integral,
     multiply,
     project,
     random_kernel,
@@ -39,7 +44,7 @@ from chaoslab import (
     y_moment,
 )
 from chaoslab.chaos import join_coordinate, split_coordinate
-from chaoslab.distance import _MERGE_TOL, DistributionTable, normal_cdf, normal_quantile
+from chaoslab.distance import _MERGE_TOL, DistributionTable, normal_cdf
 from chaoslab.malliavin import d, gamma0, minus_pseudo_inverse
 from chaoslab.moments import moment
 
@@ -62,17 +67,53 @@ def random_chaos(rng, n, top=2, centered=True) -> ChaosVector:
     return ChaosVector(n, tuple(parts))
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """One point of {-1,+1}^n together with its exact probability."""
+
+    signs: tuple[int, ...]
+    weight: float
+
+    @property
+    def index(self) -> int:
+        return sum(1 << k for k, s in enumerate(self.signs) if s == 1)
+
+
+def oracle_outcomes(model: RademacherModel) -> Iterator[Outcome]:
+    """All 2**n outcomes in bitmask order, with the model's exact weights."""
+    w = model.weights()
+    n = model.n
+    for idx in range(2**n):
+        signs = tuple(1 if (idx >> k) & 1 else -1 for k in range(n))
+        yield Outcome(signs=signs, weight=float(w[idx]))
+
+
+def oracle_integral_value(f: Kernel, outcome: Outcome, model: RademacherModel) -> float:
+    """Multiple integral at one outcome: m! sum_J f_J prod_{i in J} Y_i."""
+    y = [
+        model.y_plus[k] if outcome.signs[k] == 1 else model.y_minus[k]
+        for k in range(model.n)
+    ]
+    acc = 0.0
+    for key, v in f.coeffs.items():
+        prod = v
+        for i in key:
+            prod *= y[i]
+        acc += prod
+    return math.factorial(f.order) * acc
+
+
 def oracle_expectation(fn, model) -> float:
     """Plain python expectation: loop outcomes, no numpy reductions."""
     total = 0.0
-    for outcome in enumerate_outcomes(model):
+    for outcome in oracle_outcomes(model):
         total += outcome.weight * fn(outcome)
     return total
 
 
 def oracle_integral_moment(kern, model, r) -> float:
     return oracle_expectation(
-        lambda o: evaluate_integral(kern, o, model) ** r, model
+        lambda o: oracle_integral_value(kern, o, model) ** r, model
     )
 
 
@@ -108,6 +149,21 @@ def oracle_tensor_square_norms(f: Kernel, horizon: int) -> tuple[float, float]:
         full += v * v
         if len(set(tup)) != len(tup):
             diag += v * v
+    return full, diag
+
+
+def oracle_multiset_norms(t: SymmetrizedTensor) -> tuple[float, float]:
+    """Full and diagonal-restricted squared norms of a symmetrized tensor
+    over all tuples, each multiset weighted by its number of orderings."""
+    full = 0.0
+    diag = 0.0
+    for key, v in t.values.items():
+        orderings = math.factorial(len(key))
+        for run in Counter(key).values():
+            orderings //= math.factorial(run)
+        full += orderings * v * v
+        if len(set(key)) != len(key):
+            diag += orderings * v * v
     return full, diag
 
 
@@ -301,7 +357,7 @@ def _oracle_segment(a: float, b: float, level: float) -> float:
         return _oracle_cdf_below(b) - _oracle_cdf_below(a)
     if level >= 1.0:
         return _oracle_sf_above(a) - _oracle_sf_above(b)
-    cross = normal_quantile(level)
+    cross = NormalDist().inv_cdf(level)
     if cross <= a:
         return (_oracle_cdf_below(b) - _oracle_cdf_below(a)) - level * (b - a)
     if cross >= b:

@@ -20,8 +20,6 @@ from chaoslab import (
     conditional_expectation,
     constant_kernel,
     constant_table,
-    enumerate_outcomes,
-    evaluate_integral,
     expectation,
     integral_table,
     multiply,
@@ -47,6 +45,8 @@ from chaoslab.malliavin import (
 from conftest import (
     assert_kernels_close,
     oracle_integral_moment,
+    oracle_integral_value,
+    oracle_outcomes,
     oracle_stroock_coefficient,
     random_chaos,
     random_model,
@@ -54,25 +54,31 @@ from conftest import (
 
 
 class TestEvaluateIntegral:
+    """The per-outcome oracle against ``integral_table``."""
+
     def test_order_zero_constant(self):
         model = RademacherModel((0.4, 0.6))
-        for o in enumerate_outcomes(model):
-            assert evaluate_integral(constant_kernel(3.5, 2), o, model) == 3.5
+        f = constant_kernel(3.5, 2)
+        t = integral_table(f, model)
+        for o in oracle_outcomes(model):
+            assert oracle_integral_value(f, o, model) == 3.5
+            assert t.values[o.index] == 3.5
 
     def test_symmetric_pair_is_sign_product(self):
         model = RademacherModel.symmetric(2)
         f = Kernel(2, 2, {(0, 1): 0.5})
-        for o in enumerate_outcomes(model):
-            assert evaluate_integral(f, o, model) == pytest.approx(
-                o.signs[0] * o.signs[1], rel=1e-15
-            )
+        t = integral_table(f, model)
+        for o in oracle_outcomes(model):
+            want = o.signs[0] * o.signs[1]
+            assert oracle_integral_value(f, o, model) == pytest.approx(want, rel=1e-15)
+            assert t.values[o.index] == pytest.approx(want, rel=1e-15)
 
     def test_matches_vectorized_table(self, rng):
         model = random_model(rng, 6)
         f = random_kernel(2, 6, rng)
         t = integral_table(f, model)
-        for o in enumerate_outcomes(model):
-            assert evaluate_integral(f, o, model) == pytest.approx(
+        for o in oracle_outcomes(model):
+            assert oracle_integral_value(f, o, model) == pytest.approx(
                 t.values[o.index], rel=1e-12, abs=1e-12
             )
 

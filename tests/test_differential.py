@@ -87,6 +87,7 @@ from conftest import (
     oracle_hoeffding,
     oracle_integral_table,
     oracle_kolmogorov,
+    oracle_multiset_norms,
     oracle_projection_variances,
     oracle_quartic_gradient_sum,
     oracle_squared_field,
@@ -493,9 +494,9 @@ def tensor_tolerance(f: Kernel) -> float:
 
 
 def assert_tensor_terms_match(f: Kernel):
-    t = symmetrized_tensor(f, f)
-    full = math.factorial(2 * f.order) * t.norm_sq()
-    diag = math.factorial(2 * f.order) * t.norm_sq_off_diagonal()
+    full, diag = oracle_multiset_norms(symmetrized_tensor(f, f))
+    full *= math.factorial(2 * f.order)
+    diag *= math.factorial(2 * f.order)
     square = sum(v * v for v in f.to_subset_coeffs().values())
     tol = tensor_tolerance(f)
     assert abs(off_diagonal_defect(f) - diag) <= tol

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from chaoslab.distance import (
     from_weighted_values,
     kolmogorov_to_normal,
     normal_cdf,
-    normal_quantile,
     wasserstein_to_normal,
 )
 from chaoslab.kernels import basis_kernel
@@ -82,7 +82,7 @@ class TestDistributionTable:
 
 class TestKolmogorov:
     def test_three_atom_oracle(self):
-        atoms = np.array([normal_quantile(1 / 6), 0.0, normal_quantile(5 / 6)])
+        atoms = np.array([NormalDist().inv_cdf(1 / 6), 0.0, NormalDist().inv_cdf(5 / 6)])
         law = DistributionTable(atoms, np.array([1 / 3, 1 / 3, 1 / 3]))
         assert kolmogorov_to_normal(law) == pytest.approx(DK_THREE_ATOM, abs=1e-12)
 
@@ -230,4 +230,4 @@ class TestNormalCdf:
 
     def test_quantile_inverts(self):
         for p in (0.01, 0.3, 0.5, 0.9, 0.999):
-            assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
+            assert normal_cdf(NormalDist().inv_cdf(p)) == pytest.approx(p, abs=1e-12)

@@ -68,15 +68,6 @@ class TestFileFormats:
         with pytest.raises(FormatError, match="line"):
             io.load_kernel(path)
 
-    def test_chaos_round_trip(self, rng):
-        from conftest import random_chaos
-
-        F = random_chaos(rng, 5, top=2, centered=False)
-        back = io.chaos_from_list(io.chaos_to_list(F))
-        assert back.top_order == F.top_order
-        for r in range(F.top_order + 1):
-            assert back.kernel(r).coeffs == F.kernel(r).coeffs
-
 
 class TestCli:
     def test_verify_passes_and_is_deterministic(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,12 +11,11 @@ from chaoslab import (
     Caps,
     DomainError,
     RademacherModel,
-    enumerate_outcomes,
     normalized_value,
-    sample,
     sample_y_matrix,
     y_moment,
 )
+from conftest import oracle_outcomes
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -79,15 +79,22 @@ class TestYMoment:
 
 class TestModel:
     def test_prob_floor_rejected(self):
-        with pytest.raises(DomainError):
-            RademacherModel((1e-9,))
+        # both ends of [1e-6, 1 - 1e-6] are accepted, the next float out is not
+        assert RademacherModel((1e-6, 1 - 1e-6)).probs == (1e-6, 1 - 1e-6)
+        for p in (1e-9, math.nextafter(1e-6, 0.0), math.nextafter(1 - 1e-6, 1.0)):
+            with pytest.raises(DomainError, match=r"outside \[1e-06, 0\.999999\]"):
+                RademacherModel((0.5, p))
+
+    def test_caps_fields_are_the_enforced_caps(self):
+        names = {f.name for f in dataclasses.fields(Caps)}
+        assert names == {"enum_cap", "stroock_cap", "factorized_support_cap"}
 
     def test_two_outcomes_n1(self):
-        out = list(enumerate_outcomes(RademacherModel((0.3,))))
+        out = list(oracle_outcomes(RademacherModel((0.3,))))
         assert sorted((o.signs[0], o.weight) for o in out) == [(-1, 0.7), (1, 0.3)]
 
     def test_four_outcomes_symmetric(self):
-        out = list(enumerate_outcomes(RademacherModel.symmetric(2)))
+        out = list(oracle_outcomes(RademacherModel.symmetric(2)))
         assert len(out) == 4
         assert all(o.weight == 0.25 for o in out)
         assert len({o.signs for o in out}) == 4
@@ -99,7 +106,7 @@ class TestModel:
 
     def test_outcome_weight_is_product(self, rng):
         model = RademacherModel(tuple(rng.uniform(0.2, 0.8, 5)))
-        for o in enumerate_outcomes(model):
+        for o in oracle_outcomes(model):
             ref = 1.0
             for k, s in enumerate(o.signs):
                 ref *= model.probs[k] if s == 1 else 1 - model.probs[k]
@@ -144,13 +151,14 @@ class TestModel:
 class TestSampling:
     def test_same_seed_identical(self):
         model = RademacherModel((0.4, 0.6, 0.5))
-        a = sample(model, seed=9, count=50)
-        b = sample(model, seed=9, count=50)
-        assert [o.signs for o in a] == [o.signs for o in b]
+        a = sample_y_matrix(model, seed=9, count=50)
+        b = sample_y_matrix(model, seed=9, count=50)
+        assert a.shape == (50, 3)
+        assert np.array_equal(a, b)
 
     def test_count_validation(self):
         with pytest.raises(DomainError):
-            sample(RademacherModel((0.5,)), seed=0, count=0)
+            sample_y_matrix(RademacherModel((0.5,)), seed=0, count=0)
 
     def test_law_of_large_numbers(self):
         model = RademacherModel((0.37,))
