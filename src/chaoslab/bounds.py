@@ -39,7 +39,7 @@ from .distance import exact_distribution, normal_distances
 from .errors import DomainError
 from .malliavin import d_half, gamma0, minus_pseudo_inverse
 from .model import RademacherModel
-from .moments import even_moments, flip_weights, moment, sup_flip_pairing
+from .moments import even_moments, flip_weights, sup_flip_pairing
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -388,7 +388,8 @@ def dejong_bound(
     if kappa_m <= 0:
         raise DomainError(f"kappa_m must be positive, got {kappa_m}")
     mean = expectation(W, model, caps)
-    var = moment(W, 2, model, caps) - mean**2
+    second, fourth = even_moments(W, model, caps)
+    var = second - mean**2
     if abs(var - 1.0) > _NORMALIZATION_TOL:
         raise DomainError(f"input is not normalized: variance {var!r}")
     if abs(mean) > _NORMALIZATION_TOL:
@@ -396,7 +397,6 @@ def dejong_bound(
     H = hoeffding_decompose(W, model)
     m = degenerate_order(H)
     rho2 = rho_squared(H)
-    fourth = moment(W, 4, model, caps)
     s2pi = math.sqrt(2.0 / math.pi)
     c_fourth = s2pi + 4.0 / 3.0
     c_rho = math.sqrt(kappa_m) * (s2pi + 2.0 * math.sqrt(2.0) / math.sqrt(3.0))

@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import bounds, construct, distance, io, moments, verify
-from .chaos import ChaosVector, integral_table
+from .chaos import ChaosVector, integral_table, variance
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapacityError, ChaoslabError, DomainError, FormatError
 from .model import RademacherModel
@@ -121,7 +121,8 @@ def cmd_counterexample(args) -> int:
         provenance = {"kind": args.kind, "m": args.m, "n": args.n}
 
     table = integral_table(kern, model, caps)
-    var, fourth = moments.even_moments(table, model, caps)
+    var = variance(table, model, caps)
+    fourth = moments.moment(table, 4, model, caps)
     wasserstein, kolmogorov = distance.normal_distances(
         distance.exact_distribution(table, model, caps)
     )
@@ -185,7 +186,7 @@ def cmd_distance(args) -> int:
     law = distance.exact_distribution(table, model, caps)
     report = {
         "atoms": len(law.atoms),
-        "variance": moments.moment(table, 2, model, caps),
+        "variance": variance(table, model, caps),
     }
     if args.distance == "both":
         report["wasserstein_distance"], report["kolmogorov_distance"] = (

@@ -21,8 +21,10 @@ class Caps:
     stroock_cap: int = 14
     # the product-formula fourth moment is O(P 2**m) in the number P of
     # pairs of support subsets of order <= m that share a coordinate, at
-    # most S**2 / 2 for S subsets; the benchmark derives its sparse
-    # workload sizes from this default
+    # most S**2 / 2 for S subsets; only ``fourth_moment_factorized``
+    # checks it (``fourth_moment_symmetric``, ``off_diagonal_defect`` and
+    # ``tensor_square_residual`` run the same pass unguarded), and the
+    # benchmark derives its sparse workload sizes from this default
     factorized_support_cap: int = 60
 
 

@@ -5,24 +5,28 @@ distance is a max over atoms of one-sided CDF gaps, and the Wasserstein
 distance is the L1 distance between CDFs, integrated segment by segment
 using E[(a - N)^+] = phi(a) + a Phi(a) and its mirror image.
 
-A law is built by one unstable sort of the values and one of their
-indices; ties merge into one atom, so the sort order inside a tie only
-changes the order in which its weights are added, and the probabilities are
-renormalized by one numpy sum.  Both distances walk the atoms in numpy
-blocks of ``_BLOCK``.  Phi is ``math.erfc`` applied elementwise, the same
-scalar as ``normal_cdf``, so the Kolmogorov distance equals an atom-by-atom
-loop bit for bit; Phi^{-1} is evaluated only on the segments the CDF level
-crosses inside.  Each block's Wasserstein pieces are non-negative and are
-added by one numpy sum, and ``math.fsum`` adds the block sums.
-``normal_distances`` computes both distances from one walk that evaluates
-Phi once per atom.  Blocks bound the object temporaries of the elementwise
-calls, so the distances add no 2^n-sized memory.
+A law has one atom per level of the values (``_levels``, which also gives
+the levels of the indicator sup in ``moments``).  It is built by one
+unstable sort of the values and one of their indices; the sort order inside
+a level only changes the order in which its weights are added, and the
+probabilities are renormalized by one numpy sum.
+
+Both distances walk the atoms in numpy blocks of ``_BLOCK``.  Phi is
+``math.erfc`` applied elementwise, the same scalar as ``normal_cdf``, so
+the Kolmogorov distance equals an atom-by-atom loop bit for bit; Phi^{-1}
+is evaluated only on the segments the CDF level crosses inside.  Each
+block's Wasserstein pieces are non-negative and are added by one numpy
+sum, and ``math.fsum`` adds the block sums.  ``normal_distances`` computes
+both distances from one walk that evaluates Phi once per atom.  Blocks
+bound the object temporaries of the elementwise calls, so the distances
+add no 2^n-sized memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -32,6 +36,7 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import DomainError
 from .model import RademacherModel
 
+# relative gap, in units of max(1, |F|), below which sorted values share a level
 _MERGE_TOL = 1e-12
 # atoms per numpy block of the distance walks
 _BLOCK = 1 << 16
@@ -63,8 +68,17 @@ class DistributionTable:
     probs: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.atoms, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
+        self._freeze(np.array(self.atoms, dtype=float), np.array(self.probs, dtype=float))
+
+    @classmethod
+    def _owning(cls, atoms: np.ndarray, probs: np.ndarray) -> "DistributionTable":
+        """A law that takes ``atoms`` and ``probs``, float arrays nobody
+        writes to afterwards, with the same checks and no copy."""
+        law = object.__new__(cls)
+        law._freeze(atoms, probs)
+        return law
+
+    def _freeze(self, a: np.ndarray, p: np.ndarray) -> None:
         if a.ndim != 1 or a.shape != p.shape or len(a) == 0:
             raise DomainError("atoms and probs must be equal-length 1-d arrays")
         if np.any(np.diff(a) <= 0):
@@ -73,35 +87,50 @@ class DistributionTable:
             raise DomainError("probabilities must be positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {p.sum()}, expected 1")
-        a = a.copy()
-        p = p.copy()
         a.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "probs", p)
 
-    @property
+    @cached_property
     def cdf_levels(self) -> np.ndarray:
-        """CDF value at and after each atom."""
-        return np.cumsum(self.probs)
+        """CDF value at and after each atom, summed once per law."""
+        levels = np.cumsum(self.probs)
+        levels.flags.writeable = False
+        return levels
 
     def shift(self, c: float) -> "DistributionTable":
-        return DistributionTable(self.atoms + c, self.probs.copy())
+        return DistributionTable._owning(self.atoms + c, self.probs)
+
+
+def _levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted values, an argsort of ``values``, the start of each level in
+    the sorted order): the one rule for what a level of F is.
+
+    Consecutive sorted values share a level, chained, when their gap is at
+    most ``_MERGE_TOL * max(1, |v_min|, |v_max|)``: a table's rounding
+    scales with its largest entries, and at the probability floor, where |F|
+    reaches 1e5, one ulp (1.5e-11) already exceeds an absolute 1e-12.
+    """
+    v = np.sort(values)
+    if not (len(v) and np.isfinite(v[0]) and np.isfinite(v[-1])):  # NaN sorts last
+        raise DomainError("values must be finite and non-empty")
+    tol = _MERGE_TOL * max(1.0, abs(float(v[0])), abs(float(v[-1])))
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(v) > tol)))
+    return v, np.argsort(values), starts  # argsort after diff's table is freed
 
 
 def from_weighted_values(values: np.ndarray, weights: np.ndarray) -> DistributionTable:
-    """Aggregate weighted values into a law, merging atoms within 1e-12."""
-    values = np.asarray(values, dtype=float)
-    v = np.sort(values)
-    w = np.asarray(weights, dtype=float)[np.argsort(values)]
-    # new group whenever the gap to the previous sorted value exceeds the
-    # merge tolerance; chained sub-tolerance steps merge into one atom
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(v) > _MERGE_TOL) + 1])
+    """Aggregate weighted values into a law with one atom per ``_levels`` level."""
+    v, order, starts = _levels(np.asarray(values, dtype=float))
+    w = np.asarray(weights, dtype=float)[order]
+    del order
     atoms = v[starts]
+    del v
     probs = np.add.reduceat(w, starts)
+    del w, starts  # freed before the table's checks allocate
     probs /= probs.sum()
-    del v, w, starts  # the table copies atoms and probs
-    return DistributionTable(atoms, probs)
+    return DistributionTable._owning(atoms, probs)
 
 
 def exact_distribution(

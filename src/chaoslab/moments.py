@@ -22,9 +22,10 @@ of the squared table, so the chain is bounded by ``enum_cap`` alone.
 The gradient sums and the indicator pairing take one coordinate at a time,
 on one half of each table since D_k F is constant in coordinate k, so a
 constant number of 2**n tables is alive whatever n is.  The indicator sup
-groups outcomes by one rank table of F's distinct values: exact ties merge,
-and only the summation order differs from a sort of all 2n 2**n flip
-thresholds, in the last digits.
+groups outcomes by a rank table of F's levels, the same levels
+(``distance._levels``) as the atoms of the exact law; only the summation
+order differs from a sort of all 2n 2**n flip thresholds, in the last
+digits.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .chaos import (
 )
 from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
+from .distance import _levels
 from .errors import CapacityError, DomainError
 from .kernels import _fourth_moment
 from .malliavin import d_half, gamma
@@ -264,20 +266,22 @@ def sup_flip_pairing(
     so the pairing is sum_j a_j 1{F_j > x} over outcomes j, where
     coordinate k moves the mass c_- + c_+ of each pair of its halves
     (c = w v_k sqrt(p_k q_k)) off the outcome with X_k = -1 and onto the
-    one with X_k = +1.  One rank table of F's distinct values then gives
-    the mass of every level, and the sup is the largest mass strictly
-    above a level (0 above the top one).  Exact ties share one level; the
-    masses are summed outcome by outcome and level by level rather than
-    along a sort of all 2n 2**n flip thresholds, so the value differs from
-    that order only in the last digits.  ``per_coordinate`` is consumed
-    one table at a time.
+    one with X_k = +1.  A rank table of F's levels (``distance._levels``,
+    the atoms of the exact law) then gives the mass of every level, and
+    the sup is the largest mass strictly above a level (0 above the top
+    one).  The masses are summed outcome by outcome and level by level
+    rather than along a sort of all 2n 2**n flip thresholds, so the value
+    differs from that order only in the last digits.  ``per_coordinate``
+    is consumed one table at a time.
     """
     n = model.n
     if F.horizon != n:
         raise DomainError(f"table horizon {F.horizon} differs from the model horizon {n}")
     flow = _flip_flow(per_coordinate, model, model.weights(caps))
-    levels, rank = np.unique(F.values, return_inverse=True)
-    mass = np.bincount(rank, weights=flow, minlength=len(levels))
+    order, starts = _levels(F.values)[1:]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.cumsum(np.bincount(starts[1:], minlength=len(order)))
+    mass = np.bincount(rank, weights=flow, minlength=len(starts))
     above = np.cumsum(mass[:0:-1])  # mass strictly above each level but the top
     return max(float(above.max(initial=0.0)), 0.0)
 

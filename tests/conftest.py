@@ -12,9 +12,10 @@ tensor-square residual over explicit tuples, the sparse multiply-and-project
 route to the projection variances of F**2,
 the law by a stable sort with an fsum renormalization,
 the atom-by-atom Kolmogorov loop, the segment-by-segment Wasserstein
-integral, the sort of all 2n 2**n flip thresholds for the indicator sup,
-and the abstract-bound terms on one full gradient table per coordinate),
-so agreement with the fast engines is meaningful.
+integral, the sort of all 2n 2**n flip thresholds for the indicator sup
+(both grouped into levels by ``oracle_level_starts``, which restates the
+library's one merge rule), and the abstract-bound terms on one full
+gradient table per coordinate), so agreement with the fast engines is meaningful.
 """
 
 from __future__ import annotations
@@ -321,13 +322,20 @@ def oracle_fourth_moment_pairs(coeffs: dict, skew=None) -> float:
     return math.fsum(v * v for v in g.values())
 
 
+def oracle_level_starts(v: np.ndarray) -> np.ndarray:
+    """Start of each level of sorted values: a gap above ``_MERGE_TOL``
+    times max(1, max |v|) opens a new level, so smaller steps chain."""
+    tol = _MERGE_TOL * max(1.0, float(np.abs(v).max()))
+    return np.concatenate([[0], np.flatnonzero(np.diff(v) > tol) + 1])
+
+
 def oracle_from_weighted_values(values: np.ndarray, weights: np.ndarray) -> DistributionTable:
-    """The law by a stable argsort, so the weights of an exact tie add in
+    """The law by a stable argsort, so the weights inside a level add in
     input order, renormalized by ``math.fsum``."""
     order = np.argsort(values, kind="stable")
     v = np.asarray(values, dtype=float)[order]
     w = np.asarray(weights, dtype=float)[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(v) > _MERGE_TOL) + 1])
+    starts = oracle_level_starts(v)
     probs = np.add.reduceat(w, starts)
     return DistributionTable(v[starts], probs / math.fsum(probs))
 
@@ -394,14 +402,14 @@ def oracle_flip_thresholds(F: ValueTable, per_coordinate, model: RademacherModel
 
 def oracle_sup_flip_pairing(F: ValueTable, per_coordinate, model: RademacherModel) -> float:
     """sup_x sum_k E[v_k D_k 1_{F > x}] by a stable sort of every flip
-    threshold and one suffix sum, read after each distinct threshold."""
+    threshold and one suffix sum, read after each level of thresholds
+    (the thresholds take exactly the values of F)."""
     thr, dlt = oracle_flip_thresholds(F, per_coordinate, model)
     order = np.argsort(thr, kind="stable")
     thr = thr[order]
     suffix = np.concatenate([np.cumsum(dlt[order][::-1])[::-1], [0.0]])
-    positions = np.searchsorted(thr, np.unique(thr), side="right")
-    best = float(suffix[positions].max()) if len(thr) else 0.0
-    return max(best, 0.0)
+    positions = np.append(oracle_level_starts(thr)[1:], len(thr))
+    return max(float(suffix[positions].max()), 0.0)
 
 
 def oracle_quartic_gradient_sum(F: ChaosVector, model: RademacherModel) -> float:

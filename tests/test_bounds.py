@@ -329,7 +329,7 @@ class TestHoeffding:
         def no_moment(*args, **kwargs):
             raise AssertionError("the Hoeffding route took a moment of a table")
 
-        monkeypatch.setattr(bounds, "moment", no_moment)
+        monkeypatch.setattr(bounds, "even_moments", no_moment)
         model = random_model(rng, 7)
         f = random_kernel(2, 7, rng, normalized=True)
         H = hoeffding_decompose(integral_table(f, model), model)

@@ -5,10 +5,10 @@ compared with the per-subset, pathwise or inclusion-exclusion form they
 replaced, the energy read-outs (projection variances of F**2, the
 degenerate order and rho**2) with the sparse round-trip and the
 inclusion-exclusion tables, and the product-formula fourth moment with
-enumeration and with the quadruple expansion, the law with a stable sort,
-and the blocked Kolmogorov
-and Wasserstein distances with the atom-by-atom loops, and the indicator
-sup, the abstract-bound terms and the quartic gradient sum with the sort of
+enumeration and with the quadruple expansion, the law with a stable sort
+and the indicator sup with the law's atoms as its levels, and the blocked
+Kolmogorov and Wasserstein distances with the atom-by-atom loops, and the
+indicator sup, the abstract-bound terms and the quartic gradient sum with the sort of
 every flip threshold and the full gradient tables, over instances
 drawn by hypothesis with success probabilities that include the 1e-6
 floor.  Tolerances are fixed in units
@@ -646,16 +646,19 @@ def test_distances_match_atom_loops_across_three_blocks(kind):
     assert_distances_match(dist)
 
 
+DRAWN_LEVELS = ("ties", "chains", "floor")
+
+
 @st.composite
-def weighted_values(draw):
+def weighted_values(draw, kinds=("exact", "constant") + DRAWN_LEVELS):
     """Values and positive weights for ``from_weighted_values``.
 
     Tables of exact laws (n = 1..10, probabilities down to the 1e-6 floor,
     where atoms reach about 1e5, and constant tables), and drawn values with
-    exact ties, chains of steps below the merge tolerance, or atoms near 1e5
-    carrying masses at the floor.
+    exact ties, chains of steps below the merge tolerance (at scale 1 and
+    1e5), or atoms a few ulps apart near 1e5 carrying masses at the floor.
     """
-    kind = draw(st.sampled_from(["exact", "constant", "ties", "chains", "floor"]))
+    kind = draw(st.sampled_from(kinds))
     if kind in ("exact", "constant"):
         model, rng = draw(instances())
         if kind == "constant":
@@ -671,9 +674,10 @@ def weighted_values(draw):
         pool = rng.standard_normal(int(rng.integers(1, 8))) * scale
         values = rng.choice(np.concatenate([pool, [0.0, -0.0]]), size)
     elif kind == "chains":
-        # steps of 0.4e-12 chain into groups wider than the tolerance
-        steps = rng.integers(0, 6, size) * (0.4 * _MERGE_TOL)
-        values = rng.choice(rng.standard_normal(4), size) + steps
+        # steps of 0.4 merge tolerances chain into groups wider than one
+        base = rng.choice(rng.standard_normal(4) * scale, size)
+        step = 0.4 * _MERGE_TOL * max(1.0, float(np.abs(base).max()))
+        values = base + rng.integers(0, 6, size) * step
     else:
         values = 1e5 + rng.integers(-3, 4, size) * np.spacing(1e5)
         values[: size // 2] = rng.standard_normal(size // 2) * scale
@@ -693,10 +697,46 @@ def test_law_matches_stable_sort_oracle(drawn):
     ):
         # the same atoms (a signed zero may stand for a tie of 0.0 and -0.0)
         assert np.array_equal(got.atoms, want.atoms)
-        # only the order of the weights inside an exact tie, and the
+        # only the order of the weights inside a level, and the
         # renormalization, differ
         assert np.abs(got.probs - want.probs).max() <= len(values) * EPS
         assert_distances_match(got)
+
+
+@given(weighted_values(DRAWN_LEVELS))
+@settings(max_examples=60, deadline=None)
+def test_sup_levels_are_the_law_atoms(drawn):
+    """The indicator sup read at the exact law's atoms, with every flip
+    threshold booked at the atom of its level, equals ``sup_flip_pairing``:
+    the law and the sup group F's values into the same levels."""
+    values, _, rng = drawn
+    n = max(1, math.ceil(math.log2(len(values))))
+    table = ValueTable(n, np.resize(values, 2**n))
+    model = RademacherModel(tuple(rng.choice([FLOOR, 0.3, 0.5, 1.0 - FLOOR], n)))
+    atoms = exact_distribution(table, model).atoms
+    per_k = [rng.standard_normal(2**n) for _ in range(n)]
+    thr, dlt = oracle_flip_thresholds(table, per_k, model)
+    mass = np.bincount(np.searchsorted(atoms, thr, side="right") - 1, weights=dlt,
+                       minlength=len(atoms))
+    want = max(float(np.cumsum(mass[:0:-1]).max(initial=0.0)), 0.0)
+    got = sup_flip_pairing(table, iter(per_k), model)
+    assert abs(got - want) <= pairing_tolerance(table, per_k, model)
+
+
+def test_ulp_split_values_at_the_floor_scale_are_one_level():
+    # at the probability floor |F| reaches about 1e5, where one ulp (1.5e-11)
+    # exceeds 1e-12; values two ulps apart are one atom and one sup level
+    n = 3
+    model = RademacherModel((FLOOR, 0.5, 1.0 - FLOOR))
+    values = np.full(2**n, -1e5)
+    values[1::2] += 2.0 * np.spacing(1e5)
+    table = ValueTable(n, values)
+    law = exact_distribution(table, model)
+    assert len(law.atoms) == 1 and law.probs[0] == 1.0
+    # every coordinate moves positive mass onto its +1 outcomes; split into
+    # two levels, the upper one would hold a positive net mass
+    assert sup_flip_pairing(table, [np.ones(2**n)] * n, model) == 0.0
+    assert oracle_sup_flip_pairing(table, [np.ones(2**n)] * n, model) == 0.0
 
 
 def mpmath_wasserstein(dist: DistributionTable) -> float:

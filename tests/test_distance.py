@@ -73,11 +73,41 @@ class TestDistributionTable:
         assert law.atoms[0] == 0.0
         assert law.probs[0] == pytest.approx(0.75)
 
+    def test_merge_gap_scales_with_the_largest_value(self):
+        # 1e-11 apart: two atoms at scale 1, one at scale 1e5
+        law = from_weighted_values(np.array([0.0, 1e-11, 1.0]), np.full(3, 1 / 3))
+        assert len(law.atoms) == 3
+        law = from_weighted_values(np.array([0.0, 1e-11, 1e5]), np.full(3, 1 / 3))
+        assert list(law.atoms) == [0.0, 1e5]
+        assert law.probs[0] == pytest.approx(2 / 3)
+
+    def test_non_finite_values_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                from_weighted_values(np.array([0.0, bad, 1.0]), np.full(3, 1 / 3))
+        with pytest.raises(DomainError, match="non-empty"):
+            from_weighted_values(np.array([]), np.array([]))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             DistributionTable(np.array([1.0, 0.5]), np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
             DistributionTable(np.array([0.0]), np.array([0.7]))
+        # a shifted law takes its arrays without a copy, still checked
+        with pytest.raises(DomainError, match="strictly increasing"):
+            DistributionTable(np.array([0.0, 1e-20]), np.array([0.5, 0.5])).shift(1.0)
+
+    def test_arrays_read_only_and_levels_summed_once(self):
+        atoms, probs = np.array([-1.0, 1.0]), np.array([0.25, 0.75])
+        law = DistributionTable(atoms, probs)
+        atoms[0] = probs[0] = 0.5  # the public constructor copied its input
+        assert list(law.atoms) == [-1.0, 1.0] and list(law.probs) == [0.25, 0.75]
+        built = from_weighted_values(np.array([1.0, -1.0, 1.0]), np.array([0.25, 0.25, 0.5]))
+        for table in (law, built, built.shift(2.0)):
+            assert table.cdf_levels is table.cdf_levels
+            assert list(table.cdf_levels) == [0.25, 1.0]
+            for a in (table.atoms, table.probs, table.cdf_levels):
+                assert not a.flags.writeable
 
 
 class TestKolmogorov:

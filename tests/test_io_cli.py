@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chaoslab import Kernel, RademacherModel, integral_table, random_kernel
+from chaoslab import Kernel, RademacherModel, integral_table, random_kernel, variance
 from chaoslab import cli, io
 from chaoslab.construct import product_chaos_sequence
 from chaoslab.distance import exact_distribution, kolmogorov_to_normal, wasserstein_to_normal
@@ -174,9 +174,21 @@ class TestCli:
         assert report["kolmogorov_distance"] == pytest.approx(0.34134474606854293)
         assert report["wasserstein_distance"] == pytest.approx(0.5353773215478796)
 
+    def test_distance_variance_of_a_constant_is_zero(self, tmp_path, capsys):
+        # E[F^2] of this constant is 4; its variance is 0
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        io.dump_json(io.kernel_to_dict(Kernel(0, 2, {(): 2.0})), kpath)
+        io.dump_json(io.model_to_dict(RademacherModel((0.3, 0.5))), mpath)
+        rc = cli.main(["distance", "--kernel", str(kpath), "--model", str(mpath), "--json"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["atoms"] == 1
+        assert report["variance"] == 0.0
+
     def test_distance_and_counterexample_json_equal_the_library(self, fair_pair, capsys):
         kpath, mpath, f, model = fair_pair
-        law = exact_distribution(integral_table(f, model), model)
+        table = integral_table(f, model)
+        law = exact_distribution(table, model)
         want = {
             "kolmogorov_distance": kolmogorov_to_normal(law),
             "wasserstein_distance": wasserstein_to_normal(law),
@@ -189,13 +201,14 @@ class TestCli:
             assert {k: v for k, v in report.items() if k in want} == (
                 want if which == "both" else {f"{which}_distance": want[f"{which}_distance"]}
             )
+            assert report["variance"] == variance(table, model)
         rc = cli.main(["counterexample", "--kind", "product", "-m", "2", "-n", "4", "--json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         kern, model = product_chaos_sequence(2, 4)
         table = integral_table(kern, model)
         law = exact_distribution(table, model)
-        assert report["variance"] == moment(table, 2, model)
+        assert report["variance"] == variance(table, model)
         assert report["fourth_moment"] == moment(table, 4, model)
         assert report["kolmogorov_distance"] == kolmogorov_to_normal(law)
         assert report["wasserstein_distance"] == wasserstein_to_normal(law)
