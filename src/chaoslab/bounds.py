@@ -39,7 +39,7 @@ from .distance import exact_distribution, normal_distances
 from .errors import DomainError
 from .malliavin import d_half, gamma0, minus_pseudo_inverse
 from .model import RademacherModel
-from .moments import even_moments, flip_weights, sup_flip_pairing
+from .moments import even_moments, sup_flip_pairing
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -214,7 +214,8 @@ def _gradient_sums(
         minus += square / q  # p / pq
         plus += square / p  # q / pq
     quart_root = float(np.dot(w, cs_table**2)) ** 0.25
-    return remainder, inner_sq, quart, 0.25 * middle, quart_root
+    # the sums picked up numpy scalars from the per-coordinate divisions
+    return float(remainder), float(inner_sq), float(quart), float(0.25 * middle), quart_root
 
 
 def abstract_bounds(
@@ -223,12 +224,14 @@ def abstract_bounds(
     """Term-by-term evaluation of the abstract distance bounds.
 
     Works for any centered chaos vector; returns each named term and the
-    assembled bound lines.  For a pure normalized integral the
-    specialized single-order lines are included as well.
+    assembled bound lines as plain floats.  For a pure normalized integral
+    of order m the single-order lines are included as well.  There
+    -L^-1 F = F/m, so Gamma(F, -L^-1 F) = Gamma(F, F)/m and the indicator
+    sup of (F, -L^-1 F) is that of (F, F) over m: those lines reuse the
+    general terms rather than computing them again.
     """
     if abs(F.mean()) > 1e-9 * (1.0 + math.sqrt(max(F.variance(), 0.0))):
         raise DomainError(f"abstract bounds need a centered input; mean is {F.mean()}")
-    n = model.n
     w = model.weights(caps)
     table = to_table(F, model, caps)
     minus_linv = minus_pseudo_inverse(F)
@@ -249,7 +252,7 @@ def abstract_bounds(
     gb2 = s2pi * abs(1.0 - var_f) + s2pi * math.sqrt(term_gamma_var) + remainder
 
     # indicator pairing sup_x sum_k E[(pq)^{-1/2} D_kF D_k 1_{F>x} |D_k L^-1 F|]
-    sup_term = sup_flip_pairing(table, flip_weights(table, linv_table, model), model, caps)
+    sup_term = sup_flip_pairing(table, linv_table, model, caps)
     del linv_table
     kb1 = term_gamma_abs + term_mid + sup_term
 
@@ -276,22 +279,14 @@ def abstract_bounds(
 
     m = F.pure_order()
     if m and abs(var_f - 1.0) <= _NORMALIZATION_TOL:
-        # the sup runs before g0_self exists, so their peaks do not add
-        sup_self = sup_flip_pairing(table, flip_weights(table, table, model), model, caps) / m
-        g0_self = gamma0(table, table, model)
-        var_g_self = table_variance(
-            ValueTable._owning(n, g0_self.values / m), model, caps
-        )
-        out["wasserstein_single_order"] = s2pi * math.sqrt(var_g_self) + math.sqrt(
-            quart / m
-        )
+        out["wasserstein_single_order"] = s2pi * math.sqrt(term_gamma_var) + math.sqrt(quart / m)
         out["kolmogorov_single_order"] = (
-            math.sqrt(var_g_self)
+            math.sqrt(term_gamma_var)
             + (1.0 / (2.0 * math.sqrt(2.0) * m))
             * math.sqrt(quart)
             * (fourth**0.25 + 1.0)
             * quart_root
-            + sup_self
+            + sup_term
         )
     return out
 

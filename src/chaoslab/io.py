@@ -5,7 +5,9 @@ All indices are 0-based.  A kernel file looks like
     {"m": 2, "n": 4, "entries": [{"set": [0, 1], "value": 0.5}, ...]}
 
 and a model file is either {"probs": [p0, p1, ...]} or
-{"homogeneous": p, "n": n}.
+{"homogeneous": p, "n": n}.  Orders, horizons and set members must be
+JSON integers, and values and probabilities JSON numbers: nothing is
+truncated, read from a string or taken from a boolean.
 """
 
 from __future__ import annotations
@@ -32,19 +34,31 @@ def kernel_to_dict(kern: Kernel, provenance: dict | None = None) -> dict:
     return out
 
 
+def _integer(value: Any, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{field} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def kernel_from_dict(data: dict) -> Kernel:
     try:
-        m = int(data["m"])
-        n = int(data["n"])
+        m = _integer(data["m"], "'m'")
+        n = _integer(data["n"], "'n'")
         entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"kernel record needs integer 'm', 'n' and 'entries': {exc}")
     coeffs = {}
     for i, entry in enumerate(entries):
         try:
-            key = tuple(int(x) for x in entry["set"])
-            val = float(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+            key = tuple(_integer(x, f"entry {i} 'set' member") for x in entry["set"])
+            val = _number(entry["value"], f"entry {i} 'value'")
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"entry {i} is malformed: {exc}")
         if key in coeffs:
             raise FormatError(f"entry {i} repeats subset {list(key)}")
@@ -65,12 +79,13 @@ def model_to_dict(model: RademacherModel) -> dict:
 def model_from_dict(data: dict) -> RademacherModel:
     if "probs" in data:
         try:
-            return RademacherModel(tuple(float(p) for p in data["probs"]))
+            return RademacherModel(tuple(_number(p, "'probs' entry") for p in data["probs"]))
         except Exception as exc:
             raise FormatError(f"model record invalid: {exc}")
     if "homogeneous" in data:
         try:
-            return RademacherModel.homogeneous(float(data["homogeneous"]), int(data["n"]))
+            p = _number(data["homogeneous"], "'homogeneous'")
+            return RademacherModel.homogeneous(p, _integer(data["n"], "'n'"))
         except Exception as exc:
             raise FormatError(f"model record invalid: {exc}")
     raise FormatError("model record needs either 'probs' or 'homogeneous' + 'n'")

@@ -159,12 +159,16 @@ def gamma(
     """Carre du champ (1/2)(L(FG) - F LG - G LF), evaluated exactly.
 
     The product table is analyzed once; on its Walsh coefficient array
-    the generator scales E[FG Y_S] by -|S| before one synthesis.
+    the generator scales E[FG Y_S] by -|S| before one synthesis.  For
+    G = F the tables of F and LF are synthesized once.
     """
     f_t = to_table(F, model, caps)
-    g_t = to_table(G, model, caps)
     lf = to_table(ou_generator_spectral(F), model, caps)
-    lg = to_table(ou_generator_spectral(G), model, caps)
+    if G is F:
+        g_t, lg = f_t, lf
+    else:
+        g_t = to_table(G, model, caps)
+        lg = to_table(ou_generator_spectral(G), model, caps)
     prod = basis_coefficients(f_t * g_t, model)
     l_prod = basis_synthesis(-subset_orders(model.n) * prod, model)
     vals = 0.5 * (l_prod.values - f_t.values * lg.values - g_t.values * lf.values)

@@ -22,16 +22,16 @@ of the squared table, so the chain is bounded by ``enum_cap`` alone.
 The gradient sums and the indicator pairing take one coordinate at a time,
 on one half of each table since D_k F is constant in coordinate k, so a
 constant number of 2**n tables is alive whatever n is.  The indicator sup
-groups outcomes by a rank table of F's levels, the same levels
-(``distance._levels``) as the atoms of the exact law; only the summation
-order differs from a sort of all 2n 2**n flip thresholds, in the last
-digits.
+takes the two tables F and G of its pairing and builds each coordinate's
+D_kF |D_kG| on those halves.  It groups outcomes by a rank table of F's
+levels, the same levels (``distance._levels``) as the atoms of the exact
+law; only the summation order differs from a sort of all 2n 2**n flip
+thresholds, in the last digits.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +43,6 @@ from .chaos import (
     expectation,
     fold_coordinate,
     integral_table,
-    join_coordinate,
     split_coordinate,
     subset_orders,
     to_table,
@@ -186,7 +185,7 @@ def quartic_gradient_sum(
     for k in range(model.n):
         square = d_half(table, k, model) ** 2
         total += float(np.vdot(fold_coordinate(w, k), square * square)) / model.pq[k]
-    return total / (2.0 * m)
+    return float(total / (2.0 * m))
 
 
 def quartic_gradient_identity(
@@ -217,71 +216,53 @@ def quartic_gradient_bound(
     ) / (2.0 * m) * second * gamma_m(m) * f.sup_influence()
 
 
-def flip_weights(
-    F: ValueTable, G: ValueTable, model: RademacherModel
-) -> Iterator[np.ndarray]:
-    """The tables D_kF |D_kG| / sqrt(p_k q_k) for k = 0..n-1, one at a time."""
-    for k in range(model.n):
-        half = d_half(F, k, model)
-        half *= np.abs(half if G is F else d_half(G, k, model))
-        half /= model.sqrt_pq[k]
-        yield join_coordinate(half, half)
-
-
 def _flip_flow(
-    per_coordinate: Iterable[np.ndarray], model: RademacherModel, w: np.ndarray
+    F: ValueTable, G: ValueTable, model: RademacherModel, w: np.ndarray
 ) -> np.ndarray:
-    """Net mass the tables v_k move onto each outcome; see ``sup_flip_pairing``."""
-    n = model.n
-    flow = np.zeros(2**n)
-    count = 0
-    for k, v in enumerate(per_coordinate):
-        if k >= n:
-            raise DomainError("need one weighting table per coordinate")
-        v = np.asarray(v, dtype=float)
-        if v.shape != (2**n,):
-            raise DomainError(
-                f"weighting table {k} must have 2**{n} entries, got shape {v.shape}"
-            )
-        moved = fold_coordinate(w * v, k)
+    """Net mass the flips of each coordinate move onto each outcome; see
+    ``sup_flip_pairing``.  Its own frame, so the half tables are freed
+    before the levels are ranked."""
+    flow = np.zeros(2**model.n)
+    for k in range(model.n):
+        v = d_half(F, k, model)
+        v *= np.abs(v if G is F else d_half(G, k, model))
+        v /= model.sqrt_pq[k]
+        w_minus, w_plus = split_coordinate(w, k)
+        moved = w_minus * v
+        v *= w_plus
+        moved += v
         moved *= model.sqrt_pq[k]
         at_minus, at_plus = split_coordinate(flow, k)
         at_minus -= moved
         at_plus += moved
-        count = k + 1
-    if count != n:
-        raise DomainError("need one weighting table per coordinate")
     return flow
 
 
 def sup_flip_pairing(
-    F: ValueTable,
-    per_coordinate: Iterable[np.ndarray],
-    model: RademacherModel,
-    caps: Caps = DEFAULT_CAPS,
+    F: ValueTable, G: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAPS
 ) -> float:
-    """sup over x of sum_k E[v_k * D_k 1_{F > x}] for given tables v_k.
+    """sup over x of sum_k E[(p_k q_k)^{-1/2} D_kF |D_kG| D_k 1_{F > x}].
 
     D_k 1_{F > x} = sqrt(p_k q_k) (1{F(k -> +1) > x} - 1{F(k -> -1) > x}),
     so the pairing is sum_j a_j 1{F_j > x} over outcomes j, where
     coordinate k moves the mass c_- + c_+ of each pair of its halves
-    (c = w v_k sqrt(p_k q_k)) off the outcome with X_k = -1 and onto the
-    one with X_k = +1.  A rank table of F's levels (``distance._levels``,
-    the atoms of the exact law) then gives the mass of every level, and
-    the sup is the largest mass strictly above a level (0 above the top
-    one).  The masses are summed outcome by outcome and level by level
-    rather than along a sort of all 2n 2**n flip thresholds, so the value
-    differs from that order only in the last digits.  ``per_coordinate``
-    is consumed one table at a time.
+    (c = w D_kF |D_kG|, on the halves where D_k lives) off the outcome
+    with X_k = -1 and onto the one with X_k = +1.  A rank table of F's
+    levels (``distance._levels``, the atoms of the exact law) then gives
+    the mass of every level, and the sup is the largest mass strictly
+    above a level (0 above the top one).  The masses are summed outcome
+    by outcome and level by level rather than along a sort of all
+    2n 2**n flip thresholds, so the value differs from that order only in
+    the last digits.
     """
-    n = model.n
-    if F.horizon != n:
-        raise DomainError(f"table horizon {F.horizon} differs from the model horizon {n}")
-    flow = _flip_flow(per_coordinate, model, model.weights(caps))
+    flow = _flip_flow(F, G, model, model.weights(caps))
     order, starts = _levels(F.values)[1:]
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.cumsum(np.bincount(starts[1:], minlength=len(order)))
+    level = np.cumsum(np.bincount(starts[1:], minlength=len(order)))  # by sorted position
+    rank = np.empty_like(level)
+    rank[order] = level
+    del order, level  # freed before the masses are summed
     mass = np.bincount(rank, weights=flow, minlength=len(starts))
+    del rank, flow
     above = np.cumsum(mass[:0:-1])  # mass strictly above each level but the top
     return max(float(above.max(initial=0.0)), 0.0)
 
@@ -292,19 +273,15 @@ def kolmogorov_term(
     """(1/m) sup_x sum_k E[(p_k q_k)^{-1/2} D_kF |D_kF| D_k 1_{F > x}]."""
     m = _pure_integral(F)
     table = to_table(F, model, caps)
-    return sup_flip_pairing(table, flip_weights(table, table, model), model, caps) / m
+    return sup_flip_pairing(table, table, model, caps) / m
 
 
 def kolmogorov_term_bound(
     F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS
 ) -> float:
-    """Closed upper bound for the indicator pairing term."""
+    """Closed upper bound for the indicator pairing term: for a pure
+    integral Var F = E[F^2], so its radicand is 2m times
+    ``quartic_gradient_bound``."""
     m = _pure_integral(F)
-    f = F.kernel(m)
-    table = to_table(F, model, caps)
-    var = table_variance(table, model, caps)
-    fourth = moment(table, 4, model, caps)
-    inner = (4.0 * m - 3.0) * (fourth - 3.0 * var**2) + (
-        6.0 * m - 3.0
-    ) * gamma_m(m) * var * f.sup_influence()
+    inner = 2.0 * m * quartic_gradient_bound(F, model, caps)
     return math.sqrt(8.0 * m**2 - 7.0) / m * math.sqrt(max(inner, 0.0))

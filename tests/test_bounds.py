@@ -40,7 +40,7 @@ from chaoslab.construct import (
     product_chaos_sequence,
 )
 from chaoslab.distance import exact_distribution, kolmogorov_to_normal, wasserstein_to_normal
-from chaoslab.moments import moment
+from chaoslab.moments import moment, quartic_gradient_sum
 from conftest import random_model
 
 # high-precision references (40-digit evaluation, rounded)
@@ -243,6 +243,17 @@ class TestAbstractBounds:
             assert terms["wasserstein_line1"] <= terms["wasserstein_single_order"] + 1e-12
             assert terms["wasserstein_single_order"] <= rw.bound_value + 1e-12
             assert terms["kolmogorov_single_order"] <= rk.bound_value + 1e-12
+
+    def test_entries_are_plain_floats(self, rng):
+        # the per-coordinate divisions by model.pq[k] yield numpy scalars
+        model = random_model(rng, 5)
+        normalized = ChaosVector.from_kernel(random_kernel(2, 5, rng, normalized=True))
+        kernels = (zero_kernel(0, 5), random_kernel(1, 5, rng), random_kernel(2, 5, rng))
+        mixed = ChaosVector(5, kernels)
+        assert "kolmogorov_single_order" in abstract_bounds(normalized, model)
+        for F in (normalized, ChaosVector.from_kernel(random_kernel(3, 5, rng)), mixed):
+            assert all(type(v) is float for v in abstract_bounds(F, model).values())
+        assert type(quartic_gradient_sum(normalized, model)) is float
 
     def test_rejects_non_centered(self, rng):
         model = random_model(rng, 4)

@@ -31,7 +31,7 @@ from chaoslab import (
     to_table,
     variance,
 )
-from chaoslab.bounds import hoeffding_decompose
+from chaoslab.bounds import abstract_bounds, hoeffding_decompose
 from chaoslab.malliavin import (
     d,
     d_minus,
@@ -42,6 +42,7 @@ from chaoslab.malliavin import (
     shift_minus,
     shift_plus,
 )
+from chaoslab.moments import kolmogorov_term
 from conftest import (
     assert_kernels_close,
     oracle_integral_moment,
@@ -369,3 +370,18 @@ class TestOwnedTables:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * table.values.nbytes
+
+    @pytest.mark.parametrize("call, tables", [(abstract_bounds, 8.0), (kolmogorov_term, 6.5)])
+    def test_operator_terms_peak_at_a_constant_number_of_tables(self, call, tables):
+        # measured 7.65 and 6.00 tables of 2**16 floats
+        n = 16
+        model = RademacherModel.homogeneous(0.3, n)
+        F = ChaosVector.from_kernel(random_kernel(2, n, 7, normalized=True))
+        call(F, model)  # fill the model's cached weights and coordinate arrays
+        tracemalloc.start()
+        try:
+            call(F, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables * 2**n * 8

@@ -68,7 +68,6 @@ from chaoslab.malliavin import (
     skorohod,
 )
 from chaoslab.moments import (
-    flip_weights,
     fourth_moment_factorized,
     fourth_moment_symmetric,
     kolmogorov_term,
@@ -714,12 +713,13 @@ def test_sup_levels_are_the_law_atoms(drawn):
     table = ValueTable(n, np.resize(values, 2**n))
     model = RademacherModel(tuple(rng.choice([FLOOR, 0.3, 0.5, 1.0 - FLOOR], n)))
     atoms = exact_distribution(table, model).atoms
-    per_k = [rng.standard_normal(2**n) for _ in range(n)]
+    other = ValueTable(n, rng.standard_normal(2**n))
+    per_k = flip_tables(table, other, model)
     thr, dlt = oracle_flip_thresholds(table, per_k, model)
     mass = np.bincount(np.searchsorted(atoms, thr, side="right") - 1, weights=dlt,
                        minlength=len(atoms))
     want = max(float(np.cumsum(mass[:0:-1]).max(initial=0.0)), 0.0)
-    got = sup_flip_pairing(table, iter(per_k), model)
+    got = sup_flip_pairing(table, other, model)
     assert abs(got - want) <= pairing_tolerance(table, per_k, model)
 
 
@@ -733,10 +733,12 @@ def test_ulp_split_values_at_the_floor_scale_are_one_level():
     table = ValueTable(n, values)
     law = exact_distribution(table, model)
     assert len(law.atoms) == 1 and law.probs[0] == 1.0
-    # every coordinate moves positive mass onto its +1 outcomes; split into
-    # two levels, the upper one would hold a positive net mass
-    assert sup_flip_pairing(table, [np.ones(2**n)] * n, model) == 0.0
-    assert oracle_sup_flip_pairing(table, [np.ones(2**n)] * n, model) == 0.0
+    # D_0 F > 0 and G = 1{X_0 = +1} has D_0 G > 0, so coordinate 0 moves
+    # positive mass onto its +1 outcomes; split into two levels, the upper
+    # one would hold a positive net mass
+    other = ValueTable(n, np.tile([0.0, 1.0], 2 ** (n - 1)))
+    assert sup_flip_pairing(table, other, model) == 0.0
+    assert oracle_sup_flip_pairing(table, flip_tables(table, other, model), model) == 0.0
 
 
 def mpmath_wasserstein(dist: DistributionTable) -> float:
@@ -784,6 +786,15 @@ def pure_integrals(draw):
     return model, ChaosVector.from_kernel(kern)
 
 
+def flip_tables(F: ValueTable, G: ValueTable, model: RademacherModel) -> list[np.ndarray]:
+    """The oracle's per-coordinate tables D_kF |D_kG| / sqrt(p_k q_k), each
+    built from full gradient tables."""
+    return [
+        d(F, k, model).values * np.abs(d(G, k, model).values) / model.sqrt_pq[k]
+        for k in range(model.n)
+    ]
+
+
 def pairing_tolerance(table: ValueTable, per_coordinate, model: RademacherModel) -> float:
     """ULPS * (2n 2**n) * eps * sum |deltas| over every flip threshold."""
     thr, dlt = oracle_flip_thresholds(table, per_coordinate, model)
@@ -796,14 +807,15 @@ def test_indicator_sup_matches_threshold_sort(inst, self_pairing):
     model, F = inst
     t = to_table(F, model)
     other = t if self_pairing else to_table(minus_pseudo_inverse(F), model)
-    per_k = list(flip_weights(t, other, model))
+    per_k = flip_tables(t, other, model)
     want = oracle_sup_flip_pairing(t, per_k, model)
-    got = sup_flip_pairing(t, iter(per_k), model)
+    got = sup_flip_pairing(t, other, model)
     assert abs(got - want) <= pairing_tolerance(t, per_k, model)
     m = F.top_order
+    per_k = flip_tables(t, t, model)
     got = kolmogorov_term(F, model)
-    want = oracle_sup_flip_pairing(t, list(flip_weights(t, t, model)), model) / m
-    assert abs(got - want) <= pairing_tolerance(t, list(flip_weights(t, t, model)), model) / m
+    want = oracle_sup_flip_pairing(t, per_k, model) / m
+    assert abs(got - want) <= pairing_tolerance(t, per_k, model) / m
 
 
 @given(pure_integrals())
@@ -815,8 +827,8 @@ def test_streamed_gradient_terms_match_full_tables(inst):
     assert got.keys() == want.keys()
     t = to_table(F, model)
     linv = to_table(minus_pseudo_inverse(F), model)
-    indicator = pairing_tolerance(t, list(flip_weights(t, linv, model)), model)
-    indicator += pairing_tolerance(t, list(flip_weights(t, t, model)), model) / F.top_order
+    indicator = pairing_tolerance(t, flip_tables(t, linv, model), model)
+    indicator += pairing_tolerance(t, flip_tables(t, t, model), model) / F.top_order
     for key, value in want.items():
         gap = abs(got[key] - value)
         # every entry but the sups is a sum of nonnegative terms

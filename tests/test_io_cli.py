@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -61,6 +62,41 @@ class TestFileFormats:
         )
         with pytest.raises(FormatError, match="entry 1"):
             io.load_kernel(path)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"m": 2.9, "n": 4.5, "entries": [{"set": [0.9, 2.2], "value": 1.0}]}, "'m'"),
+            ({"m": 2, "n": 4.5, "entries": []}, "'n'"),
+            ({"m": True, "n": 4, "entries": []}, "'m'"),
+            ({"m": 2, "n": 4, "entries": [{"set": [0.9, 2.2], "value": 1.0}]}, "entry 0 'set'"),
+            ({"m": 2, "n": 4, "entries": [{"set": [True, 2], "value": 1.0}]}, "entry 0 'set'"),
+            ({"m": 2, "n": 4, "entries": [{"set": [0, 2], "value": "0.5"}]}, "entry 0 'value'"),
+            ({"m": 2, "n": 4, "entries": [{"set": [0, 2], "value": True}]}, "entry 0 'value'"),
+        ],
+    )
+    def test_kernel_fields_are_not_coerced(self, tmp_path, record, field):
+        # int() truncated 2.9 to 2 and read true as 1; float() parsed "0.5"
+        path = tmp_path / "k.json"
+        io.dump_json(record, path)
+        with pytest.raises(FormatError, match=re.escape(field)):
+            io.load_kernel(path)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"homogeneous": 0.5, "n": 3.7}, "'n'"),
+            ({"homogeneous": 0.5, "n": True}, "'n'"),
+            ({"homogeneous": "0.5", "n": 3}, "'homogeneous'"),
+            ({"probs": [0.5, "0.3"]}, "'probs' entry"),
+            ({"probs": [0.5, False]}, "'probs' entry"),
+        ],
+    )
+    def test_model_fields_are_not_coerced(self, tmp_path, record, field):
+        path = tmp_path / "m.json"
+        io.dump_json(record, path)
+        with pytest.raises(FormatError, match=re.escape(field)):
+            io.load_model(path)
 
     def test_bad_json_has_line_info(self, tmp_path):
         path = tmp_path / "broken.json"

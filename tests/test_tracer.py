@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab import ChaosVector, RademacherModel, bounds, integral_table, kernels, moments, random_kernel
+from chaoslab import (
+    ChaosVector, RademacherModel, bounds, integral_table, kernels, malliavin, moments, random_kernel,
+)
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
@@ -73,6 +75,31 @@ def test_traced_operator_terms_record_the_indicator_span(spans, call):
         getattr(owner, call)(F, model)
     names = set(tracer.summary())
     assert {f"{owner.__name__.split('.')[-1]}.{call}", "moments.sup_flip_pairing"} <= names
+    assert not tracer.errors
+
+
+def test_traced_single_order_lines_reuse_the_general_terms(spans):
+    # -L^-1 F = F/m for a pure integral, so the single-order lines need no
+    # second indicator sup and no second squared field
+    rng = np.random.default_rng(5)
+    model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
+    F = ChaosVector.from_kernel(random_kernel(2, 6, rng, normalized=True))
+    with spans.Tracer() as tracer:
+        terms = bounds.abstract_bounds(F, model)
+    summary = tracer.summary()
+    assert "kolmogorov_single_order" in terms
+    assert summary["moments.sup_flip_pairing"]["calls"] == 1
+    assert summary["malliavin.gamma0"]["calls"] == 1
+    assert not tracer.errors
+
+
+def test_traced_squared_field_of_f_with_itself_synthesizes_twice(spans):
+    rng = np.random.default_rng(5)
+    model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
+    F = ChaosVector.from_kernel(random_kernel(2, 6, rng))
+    with spans.Tracer() as tracer:
+        malliavin.gamma(F, F, model)
+    assert tracer.summary()["chaos.to_table"]["calls"] == 2  # F and LF
     assert not tracer.errors
 
 
