@@ -35,11 +35,11 @@ from .chaos import (
 )
 from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
-from .distance import exact_distribution, normal_distances
+from .distance import integral_law, normal_distances
 from .errors import DomainError
 from .malliavin import d_half, gamma0, minus_pseudo_inverse
 from .model import RademacherModel
-from .moments import even_moments, sup_flip_pairing
+from .moments import even_moments, independent_sum_moments, sup_flip_pairing
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -118,21 +118,28 @@ def theorem_bounds(
 ) -> tuple[BoundReport, BoundReport]:
     """(Wasserstein, Kolmogorov) bound reports with their exact distances.
 
-    The table, its second and fourth moments, the sup-influence and the
-    exact law are computed once and shared by both reports.
+    Every input comes from the independent pieces of the kernel
+    (``distance.integral_law``), so no 2**n table is built when the
+    support splits: the exact law is the fold of the piece laws, and for
+    centred pieces with moments (v_i, e4_i), E[F^2] = sum v_i and
+    E[F^4] = sum e4_i + 6 sum_{i<j} v_i v_j.  A support that joins all n
+    coordinates is one piece, and its moments and law come from the one
+    table of F.  The sup-influence is read off the kernel.  ``enum_cap``
+    bounds each piece and each partial sum of the law, not the horizon.
     """
     m = F.pure_order()
     if m is None or m == 0:
         raise DomainError("bound expects a pure multiple integral of order >= 1")
-    table = to_table(F, model, caps)
-    var, fourth = even_moments(table, model, caps)
+    f = F.kernel(m)
+    route = integral_law(f, model, caps, even_moments)
+    var, fourth = independent_sum_moments(route.stats)
     if abs(var - 1.0) > _NORMALIZATION_TOL:
         raise DomainError(
             f"input is not normalized: measured second moment {var!r}; "
             "rescale the kernel first"
         )
-    sup_inf = F.kernel(m).sup_influence()
-    w1, dk = normal_distances(exact_distribution(table, model, caps))
+    sup_inf = f.sup_influence()
+    w1, dk = normal_distances(route.law)
     root_excess = math.sqrt(abs(fourth - 3.0))
     root_inf = math.sqrt(sup_inf)
 

@@ -39,6 +39,12 @@ from .kernels import Kernel, zero_kernel
 from .model import RademacherModel, split_coordinate
 
 
+# elements per operand buffer of a numpy ufunc; numpy buffers the halves of
+# coordinates 1..11, whose contiguous runs are short, in blocks of this size,
+# and its default of 8192 costs 64 KB per operand
+_UFUNC_BUFFER = 1024
+
+
 def _frozen(horizon: int, v: np.ndarray) -> np.ndarray:
     """``v`` after the shape and finiteness checks, marked read-only."""
     if v.shape != (2**horizon,):
@@ -226,17 +232,25 @@ def basis_coefficients(table: ValueTable, model: RademacherModel) -> np.ndarray:
 
     One butterfly pass per coordinate: writing F = A + B * Y_k along
     coordinate k gives A = p F+ + q F- (the conditional mean) and
-    B = sqrt(pq) (F+ - F-) (the discrete gradient).
+    B = sqrt(pq) (F+ - F-) (the discrete gradient).  The pass runs in place
+    on one copy of the table, with one half-sized scratch array shared by
+    all coordinates; q F- + p F+ is the same float as p F+ + q F-.
     """
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
     c = table.values.copy()
-    for k in range(model.n):
-        minus, plus = split_coordinate(c, k)
-        mean = model.p[k] * plus + model.q[k] * minus
-        plus -= minus
-        plus *= model.sqrt_pq[k]
-        minus[...] = mean
+    scratch = np.empty(c.size // 2)
+    buffer = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        for k in range(model.n):
+            minus, plus = split_coordinate(c, k)
+            diff = np.subtract(plus, minus, out=scratch.reshape(minus.shape))
+            plus *= model.p[k]
+            minus *= model.q[k]
+            minus += plus
+            np.multiply(diff, model.sqrt_pq[k], out=plus)
+    finally:
+        np.setbufsize(buffer)
     return c
 
 

@@ -178,16 +178,19 @@ def cmd_moments(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    """Atoms, variance and exact distances of a kernel's integral.
+
+    The law comes from the kernel's independent pieces
+    (``distance.integral_law``) and the variance is the sum of theirs, so
+    the horizon may exceed ``enum_cap`` when every piece fits under it.
+    """
     caps = _caps_from_args(args)
     model, kern = _load_pair(args)
     if args.normalize:
         kern = kern.normalized()
-    table = integral_table(kern, model, caps)
-    law = distance.exact_distribution(table, model, caps)
-    report = {
-        "atoms": len(law.atoms),
-        "variance": variance(table, model, caps),
-    }
+    route = distance.integral_law(kern, model, caps, variance)
+    law = route.law
+    report = {"atoms": len(law.atoms), "variance": sum(route.stats, 0.0)}
     if args.distance == "both":
         report["wasserstein_distance"], report["kolmogorov_distance"] = (
             distance.normal_distances(law)

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Caps:
-    # full 2**n outcome enumeration (tables, exact laws, moments)
+    # full 2**n outcome enumeration (tables, exact laws, moments); the law
+    # by independent pieces (``distance.integral_law``) checks it against
+    # each piece's number of coordinates and against the log2 size of each
+    # outer sum of atoms, so its horizon may exceed it
     enum_cap: int = 24
     # chaos extraction touches all 2**n coefficient slots; kept lower
     # because downstream consumers iterate the resulting kernels

@@ -11,6 +11,13 @@ unstable sort of the values and one of their indices; the sort order inside
 a level only changes the order in which its weights are added, and the
 probabilities are renormalized by one numpy sum.
 
+The law of a multiple integral can also come without a 2^n table.  When
+the kernel's support splits into pieces that share no coordinate, F is a
+sum of independent integrals; ``integral_law`` builds each piece's law
+from a table over its own coordinates and folds the laws together, one
+outer sum of atoms at a time, through ``from_weighted_values``.  A
+support that joins all n coordinates is one piece, on the model itself.
+
 Both distances walk the atoms in numpy blocks of ``_BLOCK``.  Phi is
 ``math.erfc`` applied elementwise, the same scalar as ``normal_cdf``, so
 the Kolmogorov distance equals an atom-by-atom loop bit for bit; Phi^{-1}
@@ -31,9 +38,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .chaos import ValueTable
+from .chaos import ValueTable, integral_table
 from .config import Caps, DEFAULT_CAPS
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+from .kernels import Kernel, Subset
 from .model import RademacherModel
 
 # relative gap, in units of max(1, |F|), below which sorted values share a level
@@ -140,6 +148,158 @@ def exact_distribution(
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
     return from_weighted_values(table.values, model.weights(caps))
+
+
+# -- laws of multiple integrals by independent pieces -------------------------
+
+
+def independent_pieces(f: Kernel) -> list[tuple[tuple[int, ...], list[Subset]]]:
+    """(coordinates, support subsets) of each independent piece of f.
+
+    Two support subsets share a piece when a chain of subsets, each sharing
+    a coordinate with the next, joins them; a union-find over coordinates
+    builds the pieces, ordered by their smallest coordinate.  The integrals
+    of different pieces are functions of disjoint sets of independent signs.
+    A support that joins all n coordinates is recognized at the subset that
+    completes it and comes back as one piece over ``range(n)``.  The empty
+    subset of an order-0 kernel touches no coordinate and is in no piece.
+    """
+    n = f.horizon
+    parent = list(range(n))
+    seen = [False] * n
+    touched = joined = 0  # coordinates seen, and unions made among them
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    subsets = [key for key in f.coeffs if key]
+    for key in subsets:
+        root = find(key[0])
+        for i in key:
+            if not seen[i]:
+                seen[i] = True
+                touched += 1
+            r = find(i)
+            if r != root:
+                parent[r] = root
+                joined += 1
+        if touched == n and joined == n - 1:
+            return [(tuple(range(n)), subsets)]
+    groups: dict[int, list[Subset]] = {}
+    for key in subsets:
+        groups.setdefault(find(key[0]), []).append(key)
+    pieces = [(tuple(sorted({i for key in g for i in key})), g) for g in groups.values()]
+    pieces.sort(key=lambda piece: piece[0][0])
+    return pieces
+
+
+@dataclass(frozen=True)
+class IntegralLaw:
+    """The exact law of a multiple integral, assembled from its pieces.
+
+    ``stats`` holds ``stat(table, piece_model, caps)`` of every piece in
+    piece order; a repeated piece repeats its entry.  ``dropped`` counts
+    the products of piece masses that underflowed to 0 and were left out.
+    Each stood for outcomes of total mass below 2**-1074, so the law leaves
+    out at most ``dropped * 2**-1074`` of mass before it is renormalized.
+    """
+
+    law: DistributionTable
+    stats: tuple
+    dropped: int
+
+
+def integral_law(
+    f: Kernel, model: RademacherModel, caps: Caps = DEFAULT_CAPS, stat=None
+) -> IntegralLaw:
+    """Exact law of the multiple integral of f, piece by piece.
+
+    F = sum_i P_i over the ``independent_pieces`` of f, and the P_i are
+    independent.  Each piece's table is built by ``integral_table`` on its
+    coordinates alone, relabelled 0..k-1 with their probabilities, and its
+    law by ``exact_distribution``; a piece equal to one already built,
+    kernel and probabilities alike, is built once.  The piece laws are
+    folded together in piece order: each outer sum of atoms goes through
+    ``from_weighted_values``, so every partial sum has one atom per
+    ``_levels`` level.  A support that joins all n coordinates is one
+    piece on the model itself, which is plain enumeration.
+
+    ``enum_cap`` bounds each piece's number of coordinates and each outer
+    sum, at most 2**enum_cap atom pairs before it is merged; the horizon n
+    may exceed it.  Past either limit ``CapacityError`` names ``enum_cap``.
+    Products of masses that underflow to 0 are dropped (``IntegralLaw``).
+    """
+    if model.n != f.horizon:
+        raise DomainError("kernel and model horizons differ")
+    pieces = independent_pieces(f)
+    widest = max((len(coords) for coords, _ in pieces), default=0)
+    if widest > caps.enum_cap:
+        raise CapacityError(
+            f"a piece of the support spans {widest} coordinates, above "
+            f"enum_cap={caps.enum_cap} (2**{widest} outcomes)",
+            cap_name="enum_cap",
+            cap_value=caps.enum_cap,
+            requested=widest,
+        )
+    law, stats, dropped, built = None, [], 0, {}
+    for coords, subsets in pieces:
+        # a piece is keyed by its probabilities and relabelled coefficients;
+        # None is f on the model itself
+        key = None
+        if len(coords) < model.n:
+            at = {c: i for i, c in enumerate(coords)}
+            key = (
+                tuple(model.probs[c] for c in coords),
+                tuple(sorted((tuple(at[i] for i in s), f.coeffs[s]) for s in subsets)),
+            )
+        if key not in built:
+            sub_f, sub_model = (f, model) if key is None else (
+                Kernel._from_valid_keys(f.order, len(coords), dict(key[1])),
+                RademacherModel(key[0]),
+            )
+            table = integral_table(sub_f, sub_model, caps)
+            piece_stat = stat(table, sub_model, caps) if stat is not None else None
+            built[key] = piece_stat, exact_distribution(table, sub_model, caps)
+            del table
+        piece_stat, piece_law = built[key]
+        stats.append(piece_stat)
+        if law is None:
+            law = piece_law
+        else:
+            law, lost = _convolve(law, piece_law, caps)
+            dropped += lost
+    if law is None:  # no coordinate: F is the constant of an order-0 kernel, or 0
+        law = DistributionTable._owning(np.array([f.coeffs.get((), 0.0)]), np.ones(1))
+    return IntegralLaw(law, tuple(stats), dropped)
+
+
+def _convolve(
+    a: DistributionTable, b: DistributionTable, caps: Caps
+) -> tuple[DistributionTable, int]:
+    """(law of the sum of independent draws from a and b, products dropped).
+
+    A product of masses that underflows to 0 is dropped: it cannot enter
+    a law, and what it stood for weighs less than 2**-1074.
+    """
+    size = len(a.atoms) * len(b.atoms)
+    if size > 1 << caps.enum_cap:
+        raise CapacityError(
+            f"a partial sum of the pieces has {size} atom pairs, above "
+            f"2**enum_cap with enum_cap={caps.enum_cap}",
+            cap_name="enum_cap",
+            cap_value=caps.enum_cap,
+            requested=size,
+        )
+    values = np.add.outer(a.atoms, b.atoms).ravel()
+    mass = np.multiply.outer(a.probs, b.probs).ravel()
+    lost = size - int(np.count_nonzero(mass))
+    if lost:
+        kept = mass > 0.0
+        values, mass = values[kept], mass[kept]
+    return from_weighted_values(values, mass), lost
 
 
 def _phi_blocks(atoms: np.ndarray):

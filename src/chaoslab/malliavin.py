@@ -169,6 +169,15 @@ def gamma(
     else:
         g_t = to_table(G, model, caps)
         lg = to_table(ou_generator_spectral(G), model, caps)
+    return _gamma_tables(f_t, lf, g_t, lg, model)
+
+
+def _gamma_tables(
+    f_t: ValueTable, lf: ValueTable, g_t: ValueTable, lg: ValueTable,
+    model: RademacherModel,
+) -> ValueTable:
+    """``gamma`` from the tables of F, LF, G and LG, for callers that
+    already hold them."""
     prod = basis_coefficients(f_t * g_t, model)
     l_prod = basis_synthesis(-subset_orders(model.n) * prod, model)
     vals = 0.5 * (l_prod.values - f_t.values * lg.values - g_t.values * lf.values)

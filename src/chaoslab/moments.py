@@ -53,7 +53,7 @@ from .config import Caps, DEFAULT_CAPS
 from .distance import _levels
 from .errors import CapacityError, DomainError
 from .kernels import _fourth_moment
-from .malliavin import d_half, gamma
+from .malliavin import _gamma_tables, d_half, gamma, ou_generator_spectral
 from .model import RademacherModel
 
 Subset = tuple[int, ...]
@@ -84,6 +84,19 @@ def even_moments(
     second = float(np.dot(w, sq))
     sq *= sq
     return second, float(np.dot(w, sq))
+
+
+def independent_sum_moments(parts) -> tuple[float, float]:
+    """(E[F^2], E[F^4]) of F = sum_i P_i for independent centred pieces
+    with moments (v_i, e4_i) = (E[P_i^2], E[P_i^4]), as from ``even_moments``.
+
+    E[F^2] = sum v_i and E[F^4] = sum e4_i + 6 sum_{i<j} v_i v_j, the last
+    as 3 ((sum v_i)^2 - sum v_i^2); the odd cross moments vanish.  The sums
+    are ``math.fsum``, and one piece gives its own moments unchanged.
+    """
+    second = math.fsum(v for v, _ in parts)
+    cross = second * second - math.fsum(v * v for v, _ in parts)
+    return second, math.fsum(e4 for _, e4 in parts) + 3.0 * cross
 
 
 def fourth_moment_factorized(
@@ -179,7 +192,13 @@ def quartic_gradient_sum(
 ) -> float:
     """(1/2m) sum_k E|D_k F|^4 / (p_k q_k)."""
     m = _pure_integral(F)
-    table = to_table(F, model, caps)
+    return _quartic_gradient_sum(to_table(F, model, caps), m, model, caps)
+
+
+def _quartic_gradient_sum(
+    table: ValueTable, m: int, model: RademacherModel, caps: Caps
+) -> float:
+    """``quartic_gradient_sum`` from the table of F."""
     w = model.weights(caps)
     total = 0.0
     for k in range(model.n):
@@ -192,11 +211,15 @@ def quartic_gradient_identity(
     F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS
 ) -> tuple[float, float]:
     """Both sides of the exact identity
-    (1/2m) sum_k E|D_kF|^4/(p_k q_k) = (3/m) E[F^2 Gamma(F,F)] - E[F^4]."""
+    (1/2m) sum_k E|D_kF|^4/(p_k q_k) = (3/m) E[F^2 Gamma(F,F)] - E[F^4].
+
+    The tables of F and LF are synthesized once and serve both sides."""
     m = _pure_integral(F)
-    lhs = quartic_gradient_sum(F, model, caps)
     table = to_table(F, model, caps)
-    g = gamma(F, F, model, caps)
+    lf = to_table(ou_generator_spectral(F), model, caps)
+    g = _gamma_tables(table, lf, table, lf, model)
+    del lf
+    lhs = _quartic_gradient_sum(table, m, model, caps)
     rhs = (3.0 / m) * expectation(table * table * g, model, caps) - moment(
         table, 4, model, caps
     )

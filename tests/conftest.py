@@ -412,6 +412,21 @@ def oracle_sup_flip_pairing(F: ValueTable, per_coordinate, model: RademacherMode
     return max(float(suffix[positions].max()), 0.0)
 
 
+def oracle_independent_pieces(f: Kernel) -> list[frozenset]:
+    """The coordinate sets of f's pieces: start from one set per support
+    subset and merge any two that meet until none do."""
+    groups = [set(key) for key in f.coeffs if key]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in combinations(range(len(groups)), 2):
+            if groups[i] & groups[j]:
+                groups[i] |= groups.pop(j)
+                merged = True
+                break
+    return sorted((frozenset(g) for g in groups), key=min)
+
+
 def oracle_quartic_gradient_sum(F: ChaosVector, model: RademacherModel) -> float:
     """(1/2m) sum_k E|D_kF|^4 / (p_k q_k) on full gradient tables."""
     table = to_table(F, model)

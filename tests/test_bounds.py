@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +38,18 @@ from chaoslab.bounds import (
 )
 from chaoslab.construct import (
     inhomogeneous_counterexample,
+    matched_pairs_kernel,
     product_chaos_sequence,
 )
-from chaoslab.distance import exact_distribution, kolmogorov_to_normal, wasserstein_to_normal
-from chaoslab.moments import moment, quartic_gradient_sum
+from chaoslab.distance import (
+    exact_distribution,
+    independent_pieces,
+    integral_law,
+    kolmogorov_to_normal,
+    normal_distances,
+    wasserstein_to_normal,
+)
+from chaoslab.moments import even_moments, independent_sum_moments, moment, quartic_gradient_sum
 from conftest import random_model
 
 # high-precision references (40-digit evaluation, rounded)
@@ -136,15 +145,28 @@ class TestTheoremBounds:
             assert (rw.kind, rk.kind) == ("wasserstein", "kolmogorov")
             assert rw == theorem_bound_wasserstein(F, model)
             assert rk == theorem_bound_kolmogorov(F, model)
-            table = to_table(F, model)
-            law = exact_distribution(table, model)
+            # the reports read the independent pieces of the kernel; an
+            # order-1 kernel is n pieces, a dense one is one piece over the
+            # whole horizon and must give the enumeration's numbers exactly
+            route = integral_law(F.kernel(m), model, stat=even_moments)
+            var, fourth = independent_sum_moments(route.stats)
             for rep in (rw, rk):
-                assert rep.variance == moment(table, 2, model)
-                assert rep.fourth_moment == moment(table, 4, model)
+                assert (rep.variance, rep.fourth_moment) == (var, fourth)
                 assert rep.sup_influence == F.kernel(m).sup_influence()
                 assert rep.slack == rep.bound_value - rep.exact_distance
-            assert rw.exact_distance == wasserstein_to_normal(law)
-            assert rk.exact_distance == kolmogorov_to_normal(law)
+            assert (rw.exact_distance, rk.exact_distance) == normal_distances(route.law)
+            table = to_table(F, model)
+            law = exact_distribution(table, model)
+            enumerated = (
+                moment(table, 2, model), moment(table, 4, model),
+                wasserstein_to_normal(law), kolmogorov_to_normal(law),
+            )
+            got = (var, fourth, rw.exact_distance, rk.exact_distance)
+            if len(independent_pieces(F.kernel(m))) == 1:
+                assert got == enumerated
+            else:
+                # sums of n piece terms against sums over 2**n outcomes
+                assert got == pytest.approx(enumerated, rel=1e-12, abs=1e-14)
 
     def test_shared_computation_rejects_bad_input(self, rng):
         model = random_model(rng, 6)
@@ -193,6 +215,25 @@ def test_operator_terms_at_n16_hold_a_bounded_number_of_tables():
         """
     )
     assert growth <= 16 * 2**16 * 8 / 2**20  # 16 tables of 2**16 floats: 8 MB
+
+
+def test_theorem_bounds_on_matched_pairs_builds_no_horizon_table():
+    # ten independent pieces of two coordinates: the inputs come from one
+    # 2**2 table and a law of 11 atoms; one 2**20 table would be 8 MB
+    n = 20
+    kern, model = matched_pairs_kernel(n)
+    F = ChaosVector.from_kernel(kern)
+    tracemalloc.start()
+    try:
+        rw, rk = theorem_bounds(F, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20  # 1 MB, an eighth of one table
+    law = exact_distribution(integral_table(kern, model), model)
+    assert (rw.exact_distance, rk.exact_distance) == normal_distances(law)
+    assert abs(rw.fourth_moment - (3.0 - 4.0 / n)) <= 1e-9
+    assert abs(rw.variance - 1.0) <= 1e-12
 
 
 def test_theorem_bounds_at_n20_holds_a_bounded_number_of_tables():

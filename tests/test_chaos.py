@@ -371,6 +371,22 @@ class TestOwnedTables:
             tracemalloc.stop()
         assert peak <= 2 * table.values.nbytes
 
+    def test_basis_coefficients_peaks_at_its_copy_and_a_half_table(self):
+        # the copy it returns plus one half-sized scratch: 1.5 tables, with
+        # numpy's operand buffers on top (2.63 tables with three half-sized
+        # temporaries per coordinate)
+        n = 16
+        model = RademacherModel.homogeneous(0.3, n)
+        table = integral_table(random_kernel(2, n, 7), model)
+        basis_coefficients(table, model)  # fill the model's cached coordinate arrays
+        tracemalloc.start()
+        try:
+            basis_coefficients(table, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * table.values.nbytes
+
     @pytest.mark.parametrize("call, tables", [(abstract_bounds, 8.0), (kolmogorov_term, 6.5)])
     def test_operator_terms_peak_at_a_constant_number_of_tables(self, call, tables):
         # measured 7.65 and 6.00 tables of 2**16 floats

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from chaoslab import (
     Caps,
+    CapacityError,
     ChaosVector,
     DomainError,
     Kernel,
@@ -44,14 +45,24 @@ from chaoslab import (
     to_table,
     zero_kernel,
 )
-from chaoslab.bounds import abstract_bounds, degenerate_order, hoeffding_decompose, rho_squared
+from chaoslab.bounds import (
+    abstract_bounds,
+    degenerate_order,
+    hoeffding_decompose,
+    rho_squared,
+    theorem_bounds,
+)
+from chaoslab.construct import matched_pairs_kernel
 from chaoslab.chaos import join_coordinate, split_coordinate, subset_orders
 from chaoslab.distance import (
     _BLOCK,
     _MERGE_TOL,
+    _levels,
     DistributionTable,
     exact_distribution,
     from_weighted_values,
+    independent_pieces,
+    integral_law,
     kolmogorov_to_normal,
     normal_cdf,
     normal_distances,
@@ -68,8 +79,10 @@ from chaoslab.malliavin import (
     skorohod,
 )
 from chaoslab.moments import (
+    even_moments,
     fourth_moment_factorized,
     fourth_moment_symmetric,
+    independent_sum_moments,
     kolmogorov_term,
     moment,
     quartic_gradient_sum,
@@ -84,6 +97,7 @@ from conftest import (
     oracle_from_weighted_values,
     oracle_generator,
     oracle_hoeffding,
+    oracle_independent_pieces,
     oracle_integral_table,
     oracle_kolmogorov,
     oracle_multiset_norms,
@@ -835,3 +849,221 @@ def test_streamed_gradient_terms_match_full_tables(inst):
         assert gap <= tolerance(2 * n * 2**n, abs(value)) + indicator, key
     got, want = quartic_gradient_sum(F, model), oracle_quartic_gradient_sum(F, model)
     assert abs(got - want) <= tolerance(2 * n * 2**n, want)
+
+
+# -- exact laws by independent pieces -------------------------------------------
+
+# coefficients of the drawn kernels: a few exact values, so that sums over
+# different pieces tie, each nudged by a few ulps, so that ties become
+# near-ties well inside the merge tolerance
+BASE_COEFFS = (1.0, -1.0, 0.5, -2.0, 0.75)
+
+
+@st.composite
+def piece_kernels(draw, n_max=14):
+    """(kernel, model) whose support falls into independent pieces.
+
+    Blocks of 1 to 4 coordinates are laid out with unused coordinates
+    between them and their labels shuffled, so pieces interleave; a block
+    splits further when its subsets happen not to meet.  A ``connected``
+    draw is every subset of order 2 or 3 over up to 8 coordinates, a
+    ``repeated`` draw copies the first block's kernel and probabilities
+    onto every block of its size, and ``zero`` and ``order0`` draws have
+    no piece at all.
+    """
+    kind = draw(st.sampled_from(["disconnected", "connected", "repeated", "zero", "order0"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "connected":
+        m = draw(st.integers(2, 3))
+        n = draw(st.integers(m, 8))
+        blocks = [(0, n)]
+    else:
+        m = 0 if kind == "order0" else draw(st.integers(1, 3))
+        blocks, n = [], 0
+        while True:
+            size, gap = draw(st.integers(max(m, 1), 4)), draw(st.integers(0, 2))
+            if blocks and n + gap + size > n_max:
+                break
+            blocks.append((n + gap, size))
+            n += gap + size
+            if not draw(st.booleans()):
+                break
+    label = rng.permutation(n)
+    p = draw(st.lists(probs, min_size=n, max_size=n))
+    coeffs, first = {}, None
+    for start, size in blocks:
+        if kind == "repeated" and first is not None and len(first[1]) == size:
+            local, local_probs = first
+        else:
+            keep = 1.0 if kind == "connected" else 0.7
+            local = {
+                s: float(rng.choice(BASE_COEFFS)) * (1.0 + int(rng.integers(0, 4)) * 2.0**-50)
+                for s in combinations(range(size), m)
+                if rng.random() < keep
+            }
+            local_probs = [p[label[start + i]] for i in range(size)]
+            first = first or (local, local_probs)
+        for i in range(size):
+            p[label[start + i]] = local_probs[i]
+        for s, v in local.items():
+            coeffs[tuple(sorted(int(label[start + i]) for i in s))] = v
+    if kind == "zero":
+        coeffs = {}
+    elif kind == "order0":
+        coeffs = {(): float(rng.choice(BASE_COEFFS))}
+    return Kernel(m, n, coeffs), RademacherModel(tuple(p))
+
+
+def assert_laws_match(
+    got: DistributionTable, want: DistributionTable, gap: float, mass_tol: float
+) -> float:
+    """The union of both atom sets, cut where neighbours lie more than
+    ``gap`` apart, holds atoms of both laws in every cluster and the same
+    mass from each, within ``mass_tol`` per atom; returns the widest
+    cluster."""
+    atoms = np.concatenate([got.atoms, want.atoms])
+    mass = np.concatenate([got.probs, -want.probs])
+    owner = np.concatenate([np.zeros(len(got.atoms), int), np.ones(len(want.atoms), int)])
+    order = np.argsort(atoms, kind="stable")
+    cut = np.flatnonzero(np.diff(atoms[order]) > gap) + 1
+    widest = 0.0
+    for cluster in np.split(order, cut):
+        assert set(owner[cluster]) == {0, 1}, atoms[cluster]
+        assert abs(math.fsum(mass[cluster])) <= mass_tol * len(cluster), atoms[cluster]
+        widest = max(widest, float(np.ptp(atoms[cluster])))
+    return widest
+
+
+@given(piece_kernels())
+@settings(max_examples=120, deadline=None)
+def test_law_by_pieces_matches_enumeration(drawn):
+    """The law, moments and distances of ``integral_law`` against one
+    table over all n coordinates.
+
+    Both sides compute every outcome's value within the table tolerance
+    ``value_tol`` of the per-subset products.  The merge rule runs on the
+    whole table at once, and on each piece and each partial sum of the
+    route, where it moves an outcome to the smallest value of its level.
+    A chain of values that merges in a partial sum still merges, shifted
+    alike, in the whole table, so each of these 2p - 1 steps (p pieces)
+    moves an outcome by at most the widest level ``chain`` of the
+    enumerated table plus ``value_tol``.  So the atoms are compared in
+    clusters of the union of both atom sets, cut where neighbours lie
+    more than those shifts apart; each cluster carries the same mass on
+    both sides.  Masses are products of at most n + 1 rounded factors,
+    renormalized once per partial sum.  The distances then differ by at
+    most the width w of the widest cluster (W1 by w, dK by w times the
+    largest normal density 0.4), plus the mass error (times the spread of
+    the atoms for W1), plus the rounding of both distance walks.  A law
+    without a split (one piece over the whole horizon) is the
+    enumeration's, bit for bit.
+    """
+    f, model = drawn
+    n = model.n
+    route = integral_law(f, model, stat=even_moments)
+    table = integral_table(f, model)
+    want = exact_distribution(table, model)
+    pieces = independent_pieces(f)
+    assert [frozenset(c) for c, _ in pieces] == oracle_independent_pieces(f)
+    assert sorted(s for _, subsets in pieces for s in subsets) == sorted(k for k in f.coeffs if k)
+    assert len(route.stats) == len(pieces) and route.dropped == 0
+    if len(pieces) == 1 and pieces[0][0] == tuple(range(n)):
+        assert np.array_equal(route.law.atoms, want.atoms)
+        assert np.array_equal(route.law.probs, want.probs)
+    F = ChaosVector.from_kernel(f)
+    scale = magnitude(F, model)
+    value_tol = tolerance(n + 1, scale)
+    spread = 1.0 + float(max(np.abs(want.atoms).max(), np.abs(route.law.atoms).max()))
+    mass_tol = tolerance(2 * (n + 1), 1.0)
+    v, _, starts = _levels(table.values)
+    chain = float(np.max(v[np.append(starts[1:], len(v)) - 1] - v[starts]))
+    shift = 2 * len(pieces) * (chain + value_tol) + 2.0 * value_tol
+    width = assert_laws_match(route.law, want, shift, mass_tol)
+    w1, dk = normal_distances(route.law)
+    w1_want, dk_want = normal_distances(want)
+    mass_gap = mass_tol * (len(want.atoms) + len(route.law.atoms))
+    walks = distance_tolerance(route.law) + distance_tolerance(want)
+    assert abs(w1 - w1_want) <= width + mass_gap * spread + walks
+    assert abs(dk - dk_want) <= 0.4 * width + mass_gap + walks
+    if f.order >= 1:
+        second, fourth = independent_sum_moments(route.stats)
+        second_want, fourth_want = even_moments(table, model)
+        assert abs(second - second_want) <= tolerance(2 * (n + 1), scale**2)
+        assert abs(fourth - fourth_want) <= tolerance(4 * (n + 1), scale**4)
+
+
+def test_law_by_pieces_builds_a_repeated_piece_once(monkeypatch):
+    kern, model = matched_pairs_kernel(12)
+    built = []
+
+    def counting(f, sub_model, caps):
+        built.append(sub_model.n)
+        return integral_table(f, sub_model, caps)
+
+    monkeypatch.setattr("chaoslab.distance.integral_table", counting)
+    route = integral_law(kern, model, stat=even_moments)
+    assert built == [2]
+    assert len(route.stats) == 6
+    assert independent_sum_moments(route.stats)[1] == pytest.approx(3.0 - 4.0 / 12, abs=1e-12)
+
+
+SMALL_CAPS = Caps(enum_cap=6)
+
+
+def test_law_by_pieces_refuses_a_piece_above_enum_cap():
+    chain = Kernel(2, 9, {(i, i + 1): 1.0 for i in range(6)})  # 7 joined coordinates
+    with pytest.raises(CapacityError, match="enum_cap") as err:
+        integral_law(chain, RademacherModel.symmetric(9), SMALL_CAPS)
+    assert (err.value.cap_name, err.value.cap_value, err.value.requested) == ("enum_cap", 6, 7)
+
+
+def test_law_by_pieces_refuses_an_outer_sum_above_enum_cap():
+    # seven single-coordinate pieces whose sums of signed coefficients are
+    # all distinct: the seventh outer sum pairs 2**6 atoms with 2
+    f = Kernel(1, 7, {(i,): 2.0**i for i in range(7)})
+    with pytest.raises(CapacityError, match="enum_cap") as err:
+        integral_law(f, RademacherModel.symmetric(7), SMALL_CAPS)
+    assert (err.value.cap_name, err.value.requested) == ("enum_cap", 2**7)
+    # six of them fit exactly
+    law = integral_law(f.truncate(6), RademacherModel.symmetric(7), SMALL_CAPS).law
+    assert len(law.atoms) == 2**6
+
+
+def test_law_by_pieces_runs_past_enum_cap_on_the_horizon():
+    kern, model = matched_pairs_kernel(14)
+    got = integral_law(kern, model, SMALL_CAPS).law
+    want = exact_distribution(integral_table(kern, model), model)
+    assert np.array_equal(got.atoms, want.atoms)
+    assert np.abs(got.probs - want.probs).max() <= 8 * EPS
+
+
+def test_law_by_pieces_drops_underflowed_masses_within_their_bound():
+    # sixty order-1 pieces at p = 1e-6: the mass of k plus signs,
+    # C(60, k) p^k q^(60-k), underflows binary64 for k above about 53
+    n, p = 60, FLOOR
+    model = RademacherModel.homogeneous(p, n)
+    f = Kernel(1, n, {(i,): 1.0 for i in range(n)}).normalized()
+    route = integral_law(f, model, stat=even_moments)
+    law = route.law
+    assert route.dropped > 0 and np.all(law.probs > 0.0)
+    a = f.coeffs[(0,)]
+    with mpmath.workdps(40):
+        exact = [
+            (a * (k * float(model.y_plus[0]) + (n - k) * float(model.y_minus[0])),
+             mpmath.binomial(n, k) * mpmath.mpf(p) ** k * (1 - mpmath.mpf(p)) ** (n - k))
+            for k in range(n + 1)
+        ]
+        kept = [(x, float(mass)) for x, mass in exact if float(mass) > 1e-300]
+        assert len(law.atoms) < n + 1
+        # the missing atoms weigh no more than the stated bound
+        missing = mpmath.fsum(mass for _, mass in exact[len(law.atoms):])
+        assert missing <= route.dropped * mpmath.mpf(2) ** -1074
+    atoms = np.array([x for x, _ in kept])
+    masses = np.array([m for _, m in kept])
+    assert np.allclose(law.atoms[: len(atoms)], atoms, rtol=1e-12, atol=0.0)
+    assert np.allclose(law.probs[: len(masses)], masses, rtol=1e-10, atol=0.0)
+    want = from_weighted_values(atoms, masses)
+    assert normal_distances(law) == pytest.approx(normal_distances(want), rel=1e-12, abs=1e-15)
+    # the bound reports read the same pieces
+    rw, rk = theorem_bounds(ChaosVector.from_kernel(f), model)
+    assert (rw.exact_distance, rk.exact_distance) == normal_distances(law)

@@ -5,8 +5,14 @@ import pytest
 
 from chaoslab import Kernel, RademacherModel, integral_table, random_kernel, variance
 from chaoslab import cli, io
-from chaoslab.construct import product_chaos_sequence
-from chaoslab.distance import exact_distribution, kolmogorov_to_normal, wasserstein_to_normal
+from chaoslab.construct import matched_pairs_kernel, product_chaos_sequence
+from chaoslab.distance import (
+    exact_distribution,
+    integral_law,
+    kolmogorov_to_normal,
+    normal_distances,
+    wasserstein_to_normal,
+)
 from chaoslab.moments import moment
 from chaoslab.errors import FormatError
 
@@ -267,6 +273,40 @@ class TestCli:
         io.dump_json(io.model_to_dict(model), mpath)
         rc = cli.main(["distance", "--kernel", str(kpath), "--model", str(mpath),
                        "--cap-enum", "6"])
+        assert rc == 2
+        assert "enum_cap" in capsys.readouterr().err
+
+    def test_bound_and_distance_split_matched_pairs_past_the_horizon_cap(self, tmp_path, capsys):
+        # 20 independent pieces of two coordinates: no 2**40 table is built
+        kern, model = matched_pairs_kernel(40)
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        io.dump_json(io.kernel_to_dict(kern), kpath)
+        io.dump_json(io.model_to_dict(model), mpath)
+        law = integral_law(kern, model).law
+        w1, dk = normal_distances(law)
+        assert cli.main(["bound", "--kernel", str(kpath), "--model", str(mpath), "--json"]) == 0
+        text = capsys.readouterr().out
+        first, end = json.JSONDecoder().raw_decode(text)
+        by_kind = {rep["kind"]: rep for rep in (first, json.loads(text[end:]))}
+        assert by_kind["wasserstein"]["exact_distance"] == w1
+        assert by_kind["kolmogorov"]["exact_distance"] == dk
+        assert by_kind["wasserstein"]["fourth_moment"] == pytest.approx(3.0 - 4.0 / 40, abs=1e-9)
+        assert cli.main(["distance", "--kernel", str(kpath), "--model", str(mpath), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {
+            "atoms": len(law.atoms),
+            "kolmogorov_distance": dk,
+            "variance": pytest.approx(1.0, abs=1e-12),
+            "wasserstein_distance": w1,
+        }
+
+    @pytest.mark.parametrize("command", ["bound", "distance"])
+    def test_connected_kernel_above_the_cap_names_it(self, tmp_path, rng, capsys, command):
+        f = random_kernel(2, 8, rng, normalized=True)
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        io.dump_json(io.kernel_to_dict(f), kpath)
+        io.dump_json(io.model_to_dict(RademacherModel.symmetric(8)), mpath)
+        rc = cli.main([command, "--kernel", str(kpath), "--model", str(mpath), "--cap-enum", "6"])
         assert rc == 2
         assert "enum_cap" in capsys.readouterr().err
 

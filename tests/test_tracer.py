@@ -17,6 +17,7 @@ import chaoslab
 from chaoslab import (
     ChaosVector, RademacherModel, bounds, integral_table, kernels, malliavin, moments, random_kernel,
 )
+from chaoslab.construct import matched_pairs_kernel
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
@@ -113,4 +114,27 @@ def test_traced_tensor_terms_skip_the_multiset_enumeration(spans, call):
     names = set(tracer.summary())
     assert f"kernels.{call}" in names
     assert "kernels.symmetrized_tensor" not in names
+    assert not tracer.errors
+
+
+def test_traced_quartic_gradient_identity_synthesizes_f_and_lf_once(spans):
+    # the table of F serves both sides of the identity and the squared field
+    rng = np.random.default_rng(5)
+    model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
+    F = ChaosVector.from_kernel(random_kernel(2, 6, rng, normalized=True))
+    with spans.Tracer() as tracer:
+        moments.quartic_gradient_identity(F, model)
+    assert tracer.summary()["chaos.to_table"]["calls"] == 2  # F and LF
+    assert not tracer.errors
+
+
+def test_traced_bound_on_matched_pairs_builds_one_small_piece_table(spans):
+    # ten pieces of two coordinates, all alike: one 2**2 table, no 2**20 one
+    kern, model = matched_pairs_kernel(20)
+    with spans.Tracer() as tracer:
+        bounds.theorem_bounds(ChaosVector.from_kernel(kern), model)
+    tracer.finish_counts()
+    assert tracer.summary()["chaos.integral_table"]["calls"] == 1
+    assert tracer.counts["chaos.table_cells"] == 4
+    assert tracer.counts["distance.exact_distribution.values_in"] == 4
     assert not tracer.errors
