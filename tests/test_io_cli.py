@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -129,14 +130,24 @@ class TestCli:
         b = capsys.readouterr().out
         assert a != b
 
-    def test_verify_detects_broken_constant(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "broken", [lambda m: float(m), lambda m: math.nan], ids=["wrong", "nan"]
+    )
+    def test_verify_detects_broken_constant(self, capsys, monkeypatch, broken):
         import chaoslab.verify as verify_mod
 
-        monkeypatch.setattr(verify_mod, "gamma_m", lambda m: float(m))
+        def strict(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        monkeypatch.setattr(verify_mod, "gamma_m", broken)
         rc = cli.main(["verify", "--json"])
-        out = json.loads(capsys.readouterr().out)
+        out = json.loads(capsys.readouterr().out, parse_constant=strict)
         assert rc == 1
         assert "constants" in out["failures"]
+        constants = next(c for c in out["checks"] if c["name"] == "constants")
+        assert constants["passed"] is False
+        if math.isnan(broken(2)):
+            assert constants["residual"] is None
 
     def test_bound_reports_slack(self, fair_pair, capsys):
         kpath, mpath, *_ = fair_pair

@@ -1,0 +1,78 @@
+import math
+
+import numpy as np
+import pytest
+
+from chaoslab import moments, verify
+from chaoslab.errors import DomainError
+
+SUITE = (
+    "bound_validity", "carre_du_champ", "constants", "counterexamples",
+    "covariance_representation", "dejong_ratio", "difference_power_identities",
+    "distance_sanity", "dual_engine", "empirical_distance", "enumeration_moments",
+    "generator_adjoint", "generator_eigenvalue", "gradient_independence",
+    "gradient_skorohod_link", "hoeffding", "indicator_pairing", "influence_additivity",
+    "integral_isometry", "moment_field_inequalities", "normal_cdf", "off_diagonal_defect",
+    "order_one_influence_chain", "order_one_mechanism", "product_rules",
+    "product_top_kernel", "projection_variance_bound", "quartic_gradient",
+    "remark_sequence", "sampling_consistency", "semigroup", "skorohod_adjoint",
+    "skorohod_isometry", "squared_field_variance", "stroock_roundtrip",
+    "structure_identity", "symmetric_engine", "tensor_residual", "truncation",
+    "truncation_martingale", "variance_decomposition",
+)
+
+
+def test_suite_holds_each_check_once():
+    names = [c.name for c in verify.CHECKS]
+    assert len(SUITE) == 41
+    assert sorted(names) == sorted(SUITE)
+
+
+def test_every_check_body_is_registered():
+    bodies = {
+        name.removeprefix("check_")
+        for name, obj in vars(verify).items()
+        if name.startswith("check_") and callable(obj)
+    }
+    assert bodies == {c.name for c in verify.CHECKS}
+
+
+@pytest.mark.parametrize(
+    "terms, worst",
+    [([], 0.0), ([-1.0, -2.0], 0.0), ([0.5, 2.0, 1.0], 2.0), ([1.0, math.inf], math.inf)],
+)
+def test_worst_is_the_largest_term_from_zero(terms, worst):
+    assert verify._worst(terms) == worst
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_worst_is_nan_when_any_term_is(at):
+    terms = [1.0, 3.0, 2.0]
+    terms[at] = math.nan
+    assert math.isnan(verify._worst(terms))
+    assert math.isnan(verify._worst(np.array(terms)))
+
+
+def test_worst_keeps_the_first_maximum():
+    first, second = np.float64(1.0), 1.0
+    assert verify._worst([first, second]) is first
+
+
+def test_nan_engine_fails_its_check(monkeypatch):
+    monkeypatch.setattr(moments, "fourth_moment_factorized", lambda *a, **k: math.nan)
+    (result,) = verify.run_suite(seed=3, names=["dual_engine"])
+    assert math.isnan(result.residual)
+    assert not result.passed
+    assert result.to_dict()["residual"] is None
+
+
+@pytest.mark.parametrize("residual, shown", [(math.nan, None), (math.inf, None), (0.25, 0.25)])
+def test_only_finite_residuals_reach_the_report(residual, shown):
+    assert verify.CheckResult("x", residual, 1.0, False).to_dict()["residual"] == shown
+
+
+def test_names_select_checks_and_unknown_names_are_a_domain_error():
+    results = verify.run_suite(seed=1, names=["normal_cdf", "constants"])
+    assert [r.name for r in results] == ["constants", "normal_cdf"]
+    with pytest.raises(DomainError, match="dual_engin, nope"):
+        verify.run_suite(names=["constants", "nope", "dual_engin"])
