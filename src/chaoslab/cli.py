@@ -17,6 +17,7 @@ from . import bounds, construct, distance, io, moments, verify
 from .chaos import ChaosVector, integral_table, variance
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapacityError, ChaoslabError, DomainError, FormatError
+from .kernels import support_plan
 from .model import RademacherModel
 
 
@@ -170,6 +171,10 @@ def cmd_moments(args) -> int:
             kern.to_subset_coeffs()
         )
     report.update({f"fourth_moment_{k}": v for k, v in engines.items()})
+    if engines.keys() - {"enumerate"}:
+        # the cost of the product-formula pass: S subsets, P pairs expanded
+        plan, _ = support_plan(kern.to_subset_coeffs())
+        report["support_size"], report["overlapping_pairs"] = plan.size, plan.pairs
     if len(engines) > 1:
         vals = sorted(engines.values())
         report["engine_agreement_residual"] = vals[-1] - vals[0]

@@ -22,7 +22,7 @@ from itertools import combinations
 from .chaos import integral_table
 from .config import Caps, DEFAULT_CAPS
 from .errors import DomainError
-from .kernels import Kernel
+from .kernels import Kernel, SupportPlan
 from .model import RademacherModel, y_moment
 from .moments import fourth_moment_symmetric, moment
 
@@ -50,13 +50,20 @@ def inhomogeneous_counterexample(m: int, sign: str = "+") -> tuple[RademacherMod
     return model, kern
 
 
-def g_value(a: dict[Subset, float]) -> float:
+def g_value(a: dict[Subset, float], plan: SupportPlan | None = None) -> float:
     """Quadruple sum over coefficient quadruples with matching symmetric
-    differences, for a point on the coefficient sphere."""
+    differences, for a point on the coefficient sphere.
+
+    ``plan``, a fair-coin ``SupportPlan`` whose keys hold the support of
+    ``a``, evaluates the sum without planning the support again; the value
+    is the same as without it, bit for bit.
+    """
     norm = sum(v * v for v in a.values())
     if abs(norm - 1.0) > 1e-9:
         raise DomainError(f"coefficients must lie on the unit sphere; norm^2 = {norm}")
-    return fourth_moment_symmetric(a)
+    if plan is None:
+        return fourth_moment_symmetric(a)
+    return plan.fourth_moment(plan.values_of(a))
 
 
 def uniform_sphere_point(m: int, n: int) -> dict[Subset, float]:
@@ -106,7 +113,8 @@ def symmetric_counterexample(
     with quadruple sum below 3 to one above 3, so bisection pins the
     crossing.  Orders above 2 append fresh coordinates, multiplying by a
     product of independent signs, which preserves variance and fourth
-    moment.
+    moment.  One fair-coin plan of the union support of the endpoints
+    serves both endpoints and every bisection step.
     """
     if m < 2:
         raise DomainError(f"order must be >= 2, got {m}")
@@ -121,8 +129,9 @@ def symmetric_counterexample(
     if dot <= 0.0:
         raise DomainError("endpoints are not in the same half-space")
 
-    g_low = g_value(c) - 3.0
-    g_high = g_value(b) - 3.0
+    plan = SupportPlan({**b, **c})
+    g_low = g_value(c, plan) - 3.0
+    g_high = g_value(b, plan) - 3.0
     if not (g_low < 0.0 < g_high):
         raise ArithmeticError(
             f"endpoints do not bracket: g(c)-3 = {g_low}, g(b)-3 = {g_high}"
@@ -137,7 +146,7 @@ def symmetric_counterexample(
     for _ in range(_MAX_BISECTION_STEPS):
         theta = 0.5 * (lo + hi)
         iterations += 1
-        h_mid = g_value(_sphere_path_point(c, b, theta)) - 3.0
+        h_mid = plan.fourth_moment(plan.values_of(_sphere_path_point(c, b, theta))) - 3.0
         residual = h_mid
         if abs(h_mid) <= bisection_tol:
             break

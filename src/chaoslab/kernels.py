@@ -20,19 +20,27 @@ drops zeros and rejects a non-finite value with ``DomainError``, so an
 overflowing ``scale`` fails typed.
 
 The norms of the symmetrized tensor square and the product-formula fourth
-moment in ``moments`` come from one pass over the pairs of support subsets
-that share a coordinate (``_overlap_pairs``); the disjoint pairs enter
-through closed sums.  ``symmetrized_tensor`` enumerates the multisets
-themselves and serves the top kernel of a product.  Finite coefficients
-whose fourth-order sums leave the float range raise ``DomainError``.
+moment in ``moments`` come from one numpy pass over the pairs of support
+subsets that share a coordinate, split into a plan and an evaluation
+(``SupportPlan``).  The plan is built from the support alone: the index
+arrays of the overlapping pairs and, from one sort each, the groups of
+their splits, multisets and symmetric differences.  An evaluation takes
+the coefficient values, gathers the pair products and sums each group;
+the disjoint pairs enter through closed sums.  ``support_plan`` builds
+the plan of a coefficient mapping and rejects a coordinate that is not
+an integer or a value that is not a finite real number, naming its key.
+``symmetrized_tensor`` enumerates the multisets themselves and serves the
+top kernel of a product.  Finite coefficients whose fourth-order sums
+leave the float range raise ``DomainError``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Mapping
+from itertools import chain, combinations
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -298,54 +306,15 @@ def symmetrized_tensor(f: Kernel, g: Kernel) -> SymmetrizedTensor:
     return SymmetrizedTensor(order, f.horizon, values)
 
 
-# -- overlapping support pairs -----------------------------------------------
-
-# CPython hashes an int by its value mod 2**61 - 1, so masks whose bits lie
-# 61 places apart hash alike, and over a wide universe a star support piles
-# its pair keys into a few thousand slots.  So a dictionary key carries a
-# mask in its high bits and a fingerprint in its low _LOW bits: residues of
-# the mask's coordinates mod _PRIME, which spread the keys.
-_LOW = 64
-_PRIME = 1_000_000_007
-
-
-def _tagged(mask: int) -> int:
-    """A dictionary key for ``mask``: the mask over its residue mod _PRIME."""
-    return (mask << _LOW) + mask % _PRIME
-
-
-def _split_mask(key: int) -> int:
-    """The mask I - J of a difference of two tagged masks with I > J."""
-    return (key + (1 << (_LOW - 1))) >> _LOW
-
-
-@dataclass(frozen=True)
-class _PairSums:
-    """Sums over the ordered pairs (I, J) of the support of sum_J c_J Y_J.
-
-    A mask puts the b-th coordinate of ``universe`` at bit 2b.  So the mask
-    sum I + J spells the multiset I + J, with digit 1 on I xor J and digit
-    2 on I & J, and the difference I - J spells the split (I - J, J - I)
-    in digits +1 and -1.  Keys of ``splits`` and ``multisets`` are tagged:
-    ``key >> _LOW`` is the sum, ``_split_mask(key)`` the difference.
-    """
-
-    universe: tuple[int, ...]
-    coeff: dict[int, float]  # mask -> c, equal masks merged
-    digits: int  # the mask with bit 2b set for every coordinate b
-    square_sum: float  # sum_J c_J**2
-    diagonal: float  # H(0, 0): c_J**2 summed over the nonempty J
-    splits: dict[int, float]  # I - J -> H(I - J, J - I), one key per {I - J, J - I}
-    multisets: list[dict[int, float]]  # I + J -> G / 2, one dict per lowest shared coordinate
-    diagonal_free: float  # D0 = sum_U (g0_U)**2, g0 over the disjoint pairs
+# -- the support plan -----------------------------------------------------------
 
 
 def _finite_sum(terms: Iterable[float]) -> float:
     """``math.fsum`` of a fourth-order sum over finite coefficients.
 
-    The coefficients are checked finite, so a power or an fsum partial past
-    the float range, an inf term, or fsum's inf - inf can only mean that
-    the coefficients overflow the fourth moment.
+    The coefficients are checked finite, so a product or an fsum partial
+    past the float range, an inf term, or fsum's inf - inf can only mean
+    that the coefficients overflow the fourth moment.
     """
     try:
         total = math.fsum(terms)
@@ -356,20 +325,196 @@ def _finite_sum(terms: Iterable[float]) -> float:
     return total
 
 
-def _overlap_pairs(coeffs: Mapping[Subset, float]) -> _PairSums:
-    """One pass over the pairs of support subsets that share a coordinate.
+def _subset_rows(keys: Sequence, horizon: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The keys as columns of coordinate ids, and the coordinates they use.
 
-    A coordinate -> subsets index meets each such pair at every coordinate
-    it shares and keeps it at its lowest one, and each diagonal pair (I, I)
-    at the lowest coordinate of I, so the cost is O(P) for P overlapping
-    pairs.  Over the ordered overlapping pairs the pass accumulates
+    Coordinate ``universe[b]`` has id b.  Each column is sorted and padded
+    at its end with the id ``len(universe)``, which sorts after every
+    coordinate, so equal subsets give equal columns whatever the horizon.
+    A coordinate is a Python or numpy integer (not a bool), appears once
+    in its key and, when ``horizon`` is given, lies in [0, horizon).
+    """
+    flat = list(chain.from_iterable(keys))
+    if not set(map(type, flat)) <= {int}:
+        for key in keys:
+            for i in key:
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise DomainError(f"subset {tuple(key)!r} has coordinate {i!r}, not an integer")
+    try:
+        coords = np.array(flat, dtype=np.int64)
+    except OverflowError as exc:
+        raise DomainError("a coordinate does not fit in 64 bits") from exc
+    universe = np.array(sorted(set(flat)), dtype=np.int64)
+    ids = np.searchsorted(universe, coords)
+    if horizon is not None and len(universe) and (universe[0] < 0 or universe[-1] >= horizon):
+        bad = universe[0] if universe[0] < 0 else universe[-1]
+        raise DomainError(f"index {bad} out of range for the model horizon {horizon}")
+    top = len(universe)
+    lengths = [len(key) for key in keys]
+    rows = np.full((max(lengths, default=0), len(keys)), top, np.min_scalar_type(top))
+    rows.T[np.arange(len(rows)) < np.array(lengths)[:, None]] = ids
+    _sort_columns(rows)
+    repeats = (rows[1:] == rows[:-1]) & (rows[1:] < top)
+    if repeats.any():
+        raise DomainError(f"subset {tuple(keys[np.nonzero(repeats)[1][0]])} repeats an index")
+    return rows, universe
 
-    * H, keyed by the split (I - J, J - I), and
-    * G, keyed by the multiset (I xor J, I & J),
 
-    one dictionary update each per pair, and reads off them
-    D0 = sum_U (g0_U)**2, where g0_U sums c_K c_L over the ordered disjoint
-    pairs with K | L = U:
+def _sort_columns(rows: np.ndarray) -> np.ndarray:
+    """Sort each column of ``rows`` in place.
+
+    numpy sorts along the first axis one column at a time, so past a few
+    hundred columns an odd-even transposition network over the few rows,
+    each step one pass over all columns, is much faster.
+    """
+    if rows.shape[1] <= 256:
+        rows.sort(axis=0)
+        return rows
+    for step in range(len(rows)):
+        for i in range(step % 2, len(rows) - 1, 2):
+            low = np.minimum(rows[i], rows[i + 1])
+            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+            rows[i] = low
+    return rows
+
+
+def _index_type(count: int) -> type:
+    """The narrowest of int32 and intp that indexes ``count`` entries."""
+    return np.int32 if count < 2**31 else np.intp
+
+
+def _group(rows: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group ids of the equal columns of ``rows`` (entries in [0, top]),
+    numbered in lexicographic order of the columns, and one column per group.
+
+    The rows are packed into as few int64 words as hold them, first row
+    highest, so keys of up to 63 // bits(top) ids take one argsort and
+    longer ones a lexsort of their words.
+    """
+    count, bits = rows.shape[1], max(int(top).bit_length(), 1)
+    if count < 2:
+        return np.zeros(count, _index_type(count)), np.arange(count)
+    per = 63 // bits
+    words = []
+    for lo in range(0, len(rows), per):
+        word = rows[lo].astype(np.int64)
+        for row in rows[lo + 1 : lo + per]:
+            word <<= bits
+            word |= row
+        words.append(word)
+    words = words or [np.zeros(count, np.int64)]  # keys of no ids are all equal
+    order = words[0].argsort() if len(words) == 1 else np.lexsort(words[::-1])
+    new = np.empty(count, bool)
+    new[0] = True
+    word = words[0][order]
+    np.not_equal(word[1:], word[:-1], out=new[1:])
+    for word in words[1:]:
+        word = word[order]
+        new[1:] |= word[1:] != word[:-1]
+    del words, word
+    ids = np.empty(count, _index_type(count))
+    ids[order] = new.cumsum()
+    ids -= 1
+    return ids, order[new]
+
+
+def _lookup(subsets: np.ndarray, rows: np.ndarray, top: int) -> np.ndarray:
+    """The index of each column of ``rows`` among the columns of
+    ``subsets`` (distinct), -1 if absent."""
+    ids, _ = _group(np.concatenate([subsets, rows], 1), top)
+    at = np.full(len(ids) and int(ids.max()) + 1, -1)
+    at[ids[: subsets.shape[1]]] = np.arange(subsets.shape[1])
+    return at[ids[subsets.shape[1] :]]
+
+
+def _padded(rows: np.ndarray, height: int, top: int) -> np.ndarray:
+    pad = np.full((height - len(rows), rows.shape[1]), top, rows.dtype)
+    return np.concatenate([rows, pad])
+
+
+def _shared(a: np.ndarray, b: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which ids of each column of ``a`` are coordinates in the same column
+    of ``b``, and the same for ``b``."""
+    equal = a[:, None] == b[None]
+    return equal.any(1) & (a < top), equal.any(0) & (b < top)
+
+
+def _overlapping_pairs(subsets: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(I, J) with I < J for every pair of subsets that share a coordinate.
+
+    Each coordinate's bucket lists its subsets in order; every two members
+    of a bucket make a candidate, kept at the lowest coordinate the two
+    share, so each pair comes once and the cost is O(P) for P pairs.
+    """
+    empty = np.zeros(0, np.int32)
+    if len(subsets) < 2:  # subsets of one coordinate share it only with themselves
+        return empty, empty
+    row, col = np.nonzero(subsets.T < top)
+    coord = subsets[col, row]
+    order = np.argsort(coord, kind="stable")
+    coord, row = coord[order], row[order].astype(_index_type(subsets.shape[1]))
+    start = np.searchsorted(coord, coord)
+    rank = np.arange(len(coord)) - start  # members before each one in its bucket
+    candidates = int(rank.sum())
+    if not candidates:
+        return empty, empty
+    index = _index_type(candidates)
+    late = np.repeat(np.arange(len(coord), dtype=index), rank)
+    early = np.repeat((start - np.cumsum(rank) + rank).astype(index), rank)
+    early += np.arange(len(late), dtype=index)
+    first, second, at = row[early], row[late], coord[late]
+    del early, late
+    a = subsets.take(first, axis=1)
+    keep = np.where(_shared(a, subsets.take(second, axis=1), top)[0], a, top).min(0) == at
+    return first[keep], second[keep]
+
+
+def _pair_keys(subsets: np.ndarray, first: np.ndarray, second: np.ndarray, top: int):
+    """The split {B, C} = {I - J, J - I} of each pair (I, J) as columns
+    (B, C) with B's first id the lower, and its I xor J and I & J.
+
+    B and C are disjoint and not both empty, so their first ids differ;
+    I - J leaves out at least one coordinate of I, so each side has at
+    most one id fewer than the widest subset.
+    """
+    side = max(len(subsets) - 1, 0)
+    if not len(first):
+        return tuple(np.full((rows, 0), top, subsets.dtype) for rows in (side, side, 2 * side, len(subsets)))
+    a, b = subsets.take(first, axis=1), subsets.take(second, axis=1)
+    in_a, in_b = _shared(a, b, top)
+    only_a = _sort_columns(np.where(in_a, top, a))[:side]
+    only_b = _sort_columns(np.where(in_b, top, b))[:side]
+    both = _sort_columns(np.where(in_a, a, top))
+    del a, b, in_a, in_b
+    xor = _sort_columns(np.concatenate([only_a, only_b]))
+    swap = only_b[:1] < only_a[:1]
+    return np.where(swap, only_b, only_a), np.where(swap, only_a, only_b), xor, both
+
+
+class SupportPlan:
+    """The overlapping support pairs of F = sum_J c_J Y_J, planned once.
+
+    The plan is built from the keys alone (and the skew of the model, None
+    for fair coins); ``fourth_moment`` and ``tensor_terms`` evaluate it on
+    any coefficient vector aligned with ``keys``.  Equal keys are merged
+    into one subset.  The plan holds the ``pairs`` overlapping pairs
+    (I, J), I < J, of the ``size`` subsets and, from one sort each, the
+    group of every pair's split (I - J, J - I), of its multiset
+    (I xor J, I & J) and of its I xor J, and for a skewed model the
+    skewed coordinates of each I & J.  An evaluation gathers c_I c_J and
+    sums each group with ``np.bincount``, which adds in pair order, so a
+    zero coefficient adds exact zeros and a plan evaluated on values that
+    contain zeros gives a fresh plan's result on the nonzero ones bit for
+    bit.  A subset, split or multiset is a sorted column of coordinate
+    ids, so nothing depends on how wide the universe is.
+
+    Over the ordered overlapping pairs the groups carry
+
+    * H, keyed by the split (B, C) = (I - J, J - I), and
+    * G, keyed by the multiset I + J = (I xor J) + 2 (I & J),
+
+    and D0 = sum_U (g0_U)**2, where g0_U sums c_K c_L over the ordered
+    disjoint pairs with K | L = U, is
 
         D0 = (sum c**2)**2 - sum_{overlapping} c_I**2 c_J**2
              + sum_{(B, C)} (2 c_B c_C H + H**2) - sum_M G_M**2.
@@ -380,151 +525,185 @@ def _overlap_pairs(coeffs: Mapping[Subset, float]) -> _PairSums:
     the quadruples (A | B, A | C), (A' | B, A' | C) whose shared parts A, A'
     meet; those correspond one to one to the pairs of overlapping pairs
     (A | B, A' | C), (A' | B, A | C) of one multiset, which sum G**2 counts.
-    Pairs met at different lowest coordinates have different multisets, so
-    G lives in one small dictionary per coordinate.
+    c_B c_C is nonzero only for mixed orders, where B and C are looked up.
     """
-    coeff: dict[int, float] = {}
-    universe = sorted({int(i) for key in coeffs for i in key})
-    pos = {i: 2 * b for b, i in enumerate(universe)}
-    for key, v in coeffs.items():
-        if len(set(key)) != len(key):
-            raise DomainError(f"subset {tuple(key)} repeats an index")
-        if not math.isfinite(v):
-            raise DomainError(f"coefficient of {tuple(key)} is {v}, not finite")
-        if v != 0.0:
-            mask = sum(1 << pos[int(i)] for i in key)
-            coeff[mask] = coeff.get(mask, 0.0) + float(v)
-    coeff = {mask: v for mask, v in coeff.items() if v != 0.0}
-    digits = (4 ** len(universe) - 1) // 3
 
-    # a subset's fingerprint is the unreduced sum of its coordinates'
-    # residues, so the key sum and difference of two subsets are exact
-    # functions of I + J and of I - J
-    residue = [(1 << b) % _PRIME for b in range(0, 2 * len(universe), 2)]
-    members: list[list[tuple[int, float]]] = [[] for _ in universe]
-    for mask, c in coeff.items():
-        bits, rest = [], mask
-        while rest:
-            low = rest & -rest
-            bits.append(low.bit_length() >> 1)
-            rest ^= low
-        tagged = (mask << _LOW) + sum(residue[b] for b in bits)
-        for b in bits:
-            members[b].append((tagged, c))
-    splits: dict[int, float] = {}
-    multisets = []
-    rows = []  # c_I**2 times sum c_J**2 over the J < I met at each coordinate
-    for b, bucket in enumerate(members):
-        below = ((1 << 2 * b) - 1) << _LOW
-        half = {2 * ka: 0.5 * ca * ca for ka, ca in bucket if not ka & below}
-        for j, (ka, ca) in enumerate(bucket):
-            row = 0.0
-            for kb, cb in bucket[:j]:
-                if ka & kb & below:
-                    continue  # met at a lower shared coordinate
-                row += cb * cb
-                w = ca * cb
-                k = ka - kb if ka > kb else kb - ka
-                splits[k] = splits.get(k, 0.0) + w
-                k = ka + kb
-                half[k] = half.get(k, 0.0) + w
-            rows.append(ca * ca * row)
-        multisets.append(half)
+    def __init__(self, keys: Iterable, skew=None):
+        self.keys = tuple(keys)
+        rows, universe = _subset_rows(self.keys, None if skew is None else len(skew))
+        top = len(universe)
+        self.index, rep = _group(rows, top)
+        subsets = rows.take(rep, axis=1)
+        width, self.size = subsets.shape
+        orders = (subsets < top).sum(0)
+        self.nonempty = orders > 0
+        self.first, self.second = _overlapping_pairs(subsets, top)
+        self.pairs = len(self.first)
 
-    fourth = _finite_sum(ca**4 for ma, ca in coeff.items() if ma)
-    const = coeff.get(0, 0.0)
-    diagonal = _finite_sum(ca * ca for ma, ca in coeff.items() if ma)
-    square_sum = _finite_sum((diagonal, const * const))
-    # c_B c_C is nonzero only if B and C are both in the support, which
-    # needs mixed orders: |B| < |I| for an overlapping pair (I, J)
-    cross = []
-    if len({mask.bit_count() for mask in coeff}) > 1:
-        for k, hk in splits.items():
-            t = _split_mask(k) + digits  # digits 2, 1, 0 mark B, neither, C
-            cb = coeff.get(t >> 1 & digits, 0.0)
-            cross.append(4.0 * hk * cb * coeff.get(digits & ~(t | t >> 1), 0.0))
-    d0 = _finite_sum(
-        [
+        low, high, xor, both = _pair_keys(subsets, self.first, self.second, top)
+        side = len(low)
+        self.split, split_rep = _group(np.concatenate([low, high]), top)
+        self.multiset, multiset_rep = _group(np.concatenate([xor, both]), top)
+        self.split_count, self.multiset_count = len(split_rep), len(multiset_rep)
+
+        # multisets of the overlapping pairs, then the diagonal pairs (I, I)
+        diagonal = int(self.nonempty.sum())
+        m_xor = np.concatenate([xor.take(multiset_rep, axis=1), np.full((2 * side, diagonal), top, xor.dtype)], 1)
+        m_both = np.concatenate([both.take(multiset_rep, axis=1), subsets.compress(self.nonempty, axis=1)], 1)
+        self.weight = np.ldexp(4.0, (m_both < top).sum(0))  # 2**(2 + |I & J|)
+
+        # g1 on I xor J: the diagonal on the empty set, each split's H, and
+        # with skew the expansion of each multiset over T inside its I & J
+        key_height = max(2 * width - 1, 0)
+        g1_rows = [np.full((key_height, 1), top, xor.dtype), _padded(xor.take(split_rep, axis=1), key_height, top)]
+        self.source, self.factors = np.zeros(0, np.intp), np.ones((width, 0))
+        if skew is not None:
+            skew_u = np.append(np.asarray(skew, dtype=float)[universe], 1.0)
+            skewed = np.append(skew_u[:-1] != 0.0, False)[m_both]
+            source, part = np.arange(m_both.shape[1]), np.full(m_both.shape, top, xor.dtype)
+            for j in range(width):  # double the terms by each skewed coordinate in turn
+                grow = skewed[j, source]
+                more = part.compress(grow, axis=1)
+                more[j] = m_both[j, source[grow]]
+                source, part = np.concatenate([source, source[grow]]), np.concatenate([part, more], 1)
+            self.source, part = source[m_both.shape[1] :], part[:, m_both.shape[1] :]
+            self.factors = skew_u[part]
+            g1_rows.append(_sort_columns(np.concatenate([m_xor.take(self.source, axis=1), part]))[:key_height])
+        g1_rows = np.concatenate(g1_rows, 1)
+        self.g1, g1_rep = _group(g1_rows, top)
+        self.g1_count = len(g1_rep)
+
+        present = set(orders.tolist())
+        self.mixed = len(present) > 1
+        if self.mixed:
+            self.low = _lookup(subsets, _padded(low.take(split_rep, axis=1), width, top), top)
+            self.high = _lookup(subsets, _padded(high.take(split_rep, axis=1), width, top), top)
+            self._plan_disjoint(subsets, g1_rows.take(g1_rep, axis=1), present, top)
+
+    def _plan_disjoint(self, subsets, keys, present, top) -> None:
+        """The disjoint pairs (K, L) of the support with K | L = U for each
+        g1 key U whose size is a sum of two support orders."""
+        paired = [a + b for a in present for b in present]
+        groups = np.nonzero(np.isin((keys < top).sum(0), paired))[0]
+        keys = keys.take(groups, axis=1)
+        owner = np.arange(keys.shape[1])
+        part = np.full(keys.shape, top, keys.dtype)
+        rest = part.copy()
+        for j in range(len(keys)):  # each coordinate of U goes to K or to L
+            coord = keys[j, owner]
+            grow = coord < top
+            more, rest_more = part.compress(grow, axis=1), rest.compress(grow, axis=1)
+            more[j] = coord[grow]
+            rest[j, grow] = coord[grow]
+            owner = np.concatenate([owner, owner[grow]])
+            part, rest = np.concatenate([part, more], 1), np.concatenate([rest, rest_more], 1)
+        orders = list(present)
+        fits = np.isin((part < top).sum(0), orders) & np.isin((rest < top).sum(0), orders)
+        width = len(subsets)
+        part = _lookup(subsets, _sort_columns(part.compress(fits, axis=1))[:width], top)
+        rest = _lookup(subsets, _sort_columns(rest.compress(fits, axis=1))[:width], top)
+        found = (part >= 0) & (rest >= 0)
+        self.disjoint = (groups[owner[fits][found]], part[found], rest[found])
+
+    def values_of(self, coeffs: Mapping[Subset, float]) -> np.ndarray:
+        """The coefficients of ``coeffs`` in the order of ``keys``; every
+        nonzero coefficient must have its key in the plan."""
+        values = np.array([coeffs.get(key, 0.0) for key in self.keys], dtype=float)
+        if np.count_nonzero(values) != sum(1 for v in coeffs.values() if v != 0.0):
+            raise DomainError("coefficients outside the support of the plan")
+        return values
+
+    def _sums(self, values: np.ndarray):
+        """Coefficients c, split sums H, multiset sums G / 2 (the diagonal
+        multisets last), D0, sum of c_J**2 over J nonempty, and sum c**2."""
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise DomainError("kernel coefficients must be finite")
+        c = np.bincount(self.index, values, minlength=self.size)
+        square = c * c
+        inner = square[self.nonempty]
+        pair = c[self.first] * c[self.second]
+        h = np.bincount(self.split, pair, minlength=self.split_count)
+        half = np.concatenate([np.bincount(self.multiset, pair, minlength=self.multiset_count), 0.5 * inner])
+        diagonal = _finite_sum(inner.tolist())
+        const = float(c[~self.nonempty].sum())
+        square_sum = _finite_sum((diagonal, const * const))
+        # c_I**2 times the sum of c_J**2 over the pairs (I, J)
+        rows = square * np.bincount(self.first, square[self.second], minlength=self.size)
+        terms = [
             square_sum * square_sum,
-            -2.0 * _finite_sum(rows),
-            -fourth,
+            -2.0 * _finite_sum(rows.tolist()),
+            -_finite_sum((inner * inner).tolist()),
             diagonal * (2.0 * const * const + diagonal),
             # each split stands for (B, C) and (C, B)
-            2.0 * _finite_sum(h * h for h in splits.values()),
-            -4.0 * _finite_sum(g * g for half in multisets for g in half.values()),
-            *cross,
+            2.0 * _finite_sum((h * h).tolist()),
+            -4.0 * _finite_sum((half * half).tolist()),
         ]
-    )
-    return _PairSums(
-        tuple(universe), coeff, digits, square_sum, diagonal, splits, multisets, d0
-    )
+        if self.mixed:
+            coeff = np.append(c, 0.0)
+            terms += (4.0 * h * coeff[self.low] * coeff[self.high]).tolist()
+        return c, h, half, _finite_sum(terms), diagonal, square_sum
+
+    def fourth_moment(self, values: np.ndarray) -> float:
+        """E[(sum_J c_J Y_J)^4] = sum_U g_U^2 over the Y expansion of F^2.
+
+        Y_I Y_J = Y_{I xor J} prod_{k in I & J} (1 + skew_k Y_k), so the
+        ordered pair (I, J) contributes c_I c_J prod_{k in T} skew_k to
+        g_{(I xor J) | T} for every T inside I & J.  The disjoint pairs make
+        g0, on U = I | J, and the overlapping ones make g1: the part of g1
+        with T empty sums the split sums H of each I xor J, and the rest is
+        the skew expansion of the multiset sums G, since it depends only on
+        I & J.  Then E[F^4] = D0 + sum_U (2 g0_U g1_U + g1_U^2), and g0_U
+        is summed only where |U| is a sum of two support orders, which
+        never happens for a pure order.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, h, half, d0, diagonal, _ = self._sums(values)
+            skewed = 2.0 * half[self.source]
+            for factor in self.factors:
+                skewed *= factor
+            g1 = np.bincount(
+                self.g1, np.concatenate([[diagonal], 2.0 * h, skewed]), minlength=self.g1_count
+            )
+            cross = 0.0
+            if self.mixed:
+                key, part, rest = self.disjoint
+                g0 = np.bincount(key, c[part] * c[rest], minlength=self.g1_count)
+                cross = _finite_sum((2.0 * g1 * g0).tolist())
+            return _finite_sum((d0, cross, _finite_sum((g1 * g1).tolist())))
+
+    def tensor_terms(self, values: np.ndarray) -> tuple[float, float, float]:
+        """(D0, sum_M 2^{|I & J|} G_M**2, (sum c**2)**2): the disjoint and
+        the diagonal-hitting blocks of ||F (~x) F||**2, and the square of
+        the second moment."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, half, d0, _, square_sum = self._sums(values)
+            defect = _finite_sum((self.weight * half * half).tolist())
+        return d0, defect, square_sum * square_sum
 
 
-def _defect(sums: _PairSums) -> float:
-    """sum_M 2^{|I & J|} G_M**2 over the multisets of the overlapping pairs."""
-    odd = sums.digits << 1
-    return _finite_sum(
-        2.0 ** (2 + (k >> _LOW & odd).bit_count()) * v * v
-        for half in sums.multisets
-        for k, v in half.items()
-    )
+def support_plan(coeffs: Mapping[Subset, float], skew=None) -> tuple[SupportPlan, np.ndarray]:
+    """The plan of the nonzero entries of ``coeffs`` and their values.
 
-
-def _fourth_moment(coeffs: Mapping[Subset, float], skew=None) -> float:
-    """E[(sum_J c_J Y_J)^4] = sum_U g_U^2 over the Y expansion of F^2.
-
-    Y_I Y_J = Y_{I xor J} prod_{k in I & J} (1 + skew_k Y_k), so the
-    ordered pair (I, J) contributes c_I c_J prod_{k in T} skew_k to
-    g_{(I xor J) | T} for every T inside I & J.  The disjoint pairs make
-    g0, on U = I | J, and the overlapping ones make g1.  Both come from
-    ``_overlap_pairs``: the part of g1 with T empty sums the split
-    sums H of each I xor J, and the rest is the skew expansion of the
-    multiset sums G, since it depends only on I & J.  Then
-    E[F^4] = D0 + sum_U (2 g0_U g1_U + g1_U^2), and g0_U is looked up by
-    submasks only where |U| is a sum of two support orders, which never
-    happens for a pure order.  ``skew`` is indexed by coordinate; None
-    means fair coins.
+    A value must be a finite real number and a coordinate an integer; a
+    ``DomainError`` names the key of any other, whatever its value.
+    ``skew`` is indexed by coordinate, and the coordinates must lie on it.
     """
-    sums = _overlap_pairs(coeffs)
-    digits, coeff = sums.digits, sums.coeff
-    # T empty: g1 on I xor J sums H over the splits (B, C) of I xor J
-    g1 = {_tagged(0): sums.diagonal}
-    for k, h in sums.splits.items():
-        u = _tagged(digits & ~(_split_mask(k) + digits))  # the digits +1 and -1
-        g1[u] = g1.get(u, 0.0) + 2.0 * h
-    # T nonempty: the skew expansion of each multiset over its I & J
-    bit_skew = [0.0 if skew is None else float(skew[i]) for i in sums.universe]
-    skewed = sum(4**b for b, s in enumerate(bit_skew) if s != 0.0)
-    for half in sums.multisets if skewed else ():
-        for key, v in half.items():
-            both = key >> _LOW + 1 & skewed
-            terms = [(key >> _LOW & digits, 2.0 * v)]
-            while both:
-                low = both & -both
-                s = bit_skew[low.bit_length() >> 1]
-                terms += [(u | low, t * s) for u, t in terms]
-                both ^= low
-            for u, t in terms[1:]:
-                u = _tagged(u)
-                g1[u] = g1.get(u, 0.0) + t
-
-    orders = {mask.bit_count() for mask in coeff}
-    paired = {a + b for a in orders for b in orders}
-
-    def g0(u: int) -> float:
-        total, sub = 0.0, u
-        while True:
-            c = coeff.get(sub)
-            if c is not None:
-                total += c * coeff.get(u ^ sub, 0.0)
-            if not sub:
-                return total
-            sub = (sub - 1) & u
-
-    cross = _finite_sum(
-        2.0 * t * g0(u >> _LOW) for u, t in g1.items() if (u >> _LOW).bit_count() in paired
-    )
-    return _finite_sum((sums.diagonal_free, cross, _finite_sum(t * t for t in g1.values())))
+    keys, values, zeros = [], [], []
+    for key, v in coeffs.items():
+        if type(v) is not float and not isinstance(v, numbers.Real):
+            raise DomainError(f"coefficient of {key!r} is {v!r}, not a real number")
+        v = float(v)
+        if not math.isfinite(v):
+            raise DomainError(f"coefficient of {key!r} is {v}, not finite")
+        if v == 0.0:
+            zeros.append(key)
+        else:
+            keys.append(key)
+            values.append(v)
+    if zeros:
+        _subset_rows(zeros, None if skew is None else len(skew))
+    return SupportPlan(keys, skew), np.array(values, dtype=float)
 
 
 def off_diagonal_defect(f: Kernel) -> float:
@@ -540,7 +719,8 @@ def off_diagonal_defect(f: Kernel) -> float:
     """
     if f.order == 0:
         return 0.0
-    return _defect(_overlap_pairs(f.to_subset_coeffs()))
+    plan, values = support_plan(f.to_subset_coeffs())
+    return plan.tensor_terms(values)[1]
 
 
 def tensor_square_residual(f: Kernel) -> float:
@@ -548,11 +728,11 @@ def tensor_square_residual(f: Kernel) -> float:
 
     By the contraction expansion of ||f (~x) f||^2 this is
     (m!)^2 sum_{r=1}^{m-1} C(m, r)^2 ||f (x)_r f||^2.  The full norm is the
-    disjoint block D0 of the overlapping-pair pass plus the off-diagonal
-    defect, and m! ||f||^2 = sum_J a_J**2.
+    disjoint block D0 of the support plan plus the off-diagonal defect, and
+    m! ||f||^2 = sum_J a_J**2.
     """
     if f.order == 0:
         return 0.0
-    sums = _overlap_pairs(f.to_subset_coeffs())
-    square = sums.square_sum * sums.square_sum
-    return _finite_sum((sums.diagonal_free, _defect(sums), -2.0 * square))
+    plan, values = support_plan(f.to_subset_coeffs())
+    d0, defect, square = plan.tensor_terms(values)
+    return _finite_sum((d0, defect, -2.0 * square))

@@ -7,11 +7,14 @@ Two engines compute fourth moments:
   product-formula engine that needs no enumeration.  It expands
   F**2 = sum_U g_U Y_U in the orthonormal Y basis through the structure
   identity Y_k**2 = 1 + skew_k Y_k, so E[F**4] = sum_U g_U**2.  Only the
-  pairs of support subsets that share a coordinate are expanded
-  (``kernels._overlap_pairs``); the disjoint pairs enter through a closed
-  sum.  The cost is O(P 2**m) for P overlapping pairs of subsets of order
-  at most m, P <= S**2 / 2, independent of the horizon; fair coins have
-  skew 0 and need no expansion of the overlaps at all.
+  pairs of support subsets that share a coordinate are expanded, in one
+  numpy pass planned from the support (``kernels.SupportPlan``); the
+  disjoint pairs enter through a closed sum.  The cost is O(P 2**m) for P
+  overlapping pairs of subsets of order at most m, P <= S**2 / 2, in a
+  few sorts of P keys and no Python loop over pairs, independent of the
+  horizon; fair coins have skew 0 and need no expansion of the overlaps
+  at all.  A coordinate must be an integer and a coefficient a finite
+  real number; anything else raises ``DomainError`` naming its key.
 
 The remaining operations evaluate the exact quantities appearing in the
 variance-of-squared-field chain for a pure multiple integral.  The
@@ -52,7 +55,7 @@ from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .distance import _levels
 from .errors import CapacityError, DomainError
-from .kernels import _fourth_moment
+from .kernels import support_plan
 from .malliavin import _gamma_tables, d_half, gamma, ou_generator_spectral
 from .model import RademacherModel
 
@@ -105,7 +108,7 @@ def fourth_moment_factorized(
     """E[(sum_J c_J Y_J)^4] without enumerating outcomes.
 
     Subsets may have mixed sizes and lie anywhere on the horizon of
-    ``model``; see ``kernels._fourth_moment`` for the expansion.
+    ``model``; see ``kernels.SupportPlan.fourth_moment`` for the expansion.
     """
     S = sum(1 for v in coeffs.values() if v != 0.0)
     if S > caps.factorized_support_cap:
@@ -117,16 +120,14 @@ def fourth_moment_factorized(
             cap_value=caps.factorized_support_cap,
             requested=S,
         )
-    for key in coeffs:
-        for i in key:
-            if not 0 <= i < model.n:
-                raise DomainError(f"index {i} out of range for the model horizon {model.n}")
-    return _fourth_moment(coeffs, model.skew)
+    plan, values = support_plan(coeffs, model.skew)
+    return plan.fourth_moment(values)
 
 
 def fourth_moment_symmetric(coeffs: dict[Subset, float]) -> float:
     """E[(sum_J a_J X_J)^4] under the fair-coin model, where Y_k = X_k."""
-    return _fourth_moment(coeffs)
+    plan, values = support_plan(coeffs)
+    return plan.fourth_moment(values)
 
 
 def _pure_integral(F: ChaosVector) -> int:

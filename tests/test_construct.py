@@ -21,8 +21,8 @@ from chaoslab.construct import (
     uniform_sphere_point,
 )
 from chaoslab.distance import exact_distribution, kolmogorov_to_normal
-from chaoslab.kernels import random_kernel
-from chaoslab.moments import moment
+from chaoslab.kernels import SupportPlan, random_kernel
+from chaoslab.moments import fourth_moment_symmetric, moment
 
 # exact laws recorded from enumeration runs of this module's constructions
 DK_TUNED_M1_FLOOR = 0.48  # measured 0.48632 for the order-1 tuned product
@@ -90,6 +90,16 @@ class TestQuadrupleSum:
         with pytest.raises(DomainError):
             g_value({(0, 1): 1.0, (0, 2): 1.0})
 
+    def test_plan_of_a_wider_support_gives_the_same_value(self):
+        # the first-coordinate point is zero on most of the uniform support
+        n = 9
+        c, b = first_coordinate_point(2, n), uniform_sphere_point(2, n)
+        plan = SupportPlan(b)
+        assert g_value(c, plan) == g_value(c) == fourth_moment_symmetric(c)
+        assert g_value(b, plan) == g_value(b)
+        with pytest.raises(DomainError, match="outside the support"):
+            g_value({(0, n): 1.0}, plan)
+
 
 class TestSphereBisection:
     def test_order_two_horizon_four(self):
@@ -104,6 +114,20 @@ class TestSphereBisection:
         assert abs(moment(t, 4, model) - 3.0) <= 1e-10
         dk = kolmogorov_to_normal(exact_distribution(t, model))
         assert dk >= DK_SPHERE_M2_N4_FLOOR
+
+    def test_one_plan_serves_every_step(self, monkeypatch):
+        built = []
+        init = SupportPlan.__init__
+
+        def counted(self, keys, skew=None):
+            built.append(len(tuple(keys)))
+            init(self, keys, skew)
+
+        monkeypatch.setattr(SupportPlan, "__init__", counted)
+        kern, trace = symmetric_counterexample(2, 16)
+        assert built == [120]  # the union support: all C(16, 2) subsets
+        assert trace.iterations > 30
+        assert abs(trace.residual) <= 1e-12
 
     def test_brackets_shrink_strictly(self):
         _, trace = symmetric_counterexample(2, 4)

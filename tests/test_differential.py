@@ -23,7 +23,7 @@ from itertools import combinations
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
@@ -53,6 +53,7 @@ from chaoslab.bounds import (
     theorem_bounds,
 )
 from chaoslab.construct import matched_pairs_kernel
+from chaoslab.kernels import SupportPlan, support_plan
 from chaoslab.chaos import join_coordinate, split_coordinate, subset_orders
 from chaoslab.distance import (
     _BLOCK,
@@ -498,6 +499,88 @@ def test_overlap_pass_matches_pair_loop_on_wide_universes(n, S, seed):
     probs[1::5] = 1.0 - FLOOR
     model = RademacherModel(tuple(float(p) for p in probs))
     assert_fourth_moments_match(coeffs, model, quadruple=False)
+
+
+def distinct_subsets(rng, n: int, m: int, S: int) -> dict:
+    """S distinct m-subsets of the horizon with standard normal coefficients."""
+    keys: set = set()
+    while len(keys) < S:
+        keys.add(tuple(sorted(int(i) for i in rng.choice(n, size=m, replace=False))))
+    return {key: float(rng.standard_normal()) for key in sorted(keys)}
+
+
+def floor_model(rng, n: int) -> RademacherModel:
+    probs = rng.uniform(FLOOR, 1.0 - FLOOR, n)
+    probs[::5] = FLOOR
+    probs[1::5] = 1.0 - FLOOR
+    probs[2::5] = 0.5
+    return RademacherModel(tuple(float(p) for p in probs))
+
+
+@given(
+    st.integers(2, 3),
+    st.integers(100, 300),
+    st.sampled_from([24, 40, 160]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(m=3, S=300, n=160, skewed=True, seed=7)  # a universe wider than 64
+@settings(max_examples=6, deadline=None)
+def test_plan_matches_pair_loop_at_hundreds_of_subsets(m, S, n, skewed, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = distinct_subsets(rng, n, m, min(S, math.comb(n, m)))
+    if n > 64:
+        assert len({i for key in coeffs for i in key}) > 64
+    if skewed:
+        model = floor_model(rng, n)
+        got, skew = fourth_moment_factorized(coeffs, model, UNCAPPED), model.skew
+    else:
+        model = RademacherModel.symmetric(n)
+        got, skew = fourth_moment_symmetric(coeffs), None
+    tol = tolerance((len(coeffs) + 1) ** 2, pair_scale(coeffs, model))
+    assert abs(got - oracle_fourth_moment_pairs(coeffs, skew)) <= tol
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+def test_plan_on_values_with_zeros_matches_a_fresh_call_bit_for_bit(rng, skewed):
+    # mixed orders with the constant; the fresh call sees only the nonzero
+    # coefficients, in another order
+    n = 14
+    for _ in range(12):
+        union = {(): float(rng.standard_normal()), **sparse_support(rng, n, 60)}
+        keys = list(union)
+        values = np.array([union[key] for key in keys])
+        values[rng.random(len(keys)) < 0.4] = 0.0
+        nonzero = [(key, v) for key, v in zip(keys, values.tolist()) if v != 0.0]
+        fresh = dict(nonzero[::-1])
+        model = floor_model(rng, n) if skewed else RademacherModel.symmetric(n)
+        plan = SupportPlan(keys, model.skew if skewed else None)
+        if skewed:
+            want = fourth_moment_factorized(fresh, model, UNCAPPED)
+        else:
+            want = fourth_moment_symmetric(fresh)
+        assert plan.fourth_moment(values) == want
+        fresh_plan, fresh_values = support_plan(fresh)
+        assert plan.tensor_terms(values) == fresh_plan.tensor_terms(fresh_values)
+        assert fresh_plan.pairs <= plan.pairs
+
+
+def test_plan_keys_longer_than_one_word(rng):
+    # more than 512 coordinates in use: an id takes 10 bits, so a multiset
+    # key of 7 ids spans two int64 words and is grouped by lexsort
+    star = {(0, 2 * i - 1, 2 * i): float(rng.standard_normal()) for i in range(1, 281)}
+    star.update({(1, 2, 3): 0.5, (1, 3, 5): -0.25, (2, 4, 6): 1.5})
+    assert len({i for key in star for i in key}) > 512
+    assert_fourth_moments_match(star, floor_model(rng, 600), quadruple=False)
+    # a small support planned alone and inside a wide one that is zero
+    # elsewhere: one-word and two-word keys group alike, bit for bit
+    f = random_kernel(3, 8, rng, density=0.6)
+    small, values = support_plan(f.to_subset_coeffs())
+    padding = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(3, 200)]
+    wide = SupportPlan(small.keys + tuple(padding))
+    wide_values = np.concatenate([values, np.zeros(len(padding))])
+    assert wide.tensor_terms(wide_values) == small.tensor_terms(values)
+    assert wide.fourth_moment(wide_values) == small.fourth_moment(values)
 
 
 def tensor_tolerance(f: Kernel) -> float:

@@ -214,6 +214,25 @@ class TestCli:
         assert report["engine_agreement_residual"] <= 1e-9
         assert "fourth_moment_symmetric_fast" in report
 
+    def test_moments_reports_support_and_overlapping_pairs(self, tmp_path, capsys):
+        # the 4 order-2 subsets through coordinate 0 on n = 5 meet pairwise
+        # there: S = 4 and P = C(4, 2) = 6, where all S**2 pairs would be 16
+        f = Kernel(2, 5, {(0, j): 0.25 for j in range(1, 5)})
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        io.dump_json(io.kernel_to_dict(f), kpath)
+        io.dump_json(io.model_to_dict(RademacherModel.symmetric(5)), mpath)
+        argv = ["moments", "--kernel", str(kpath), "--model", str(mpath), "--json"]
+        outs = []
+        for engine in ("both", "both", "factorized", "symmetric-fast"):
+            assert cli.main(argv + ["--engine", engine]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]  # byte for byte
+        for out in outs:
+            report = json.loads(out)
+            assert (report["support_size"], report["overlapping_pairs"]) == (4, 6)
+        assert cli.main(argv + ["--engine", "enumerate"]) == 0
+        assert "overlapping_pairs" not in json.loads(capsys.readouterr().out)
+
     def test_distance_two_atom_value(self, tmp_path, capsys):
         f = Kernel(1, 1, {(0,): 1.0})
         model = RademacherModel.symmetric(1)
