@@ -159,21 +159,20 @@ def cmd_moments(args) -> int:
     if want in ("enumerate", "both"):
         table = integral_table(kern, model, caps)
         report["second_moment"], engines["enumerate"] = moments.even_moments(table, model, caps)
+    # the product-formula engines report the cost of their pass, read
+    # off the plan they evaluate: S subsets and the P pairs expanded
+    plan = None
     if want in ("factorized", "both"):
-        engines["factorized"] = moments.fourth_moment_factorized(
-            kern.to_subset_coeffs(), model, caps
-        )
+        plan, values = moments.factorized_plan(kern.to_subset_coeffs(), model, caps)
+        engines["factorized"] = plan.fourth_moment(values)
     if want == "symmetric-fast" or (want == "both" and symmetric):
         if not symmetric:
             print("error: symmetric-fast engine needs the fair-coin model", file=sys.stderr)
             return 2
-        engines["symmetric_fast"] = moments.fourth_moment_symmetric(
-            kern.to_subset_coeffs()
-        )
+        plan, values = support_plan(kern.to_subset_coeffs())
+        engines["symmetric_fast"] = plan.fourth_moment(values)
     report.update({f"fourth_moment_{k}": v for k, v in engines.items()})
-    if engines.keys() - {"enumerate"}:
-        # the cost of the product-formula pass: S subsets, P pairs expanded
-        plan, _ = support_plan(kern.to_subset_coeffs())
+    if plan is not None:
         report["support_size"], report["overlapping_pairs"] = plan.size, plan.pairs
     if len(engines) > 1:
         vals = sorted(engines.values())

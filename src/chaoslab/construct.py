@@ -50,20 +50,13 @@ def inhomogeneous_counterexample(m: int, sign: str = "+") -> tuple[RademacherMod
     return model, kern
 
 
-def g_value(a: dict[Subset, float], plan: SupportPlan | None = None) -> float:
+def g_value(a: dict[Subset, float]) -> float:
     """Quadruple sum over coefficient quadruples with matching symmetric
-    differences, for a point on the coefficient sphere.
-
-    ``plan``, a fair-coin ``SupportPlan`` whose keys hold the support of
-    ``a``, evaluates the sum without planning the support again; the value
-    is the same as without it, bit for bit.
-    """
+    differences, for a point on the coefficient sphere."""
     norm = sum(v * v for v in a.values())
     if abs(norm - 1.0) > 1e-9:
         raise DomainError(f"coefficients must lie on the unit sphere; norm^2 = {norm}")
-    if plan is None:
-        return fourth_moment_symmetric(a)
-    return plan.fourth_moment(plan.values_of(a))
+    return fourth_moment_symmetric(a)
 
 
 def uniform_sphere_point(m: int, n: int) -> dict[Subset, float]:
@@ -114,7 +107,8 @@ def symmetric_counterexample(
     crossing.  Orders above 2 append fresh coordinates, multiplying by a
     product of independent signs, which preserves variance and fourth
     moment.  One fair-coin plan of the union support of the endpoints
-    serves both endpoints and every bisection step.
+    evaluates the quadruple sum ``g_value`` at both endpoints and at every
+    bisection step; the values equal fresh calls bit for bit.
     """
     if m < 2:
         raise DomainError(f"order must be >= 2, got {m}")
@@ -130,8 +124,12 @@ def symmetric_counterexample(
         raise DomainError("endpoints are not in the same half-space")
 
     plan = SupportPlan({**b, **c})
-    g_low = g_value(c, plan) - 3.0
-    g_high = g_value(b, plan) - 3.0
+
+    def g_minus_3(a: dict[Subset, float]) -> float:
+        return plan.fourth_moment(plan.values_of(a)) - 3.0
+
+    g_low = g_minus_3(c)
+    g_high = g_minus_3(b)
     if not (g_low < 0.0 < g_high):
         raise ArithmeticError(
             f"endpoints do not bracket: g(c)-3 = {g_low}, g(b)-3 = {g_high}"
@@ -146,7 +144,7 @@ def symmetric_counterexample(
     for _ in range(_MAX_BISECTION_STEPS):
         theta = 0.5 * (lo + hi)
         iterations += 1
-        h_mid = plan.fourth_moment(plan.values_of(_sphere_path_point(c, b, theta))) - 3.0
+        h_mid = g_minus_3(_sphere_path_point(c, b, theta))
         residual = h_mid
         if abs(h_mid) <= bisection_tol:
             break

@@ -363,18 +363,17 @@ def _subset_rows(keys: Sequence, horizon: int | None = None) -> tuple[np.ndarray
 def _sort_columns(rows: np.ndarray) -> np.ndarray:
     """Sort each column of ``rows`` in place.
 
-    numpy sorts along the first axis one column at a time, so past a few
-    hundred columns an odd-even transposition network over the few rows,
-    each step one pass over all columns, is much faster.
+    An odd-even transposition network: each of its len(rows) steps
+    compares every other pair of adjacent rows across all columns at once,
+    so the cost is a few numpy calls per row however many columns there
+    are.  ``np.sort`` along the first axis sorts one column at a time.
     """
-    if rows.shape[1] <= 256:
-        rows.sort(axis=0)
-        return rows
-    for step in range(len(rows)):
-        for i in range(step % 2, len(rows) - 1, 2):
-            low = np.minimum(rows[i], rows[i + 1])
-            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
-            rows[i] = low
+    height = len(rows)
+    for step in range(height):
+        upper, lower = rows[step % 2 : height - 1 : 2], rows[step % 2 + 1 : height : 2]
+        low = np.minimum(upper, lower)
+        np.maximum(upper, lower, out=lower)
+        upper[...] = low
     return rows
 
 
@@ -491,6 +490,21 @@ def _pair_keys(subsets: np.ndarray, first: np.ndarray, second: np.ndarray, top: 
     return np.where(swap, only_b, only_a), np.where(swap, only_a, only_b), xor, both
 
 
+def _sub_columns(keys: np.ndarray, grow: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column of ``keys`` each sub-column came from, and every
+    sub-column over the ids ``grow`` marks, with ``top`` in place of the
+    ids left out.  The empty sub-columns come first, in the order of
+    ``keys``."""
+    owner = np.arange(keys.shape[1])
+    part = np.full(keys.shape, top, keys.dtype)
+    for j in range(len(keys)):
+        more = grow[j, owner]
+        sub = part.compress(more, axis=1)
+        sub[j] = keys[j, owner[more]]
+        owner, part = np.concatenate([owner, owner[more]]), np.concatenate([part, sub], 1)
+    return owner, part
+
+
 class SupportPlan:
     """The overlapping support pairs of F = sum_J c_J Y_J, planned once.
 
@@ -560,13 +574,8 @@ class SupportPlan:
         if skew is not None:
             skew_u = np.append(np.asarray(skew, dtype=float)[universe], 1.0)
             skewed = np.append(skew_u[:-1] != 0.0, False)[m_both]
-            source, part = np.arange(m_both.shape[1]), np.full(m_both.shape, top, xor.dtype)
-            for j in range(width):  # double the terms by each skewed coordinate in turn
-                grow = skewed[j, source]
-                more = part.compress(grow, axis=1)
-                more[j] = m_both[j, source[grow]]
-                source, part = np.concatenate([source, source[grow]]), np.concatenate([part, more], 1)
-            self.source, part = source[m_both.shape[1] :], part[:, m_both.shape[1] :]
+            source, part = _sub_columns(m_both, skewed, top)
+            self.source, part = source[m_both.shape[1] :], part[:, m_both.shape[1] :]  # T nonempty
             self.factors = skew_u[part]
             g1_rows.append(_sort_columns(np.concatenate([m_xor.take(self.source, axis=1), part]))[:key_height])
         g1_rows = np.concatenate(g1_rows, 1)
@@ -586,17 +595,8 @@ class SupportPlan:
         paired = [a + b for a in present for b in present]
         groups = np.nonzero(np.isin((keys < top).sum(0), paired))[0]
         keys = keys.take(groups, axis=1)
-        owner = np.arange(keys.shape[1])
-        part = np.full(keys.shape, top, keys.dtype)
-        rest = part.copy()
-        for j in range(len(keys)):  # each coordinate of U goes to K or to L
-            coord = keys[j, owner]
-            grow = coord < top
-            more, rest_more = part.compress(grow, axis=1), rest.compress(grow, axis=1)
-            more[j] = coord[grow]
-            rest[j, grow] = coord[grow]
-            owner = np.concatenate([owner, owner[grow]])
-            part, rest = np.concatenate([part, more], 1), np.concatenate([rest, rest_more], 1)
+        owner, part = _sub_columns(keys, keys < top, top)  # K, and L = U - K
+        rest = np.where(part < top, top, keys.take(owner, axis=1))
         orders = list(present)
         fits = np.isin((part < top).sum(0), orders) & np.isin((rest < top).sum(0), orders)
         width = len(subsets)

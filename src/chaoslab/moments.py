@@ -55,7 +55,7 @@ from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .distance import _levels
 from .errors import CapacityError, DomainError
-from .kernels import support_plan
+from .kernels import SupportPlan, support_plan
 from .malliavin import _gamma_tables, d_half, gamma, ou_generator_spectral
 from .model import RademacherModel
 
@@ -110,6 +110,15 @@ def fourth_moment_factorized(
     Subsets may have mixed sizes and lie anywhere on the horizon of
     ``model``; see ``kernels.SupportPlan.fourth_moment`` for the expansion.
     """
+    plan, values = factorized_plan(coeffs, model, caps)
+    return plan.fourth_moment(values)
+
+
+def factorized_plan(
+    coeffs: dict[Subset, float], model: RademacherModel, caps: Caps = DEFAULT_CAPS
+) -> tuple[SupportPlan, np.ndarray]:
+    """The support plan and values ``fourth_moment_factorized`` evaluates,
+    for a caller that also reads the plan's size and pair count."""
     S = sum(1 for v in coeffs.values() if v != 0.0)
     if S > caps.factorized_support_cap:
         raise CapacityError(
@@ -120,8 +129,7 @@ def fourth_moment_factorized(
             cap_value=caps.factorized_support_cap,
             requested=S,
         )
-    plan, values = support_plan(coeffs, model.skew)
-    return plan.fourth_moment(values)
+    return support_plan(coeffs, model.skew)
 
 
 def fourth_moment_symmetric(coeffs: dict[Subset, float]) -> float:

@@ -22,7 +22,7 @@ from chaoslab.construct import (
 )
 from chaoslab.distance import exact_distribution, kolmogorov_to_normal
 from chaoslab.kernels import SupportPlan, random_kernel
-from chaoslab.moments import fourth_moment_symmetric, moment
+from chaoslab.moments import moment
 
 # exact laws recorded from enumeration runs of this module's constructions
 DK_TUNED_M1_FLOOR = 0.48  # measured 0.48632 for the order-1 tuned product
@@ -95,10 +95,10 @@ class TestQuadrupleSum:
         n = 9
         c, b = first_coordinate_point(2, n), uniform_sphere_point(2, n)
         plan = SupportPlan(b)
-        assert g_value(c, plan) == g_value(c) == fourth_moment_symmetric(c)
-        assert g_value(b, plan) == g_value(b)
+        assert plan.fourth_moment(plan.values_of(c)) == g_value(c)
+        assert plan.fourth_moment(plan.values_of(b)) == g_value(b)
         with pytest.raises(DomainError, match="outside the support"):
-            g_value({(0, n): 1.0}, plan)
+            plan.values_of({(0, n): 1.0})
 
 
 class TestSphereBisection:

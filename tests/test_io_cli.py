@@ -16,6 +16,7 @@ from chaoslab.distance import (
 )
 from chaoslab.moments import moment
 from chaoslab.errors import FormatError
+from chaoslab.kernels import SupportPlan
 
 
 @pytest.fixture
@@ -214,7 +215,7 @@ class TestCli:
         assert report["engine_agreement_residual"] <= 1e-9
         assert "fourth_moment_symmetric_fast" in report
 
-    def test_moments_reports_support_and_overlapping_pairs(self, tmp_path, capsys):
+    def test_moments_reports_support_and_overlapping_pairs(self, tmp_path, capsys, monkeypatch):
         # the 4 order-2 subsets through coordinate 0 on n = 5 meet pairwise
         # there: S = 4 and P = C(4, 2) = 6, where all S**2 pairs would be 16
         f = Kernel(2, 5, {(0, j): 0.25 for j in range(1, 5)})
@@ -226,6 +227,14 @@ class TestCli:
         for engine in ("both", "both", "factorized", "symmetric-fast"):
             assert cli.main(argv + ["--engine", engine]) == 0
             outs.append(capsys.readouterr().out)
+        # each engine plans the support once, and the report reads that plan
+        built = []
+        init = SupportPlan.__init__
+        monkeypatch.setattr(SupportPlan, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+        for engine, plans, out in (("both", 2, outs[0]), ("factorized", 1, outs[2]), ("symmetric-fast", 1, outs[3])):
+            built.clear()
+            assert cli.main(argv + ["--engine", engine]) == 0
+            assert (len(built), capsys.readouterr().out) == (plans, out)
         assert outs[0] == outs[1]  # byte for byte
         for out in outs:
             report = json.loads(out)
