@@ -5,9 +5,10 @@ All indices are 0-based.  A kernel file looks like
     {"m": 2, "n": 4, "entries": [{"set": [0, 1], "value": 0.5}, ...]}
 
 and a model file is either {"probs": [p0, p1, ...]} or
-{"homogeneous": p, "n": n}.  Orders, horizons and set members must be
-JSON integers, and values and probabilities JSON numbers: nothing is
-truncated, read from a string or taken from a boolean.
+{"homogeneous": p, "n": n}.  Orders and horizons must be JSON integers
+and probabilities JSON numbers; set members and values follow the kernel
+input rule (``kernels.checked_subset``, ``kernels.real_value``).  Nothing
+is truncated, read from a string or taken from a boolean.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .errors import FormatError
-from .kernels import Kernel
+from .errors import DomainError, FormatError
+from .kernels import Kernel, checked_subset, real_value
 from .model import RademacherModel
 
 
@@ -56,16 +57,23 @@ def kernel_from_dict(data: dict) -> Kernel:
     coeffs = {}
     for i, entry in enumerate(entries):
         try:
-            key = tuple(_integer(x, f"entry {i} 'set' member") for x in entry["set"])
-            val = _number(entry["value"], f"entry {i} 'value'")
+            key, val = tuple(entry["set"]), entry["value"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"entry {i} is malformed: {exc}")
+        try:
+            key = checked_subset(key, m, n)
+        except DomainError as exc:
+            raise FormatError(f"entry {i} 'set': {exc}")
+        try:
+            val = real_value(key, val)
+        except DomainError as exc:
+            raise FormatError(f"entry {i} 'value': {exc}")
         if key in coeffs:
             raise FormatError(f"entry {i} repeats subset {list(key)}")
         coeffs[key] = val
     try:
-        return Kernel(m, n, coeffs)
-    except Exception as exc:
+        return Kernel._from_valid_keys(m, n, coeffs)
+    except DomainError as exc:
         raise FormatError(f"kernel record invalid: {exc}")
 
 

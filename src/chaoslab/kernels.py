@@ -11,7 +11,11 @@ the *ordering value* ``f_J`` stored here, and the *subset coefficient*
 ``sum_J a_J * Y_J``.  Conversions are explicit named operations to keep
 the factor of m! in one place.
 
-Keys are validated once, at the public ``Kernel`` constructor.  A kernel
+Entries are validated once, at the public ``Kernel`` constructor, by one
+input rule that ``io`` and ``support_plan`` share: a coordinate is a Python
+or numpy integer and not a bool (``integer_key``), and a value a finite
+real number and not a bool or a string (``real_value``); anything else
+raises ``DomainError`` naming its key instead of being converted.  A kernel
 derived from valid ones (``scale``, ``add``, ``truncate``,
 ``random_kernel`` and the chaos and Malliavin operators) has keys that
 are valid by construction and skips that check
@@ -27,8 +31,7 @@ arrays of the overlapping pairs and, from one sort each, the groups of
 their splits, multisets and symmetric differences.  An evaluation takes
 the coefficient values, gathers the pair products and sums each group;
 the disjoint pairs enter through closed sums.  ``support_plan`` builds
-the plan of a coefficient mapping and rejects a coordinate that is not
-an integer or a value that is not a finite real number, naming its key.
+the plan of a coefficient mapping under the same input rule.
 ``symmetrized_tensor`` enumerates the multisets themselves and serves the
 top kernel of a product.  Finite coefficients whose fourth-order sums
 leave the float range raise ``DomainError``.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence
@@ -49,26 +53,66 @@ from .errors import DomainError
 Subset = tuple[int, ...]
 
 
-def _checked_subset(key: Iterable[int], m: int, n: int) -> Subset:
-    key = tuple(int(i) for i in key)
+def integer_key(key: Iterable) -> Subset:
+    """``key`` as a tuple of Python ints; every coordinate must already be
+    a Python or numpy integer, and not a bool.
+
+    With ``real_value`` this is the one input rule for kernel entries,
+    used by ``Kernel``, ``io.kernel_from_dict`` and ``support_plan``: a
+    float, bool, string or other coordinate raises ``DomainError`` naming
+    the key, where ``int()`` would have truncated or read it.
+    """
+    key = tuple(key)
+    if not all(type(i) is int for i in key):
+        for i in key:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise DomainError(f"subset {key!r} has coordinate {i!r}, not an integer")
+        key = tuple(map(int, key))
+    return key
+
+
+def real_value(key, value) -> float:
+    """``value`` as a float: it must be a finite real number, not a bool or
+    a string; ``DomainError`` names ``key`` otherwise."""
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise DomainError(f"coefficient of {key!r} is {value!r}, not a real number")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"coefficient of {key!r} is {value}, not finite")
+    return value
+
+
+def checked_subset(key: Iterable, m: int, n: int) -> Subset:
+    """``integer_key`` of a kernel key that must also have m coordinates,
+    strictly increasing inside [0, n)."""
+    key = integer_key(key)
     if len(key) != m:
         raise DomainError(f"subset {key} has size {len(key)}, kernel order is {m}")
-    if any(not 0 <= i < n for i in key):
+    if key and (min(key) < 0 or max(key) >= n):
         raise DomainError(f"subset {key} out of range for horizon {n}")
-    if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
+    if any(map(operator.ge, key, key[1:])):
         raise DomainError(f"subset {key} must be strictly increasing")
     return key
+
+
+def _check_shape(order: int, horizon: int) -> None:
+    if order < 0:
+        raise DomainError(f"order must be >= 0, got {order}")
+    if horizon < 1:
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
 
 
 def _clean_values(
     order: int, horizon: int, items: Iterable[tuple[Subset, float]]
 ) -> dict[Subset, float]:
-    """The checks both kernel constructors share: coefficients become
-    floats, zeros are dropped and non-finite values rejected."""
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    """The value checks of a derived kernel: coefficients become floats,
+    zeros are dropped and non-finite values rejected."""
+    _check_shape(order, horizon)
     clean = {}
     for key, val in items:
         val = float(val)
@@ -89,8 +133,14 @@ class Kernel:
         # order may exceed the horizon: such a kernel is necessarily zero,
         # and the subset check rejects any attempted support
         m, n = self.order, self.horizon
-        items = ((_checked_subset(k, m, n), v) for k, v in self.coeffs.items())
-        object.__setattr__(self, "coeffs", _clean_values(m, n, items))
+        _check_shape(m, n)
+        clean = {}
+        for key, val in self.coeffs.items():
+            key = checked_subset(key, m, n)
+            val = real_value(key, val)
+            if val != 0.0:
+                clean[key] = val
+        object.__setattr__(self, "coeffs", clean)
 
     @classmethod
     def _from_valid_keys(
@@ -202,7 +252,9 @@ class Kernel:
         order: int, horizon: int, a: Mapping[Subset, float]
     ) -> "Kernel":
         fac = math.factorial(order)
-        return Kernel(order, horizon, {tuple(k): v / fac for k, v in a.items()})
+        return Kernel(
+            order, horizon, {tuple(k): real_value(k, v) / fac for k, v in a.items()}
+        )
 
 
 def zero_kernel(order: int, horizon: int) -> Kernel:
@@ -337,9 +389,7 @@ def _subset_rows(keys: Sequence, horizon: int | None = None) -> tuple[np.ndarray
     flat = list(chain.from_iterable(keys))
     if not set(map(type, flat)) <= {int}:
         for key in keys:
-            for i in key:
-                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                    raise DomainError(f"subset {tuple(key)!r} has coordinate {i!r}, not an integer")
+            integer_key(key)
     try:
         coords = np.array(flat, dtype=np.int64)
     except OverflowError as exc:
@@ -685,17 +735,14 @@ class SupportPlan:
 def support_plan(coeffs: Mapping[Subset, float], skew=None) -> tuple[SupportPlan, np.ndarray]:
     """The plan of the nonzero entries of ``coeffs`` and their values.
 
-    A value must be a finite real number and a coordinate an integer; a
-    ``DomainError`` names the key of any other, whatever its value.
+    Values and coordinates follow the input rule (``real_value``,
+    ``integer_key``); a ``DomainError`` names the key of any other entry,
+    whatever its value.
     ``skew`` is indexed by coordinate, and the coordinates must lie on it.
     """
     keys, values, zeros = [], [], []
     for key, v in coeffs.items():
-        if type(v) is not float and not isinstance(v, numbers.Real):
-            raise DomainError(f"coefficient of {key!r} is {v!r}, not a real number")
-        v = float(v)
-        if not math.isfinite(v):
-            raise DomainError(f"coefficient of {key!r} is {v}, not finite")
+        v = real_value(key, v)
         if v == 0.0:
             zeros.append(key)
         else:

@@ -58,6 +58,7 @@ from chaoslab.chaos import join_coordinate, split_coordinate, subset_orders
 from chaoslab.distance import (
     _BLOCK,
     _MERGE_TOL,
+    _PHI_NUMPY,
     _levels,
     DistributionTable,
     exact_distribution,
@@ -691,6 +692,8 @@ def distance_law(rng, size: int, kind: str, scale: float) -> DistributionTable:
 
 SIZES = st.one_of(
     st.integers(1, 64),
+    # Phi from math.erfc below _PHI_NUMPY atoms, from the numpy erfc at and above
+    st.sampled_from([_PHI_NUMPY - 1, _PHI_NUMPY, _PHI_NUMPY + 1]),
     st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1]),
     st.integers(2 * _BLOCK, 3 * _BLOCK),
 )
@@ -739,6 +742,14 @@ def test_distances_match_atom_loops_across_three_blocks(kind):
     rng = np.random.default_rng(11)
     dist = distance_law(rng, 3 * _BLOCK, kind, 1.0)
     assert len(dist.atoms) > 2 * _BLOCK
+    assert_distances_match(dist)
+
+
+@pytest.mark.parametrize("size", [_PHI_NUMPY - 1, _PHI_NUMPY])
+@pytest.mark.parametrize("kind", ["plain", "saturated", "pinned"])
+def test_distances_match_atom_loops_on_both_sides_of_the_phi_crossover(kind, size):
+    dist = distance_law(np.random.default_rng(size), size, kind, 1.0)
+    assert len(dist.atoms) == size
     assert_distances_match(dist)
 
 

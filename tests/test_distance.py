@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -13,18 +14,23 @@ from hypothesis import strategies as st
 
 from chaoslab import DomainError, RademacherModel, integral_table
 from chaoslab.construct import inhomogeneous_counterexample
+from chaoslab import distance
 from chaoslab.distance import (
+    _PHI_ERR,
+    _PHI_NUMPY,
     DistributionTable,
     empirical_distances,
     exact_distribution,
     from_weighted_values,
     kolmogorov_to_normal,
     normal_cdf,
+    normal_distances,
     wasserstein_to_normal,
 )
+from chaoslab.erfc import ERFC_ULPS, erfc
 from chaoslab.kernels import basis_kernel
 from chaoslab.model import sample_y_matrix
-from conftest import random_chaos, random_model
+from conftest import oracle_kolmogorov, random_chaos, random_model
 
 # frozen oracle values (quadrature / high-precision references)
 DW_FAIR_SIGN = 0.5353773215478796  # adaptive quadrature of |CDF - Phi|
@@ -135,6 +141,48 @@ class TestKolmogorov:
             )
             dk = kolmogorov_to_normal(exact_distribution(t, model))
             assert 0.0 <= dk <= 1.0
+
+
+def fair_sign_sum_law(seed: int, n: int) -> DistributionTable:
+    """The law of sum_k c_k eps_k with fair signs and unit variance: 2**n
+    atoms, symmetric, so the gaps at x and -x agree up to rounding."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.5, 1.5, n)
+    c /= math.sqrt(float(c @ c))
+    signs = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    return from_weighted_values(signs @ c, np.full(2**n, 0.5**n))
+
+
+class TestKolmogorovRecheck:
+    """Above ``_PHI_NUMPY`` atoms Phi comes from the numpy ``erfc``, and
+    ``_gap`` re-evaluates ``normal_cdf`` at the atoms whose gap is within
+    2 ``_PHI_ERR`` of the block maximum, so dK stays the atom loop's."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_symmetric_ties_above_the_crossover(self, seed):
+        law = fair_sign_sum_law(seed, 11 + seed % 2)
+        assert len(law.atoms) >= _PHI_NUMPY
+        w1, dk = normal_distances(law)
+        assert dk == kolmogorov_to_normal(law) == oracle_kolmogorov(law)
+        assert w1 == wasserstein_to_normal(law)
+
+    def test_any_phi_within_the_bound_gives_the_exact_maximum(self, monkeypatch):
+        # Phi moved by 0.9 _PHI_ERR against every atom of the exact maximum
+        # and toward every other atom: a candidate margin below 1.8
+        # _PHI_ERR misses the maximum and returns a smaller gap
+        law = fair_sign_sum_law(0, 11)
+        atoms, levels = law.atoms, law.cdf_levels
+        exact = distance._exact_cdf_array(atoms)
+        before = np.concatenate(([0.0], levels[:-1]))
+        after_side = levels - exact >= exact - before
+        gaps = np.maximum(levels - exact, exact - before)
+        dk = oracle_kolmogorov(law)
+        lower = np.where(gaps == dk, 1.0, -1.0)
+        moved = exact + 0.9 * _PHI_ERR * np.where(after_side, lower, -lower)
+        assert np.count_nonzero(gaps == dk) < len(atoms)
+        monkeypatch.setattr(distance, "_phi_blocks", lambda a: iter([(0, moved)]))
+        assert kolmogorov_to_normal(law) == dk
+        assert normal_distances(law)[1] == dk
 
 
 class TestWasserstein:
@@ -261,3 +309,61 @@ class TestNormalCdf:
     def test_quantile_inverts(self):
         for p in (0.01, 0.3, 0.5, 0.9, 0.999):
             assert normal_cdf(NormalDist().inv_cdf(p)) == pytest.approx(p, abs=1e-12)
+
+
+def erfc_grid(rng) -> np.ndarray:
+    """Every range boundary of ``erfc`` (2**-56, 0.25, 0.84375, 1.25,
+    1/0.35 and its high-word cut, 6, 28) on both signs with its 40 nearest
+    floats on each side and 200 points within 0.1%; where the tail
+    underflows (26.5, 27.2); the whole line; magnitudes from 1e-300 up;
+    and signed zeros, infinities and NaN."""
+    cuts = [2.0**-56, 0.25, 0.84375, 1.25, 1 / 0.35, float.fromhex("0x1.6db6dp+1"),
+            6.0, 26.5, 27.2, 28.0]
+    pts = [np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e300])]
+    for c in cuts:
+        for x in (c, -c):
+            up, down = [x], [x]
+            for _ in range(40):
+                up.append(np.nextafter(up[-1], math.inf))
+                down.append(np.nextafter(down[-1], -math.inf))
+            pts += [np.array(up + down), x * (1.0 + rng.uniform(-1e-3, 1e-3, 200))]
+    pts.append(rng.uniform(-30.0, 30.0, 20000))
+    pts.append(rng.uniform(-6.0, 6.0, 20000))
+    pts.append(np.exp(rng.uniform(-690.0, 3.4, 5000)) * rng.choice([-1.0, 1.0], 5000))
+    return np.concatenate(pts)
+
+
+class TestNumpyErfc:
+    def test_within_the_ulp_bound_of_math_erfc(self):
+        x = erfc_grid(np.random.default_rng(20))
+        got = erfc(x)
+        want = np.array([math.erfc(v) for v in x.tolist()])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        ulps = np.abs(got[~nan].view(np.int64) - want[~nan].view(np.int64))
+        assert ulps.max() <= ERFC_ULPS
+        assert np.abs(got[~nan] - want[~nan]).max() <= np.finfo(float).eps
+        if platform.libc_ver()[0] == "glibc":
+            # no exponential below 1.25: glibc's polynomials in glibc's order
+            no_exp = np.abs(x[~nan]) < 1.25
+            assert np.array_equal(got[~nan][no_exp], want[~nan][no_exp])
+
+    def test_phi_within_phi_err_with_headroom(self):
+        x = np.sort(erfc_grid(np.random.default_rng(21)))
+        x = x[np.isfinite(x)]
+        assert len(x) >= _PHI_NUMPY
+        want = np.array([normal_cdf(v) for v in x.tolist()])
+        err = np.abs(distance._normal_cdf_array(x) - want).max()
+        assert err <= np.finfo(float).eps <= _PHI_ERR / 40
+
+    def test_input_order_does_not_change_a_value(self):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-8.0, 8.0, 5000)
+        ascending = np.sort(x)
+        assert np.array_equal(erfc(x), erfc(ascending)[np.argsort(np.argsort(x))])
+        assert np.array_equal(erfc(ascending[::-1]), erfc(ascending)[::-1])
+        assert erfc(np.array([])).shape == (0,)
+
+    def test_below_the_crossover_phi_is_normal_cdf_bit_for_bit(self):
+        x = np.sort(np.random.default_rng(23).normal(0.0, 3.0, _PHI_NUMPY - 1))
+        assert distance._normal_cdf_array(x).tolist() == [normal_cdf(v) for v in x.tolist()]

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,21 @@ class TestFileFormats:
         with pytest.raises(FormatError, match=re.escape(field)):
             io.load_model(path)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"set": [0.9, 2], "value": 1.0}, "entry 0 'set': subset (0.9, 2)"),
+            ({"set": [0, 2], "value": "0.5"}, "entry 0 'value': coefficient of (0, 2) is '0.5'"),
+            ({"set": [0, 4], "value": 1.0}, "entry 0 'set': subset (0, 4) out of range"),
+            ({"set": [0, 2], "value": 10**400}, "entry 0 'value': coefficient of (0, 2) is inf"),
+        ],
+    )
+    def test_kernel_entry_errors_name_the_key(self, tmp_path, entry, message):
+        path = tmp_path / "k.json"
+        io.dump_json({"m": 2, "n": 4, "entries": [entry]}, path)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            io.load_kernel(path)
+
     def test_bad_json_has_line_info(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"m": 2,,}')
@@ -114,6 +133,32 @@ class TestFileFormats:
 
 
 class TestCli:
+    def test_parser_is_built_once_and_main_is_reentrant(self, capsys, monkeypatch):
+        real, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        base = ["counterexample", "--kind", "product", "-m", "2", "--json"]
+        outs = []
+        for argv in (base, base + ["-n", "3", "--seed", "5"], base):
+            assert cli.main(argv) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        assert len(built) == 1
+        # the defaults come back after a call that overrode them
+        assert outs[0] == outs[2] and outs[0]["n"] == 4 and outs[1]["n"] == 3
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path, capsys):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["counterexample", "--kind", "product", "-m", "2", "-n", "3", "--json"]
+        done = subprocess.run([sys.executable, "-m", "chaoslab", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert cli.main(argv) == done.returncode == 0
+        assert done.stdout == capsys.readouterr().out
+        missing = ["distance", "--kernel", "none.json", "--model", "none.json"]
+        done = subprocess.run([sys.executable, "-m", "chaoslab", *missing], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2 and done.stderr.startswith("file error")
+
     def test_verify_passes_and_is_deterministic(self, capsys):
         assert cli.main(["verify", "--json", "--seed", "3"]) == 0
         first = capsys.readouterr().out

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from chaoslab import (
     tensor_square_residual,
     zero_kernel,
 )
+from chaoslab.kernels import support_plan
 from conftest import (
     oracle_contraction_residual,
     oracle_multiset_norms,
@@ -56,6 +59,41 @@ class TestValidation:
     def test_hand_built_tensor_keys_are_checked(self):
         with pytest.raises(DomainError):
             SymmetrizedTensor(2, 4, {(3, 1): 1.0}).diagonal_free()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ((0.5,), 1.0),
+            ((True,), 1.0),
+            ((np.float64(1.0),), 1.0),
+            (("1",), 1.0),
+            ((0,), "2"),
+            ((0,), True),
+            ((0,), None),
+            ((0,), 1j),
+            ((0,), 10**400),
+        ],
+    )
+    def test_one_input_rule_rejects_and_names_the_key(self, key, value):
+        # int() truncated (0.5,) to (0,) and read (True,) as (1,); float()
+        # parsed '2' and read True as 1.0
+        builders = (
+            lambda c: Kernel(1, 3, c),
+            lambda c: Kernel.from_subset_coeffs(1, 3, c),
+            support_plan,
+        )
+        for build in builders:
+            with pytest.raises(DomainError, match=re.escape(repr(key))):
+                build({key: value})
+
+    def test_input_rule_takes_numpy_integers_and_reals(self):
+        k = Kernel(1, 3, {(np.int64(2),): np.float32(0.5), (np.uint8(0),): 3})
+        assert k.coeffs == {(2,): 0.5, (0,): 3.0}
+        assert all(type(i) is int for key in k.coeffs for i in key)
+        assert all(type(v) is float for v in k.coeffs.values())
+        # a zero entry is dropped, but its key is still checked
+        with pytest.raises(DomainError, match="not an integer"):
+            Kernel(1, 3, {(0.0,): 0.0})
 
     def test_order_zero_is_scalar(self):
         k = Kernel(0, 3, {(): 2.5})
