@@ -19,7 +19,7 @@ import argparse
 
 from chaoslab.construct import matched_pairs_kernel, product_chaos_sequence
 from chaoslab.distance import integral_law, normal_distances
-from chaoslab.moments import even_moments, fourth_moment_symmetric, independent_sum_moments
+from chaoslab.moments import fourth_moment_symmetric
 
 # horizon-free rows: matched pairs over thousands of coordinates, and the
 # star of the second family, where every pair of subsets shares coordinate 0
@@ -29,10 +29,9 @@ STAR_HORIZONS = (100, 200, 400, 800)
 
 def row(kern, model):
     """(|E[F^4] - 3|, sup-influence, dW, dK) of the kernel's integral."""
-    route = integral_law(kern, model, stat=even_moments)
+    route = integral_law(kern, model)
     dw, dk = normal_distances(route.law)
-    fourth = independent_sum_moments(route.stats)[1]
-    return abs(fourth - 3.0), kern.sup_influence(), dw, dk
+    return abs(route.fourth - 3.0), kern.sup_influence(), dw, dk
 
 
 def main() -> None:

@@ -8,22 +8,20 @@ normal each one sits.
 
 import argparse
 
-from chaoslab import RademacherModel, integral_table
+from chaoslab import RademacherModel
 from chaoslab.construct import (
     inhomogeneous_counterexample,
     symmetric_counterexample,
 )
-from chaoslab.distance import exact_distribution, kolmogorov_to_normal
-from chaoslab.moments import moment
+from chaoslab.distance import integral_law, kolmogorov_to_normal
 
 
 def describe(label, kern, model):
-    t = integral_table(kern, model)
-    law = exact_distribution(t, model)
+    route = integral_law(kern, model)
     print(
-        f"{label:<28} var={moment(t, 2, model):.12f} "
-        f"E4={moment(t, 4, model):.12f} atoms={len(law.atoms):>4} "
-        f"dK={kolmogorov_to_normal(law):.5f}"
+        f"{label:<28} var={route.variance:.12f} "
+        f"E4={route.fourth:.12f} atoms={len(route.law.atoms):>4} "
+        f"dK={kolmogorov_to_normal(route.law):.5f}"
     )
 
 

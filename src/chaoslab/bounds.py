@@ -27,6 +27,7 @@ from .chaos import (
     ValueTable,
     basis_coefficients,
     basis_synthesis,
+    even_moments,
     expectation,
     fold_coordinate,
     split_coordinate,
@@ -39,7 +40,7 @@ from .distance import integral_law, normal_distances
 from .errors import DomainError
 from .malliavin import d_half, gamma0, minus_pseudo_inverse
 from .model import RademacherModel
-from .moments import even_moments, independent_sum_moments, sup_flip_pairing
+from .moments import sup_flip_pairing
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -118,21 +119,19 @@ def theorem_bounds(
 ) -> tuple[BoundReport, BoundReport]:
     """(Wasserstein, Kolmogorov) bound reports with their exact distances.
 
-    Every input comes from the independent pieces of the kernel
-    (``distance.integral_law``), so no 2**n table is built when the
-    support splits: the exact law is the fold of the piece laws, and for
-    centred pieces with moments (v_i, e4_i), E[F^2] = sum v_i and
-    E[F^4] = sum e4_i + 6 sum_{i<j} v_i v_j.  A support that joins all n
-    coordinates is one piece, and its moments and law come from the one
-    table of F.  The sup-influence is read off the kernel.  ``enum_cap``
-    bounds each piece and each partial sum of the law, not the horizon.
+    The law, E[F^2] and E[F^4] come from the independent pieces of the
+    kernel (``distance.integral_law``), so no 2**n table is built when the
+    support splits; a support that joins all n coordinates is one piece,
+    and its moments and law come from the one table of F.  The
+    sup-influence is read off the kernel.  ``enum_cap`` bounds each piece
+    and each partial sum of the law, not the horizon.
     """
     m = F.pure_order()
     if m is None or m == 0:
         raise DomainError("bound expects a pure multiple integral of order >= 1")
     f = F.kernel(m)
-    route = integral_law(f, model, caps, even_moments)
-    var, fourth = independent_sum_moments(route.stats)
+    route = integral_law(f, model, caps)
+    var, fourth = route.variance, route.fourth
     if abs(var - 1.0) > _NORMALIZATION_TOL:
         raise DomainError(
             f"input is not normalized: measured second moment {var!r}; "
@@ -387,8 +386,8 @@ def dejong_bound(
     The first (fourth moment) term is fully determined; the second carries
     the unspecified order constant kappa_m and is reported, not asserted.
     """
-    if kappa_m <= 0:
-        raise DomainError(f"kappa_m must be positive, got {kappa_m}")
+    if not (math.isfinite(kappa_m) and kappa_m > 0):
+        raise DomainError(f"kappa_m must be finite and positive, got {kappa_m}")
     mean = expectation(W, model, caps)
     second, fourth = even_moments(W, model, caps)
     var = second - mean**2

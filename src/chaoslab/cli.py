@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import bounds, construct, distance, io, moments, verify
-from .chaos import ChaosVector, integral_table, variance
+from .chaos import ChaosVector, integral_table
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapacityError, ChaoslabError, DomainError, FormatError
 from .kernels import support_plan
@@ -122,17 +122,13 @@ def cmd_counterexample(args) -> int:
         kern, model = construct.product_chaos_sequence(args.m, args.n)
         provenance = {"kind": args.kind, "m": args.m, "n": args.n}
 
-    table = integral_table(kern, model, caps)
-    var = variance(table, model, caps)
-    fourth = moments.moment(table, 4, model, caps)
-    wasserstein, kolmogorov = distance.normal_distances(
-        distance.exact_distribution(table, model, caps)
-    )
+    route = distance.integral_law(kern, model, caps)
+    wasserstein, kolmogorov = distance.normal_distances(route.law)
     report = dict(provenance)
     report.update(
         {
-            "variance": var,
-            "fourth_moment": fourth,
+            "variance": route.variance,
+            "fourth_moment": route.fourth,
             "sup_influence": kern.sup_influence(),
             "kolmogorov_distance": kolmogorov,
             "wasserstein_distance": wasserstein,
@@ -185,17 +181,17 @@ def cmd_moments(args) -> int:
 def cmd_distance(args) -> int:
     """Atoms, variance and exact distances of a kernel's integral.
 
-    The law comes from the kernel's independent pieces
-    (``distance.integral_law``) and the variance is the sum of theirs, so
-    the horizon may exceed ``enum_cap`` when every piece fits under it.
+    The law and the variance come from the kernel's independent pieces
+    (``distance.integral_law``), as in ``bound``, so the horizon may
+    exceed ``enum_cap`` when every piece fits under it.
     """
     caps = _caps_from_args(args)
     model, kern = _load_pair(args)
     if args.normalize:
         kern = kern.normalized()
-    route = distance.integral_law(kern, model, caps, variance)
+    route = distance.integral_law(kern, model, caps)
     law = route.law
-    report = {"atoms": len(law.atoms), "variance": sum(route.stats, 0.0)}
+    report = {"atoms": len(law.atoms), "variance": route.variance}
     if args.distance == "both":
         report["wasserstein_distance"], report["kolmogorov_distance"] = (
             distance.normal_distances(law)

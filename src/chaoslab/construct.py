@@ -114,8 +114,8 @@ def symmetric_counterexample(
         raise DomainError(f"order must be >= 2, got {m}")
     if n < 4:
         raise DomainError(f"requires n >= 4, got {n} (the uniform endpoint must exceed 3)")
-    if bisection_tol <= 0:
-        raise DomainError("bisection tolerance must be positive")
+    if not (math.isfinite(bisection_tol) and bisection_tol > 0):
+        raise DomainError(f"bisection tolerance must be finite and positive, got {bisection_tol}")
 
     b = uniform_sphere_point(2, n)
     c = first_coordinate_point(2, n)
@@ -131,8 +131,9 @@ def symmetric_counterexample(
     g_low = g_minus_3(c)
     g_high = g_minus_3(b)
     if not (g_low < 0.0 < g_high):
-        raise ArithmeticError(
-            f"endpoints do not bracket: g(c)-3 = {g_low}, g(b)-3 = {g_high}"
+        raise DomainError(
+            f"endpoints do not bracket g = 3 (tolerance {bisection_tol}): "
+            f"g(c)-3 = {g_low}, g(b)-3 = {g_high}"
         )
 
     lo, hi = 0.0, 1.0
@@ -155,7 +156,7 @@ def symmetric_counterexample(
             hi = theta
         brackets.append((lo, hi))
     else:
-        raise ArithmeticError(
+        raise DomainError(
             f"bisection did not reach tolerance {bisection_tol} in "
             f"{_MAX_BISECTION_STEPS} iterations; last residual {residual}"
         )

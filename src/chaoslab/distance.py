@@ -11,12 +11,13 @@ unstable sort of the values and one of their indices; the sort order inside
 a level only changes the order in which its weights are added, and the
 probabilities are renormalized by one numpy sum.
 
-The law of a multiple integral can also come without a 2^n table.  When
-the kernel's support splits into pieces that share no coordinate, F is a
-sum of independent integrals; ``integral_law`` builds each piece's law
-from a table over its own coordinates and folds the laws together, one
-outer sum of atoms at a time, through ``from_weighted_values``.  A
-support that joins all n coordinates is one piece, on the model itself.
+``integral_law`` is the one route from a kernel to its law and moments.
+When the support splits into pieces that share no coordinate, F is a sum
+of independent integrals and no 2^n table is built: each piece's table,
+over its own coordinates, gives its E[P^2], E[P^4] (``chaos.even_moments``)
+and law, and the laws fold together one outer sum of atoms at a time,
+through ``from_weighted_values``.  A support that joins all n coordinates
+is one piece, on the model itself.
 
 Both distances walk the atoms in numpy blocks of ``_BLOCK``.  On a block
 of at least ``_PHI_NUMPY`` atoms Phi comes from the numpy ``erfc`` (the
@@ -34,10 +35,11 @@ for bit the value with ``math.erfc`` but stays inside the tolerance the
 differential tests hold it to.  Phi^{-1} is evaluated only on the
 segments the CDF level crosses inside.  Each block's Wasserstein pieces
 are non-negative and are added by one numpy sum, and ``math.fsum`` adds
-the block sums.  ``normal_distances`` computes both distances from one
-walk that evaluates Phi once per atom, equal to the two separate walks
-bit for bit.  Blocks bound the temporaries of Phi, so the distances add
-no 2^n-sized memory.
+the block sums.  ``normal_distances`` is the one walk of both distances,
+with Phi once per atom; ``wasserstein_to_normal`` is its first value, and
+``kolmogorov_to_normal`` walks the gaps alone, equal to its second bit for
+bit.  Blocks bound the temporaries of Phi, so the distances add no
+2^n-sized memory.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .chaos import ValueTable, integral_table
+from .chaos import ValueTable, even_moments, integral_table
 from .config import Caps, DEFAULT_CAPS
 from .erfc import erfc
 from .errors import CapacityError, DomainError
@@ -227,34 +229,39 @@ def independent_pieces(f: Kernel) -> list[tuple[tuple[int, ...], list[Subset]]]:
 
 @dataclass(frozen=True)
 class IntegralLaw:
-    """The exact law of a multiple integral, assembled from its pieces.
+    """The exact law of a multiple integral and its central moments.
 
-    ``stats`` holds ``stat(table, piece_model, caps)`` of every piece in
-    piece order; a repeated piece repeats its entry.  ``dropped`` counts
-    the products of piece masses that underflowed to 0 and were left out.
+    ``variance`` and ``fourth`` are E[(F - E F)^2] and E[(F - E F)^4]: E[F^2]
+    and E[F^4] at order >= 1, where F is centred, and 0 for the constant of
+    an order-0 kernel.  ``dropped`` counts the
+    products of piece masses that underflowed to 0 and were left out.
     Each stood for outcomes of total mass below 2**-1074, so the law leaves
     out at most ``dropped * 2**-1074`` of mass before it is renormalized.
     """
 
     law: DistributionTable
-    stats: tuple
+    variance: float
+    fourth: float
     dropped: int
 
 
 def integral_law(
-    f: Kernel, model: RademacherModel, caps: Caps = DEFAULT_CAPS, stat=None
+    f: Kernel, model: RademacherModel, caps: Caps = DEFAULT_CAPS
 ) -> IntegralLaw:
-    """Exact law of the multiple integral of f, piece by piece.
+    """Exact law and central moments of the multiple integral of f.
 
     F = sum_i P_i over the ``independent_pieces`` of f, and the P_i are
     independent.  Each piece's table is built by ``integral_table`` on its
-    coordinates alone, relabelled 0..k-1 with their probabilities, and its
-    law by ``exact_distribution``; a piece equal to one already built,
+    coordinates alone, relabelled 0..k-1 with their probabilities; it gives
+    the piece's law (``exact_distribution``) and (v_i, e4_i) = (E[P_i^2],
+    E[P_i^4]) (``even_moments``).  A piece equal to one already built,
     kernel and probabilities alike, is built once.  The piece laws are
     folded together in piece order: each outer sum of atoms goes through
     ``from_weighted_values``, so every partial sum has one atom per
-    ``_levels`` level.  A support that joins all n coordinates is one
-    piece on the model itself, which is plain enumeration.
+    ``_levels`` level.  The odd cross moments vanish, so E[F^2] = sum v_i
+    and E[F^4] = sum e4_i + 3 ((sum v_i)^2 - sum v_i^2), summed by
+    ``math.fsum``.  A support that joins all n coordinates is one piece on
+    the model itself, which is plain enumeration.
 
     ``enum_cap`` bounds each piece's number of coordinates and each outer
     sum, at most 2**enum_cap atom pairs before it is merged; the horizon n
@@ -273,7 +280,7 @@ def integral_law(
             cap_value=caps.enum_cap,
             requested=widest,
         )
-    law, stats, dropped, built = None, [], 0, {}
+    law, parts, dropped, built = None, [], 0, {}
     for coords, subsets in pieces:
         # a piece is keyed by its probabilities and relabelled coefficients;
         # None is f on the model itself
@@ -290,11 +297,13 @@ def integral_law(
                 RademacherModel(key[0]),
             )
             table = integral_table(sub_f, sub_model, caps)
-            piece_stat = stat(table, sub_model, caps) if stat is not None else None
-            built[key] = piece_stat, exact_distribution(table, sub_model, caps)
+            built[key] = (
+                even_moments(table, sub_model, caps),
+                exact_distribution(table, sub_model, caps),
+            )
             del table
-        piece_stat, piece_law = built[key]
-        stats.append(piece_stat)
+        piece_moments, piece_law = built[key]
+        parts.append(piece_moments)
         if law is None:
             law = piece_law
         else:
@@ -302,7 +311,10 @@ def integral_law(
             dropped += lost
     if law is None:  # no coordinate: F is the constant of an order-0 kernel, or 0
         law = DistributionTable._owning(np.array([f.coeffs.get((), 0.0)]), np.ones(1))
-    return IntegralLaw(law, tuple(stats), dropped)
+    second = math.fsum(v for v, _ in parts)
+    cross = second * second - math.fsum(v * v for v, _ in parts)
+    fourth = math.fsum(e4 for _, e4 in parts) + 3.0 * cross
+    return IntegralLaw(law, second, fourth, dropped)
 
 
 def _convolve(
@@ -414,45 +426,31 @@ def _segment_sum(
     return float(seg.sum())
 
 
-def _wasserstein(atoms: np.ndarray, levels: np.ndarray, blocks) -> float:
-    """W1 from the ``_phi_blocks`` of the atoms: ``math.fsum`` adds both exact
-    tails and the per-block sums of the segment pieces."""
-    pieces, phi_before = [], None
-    for lo, phi in blocks:
-        if not lo:
-            pieces.append(_integral_cdf_below(float(atoms[0]), float(phi[0])))
-        pieces.append(_segment_sum(atoms, levels, lo, phi, phi_before))
-        phi_before = phi[-1]
-    pieces.append(_integral_sf_above(float(atoms[-1]), float(phi_before)))
-    return math.fsum(pieces)
-
-
 def normal_distances(dist: DistributionTable) -> tuple[float, float]:
     """(Wasserstein, Kolmogorov) distances to the normal from one block walk.
 
-    Phi is evaluated once per atom and feeds both; each equals the value of
-    ``wasserstein_to_normal`` and ``kolmogorov_to_normal`` bit for bit.
+    Each block gives its largest CDF gap (``_gap``) and the sum of its
+    closed-form W1 segments (``_segment_sum``); ``math.fsum`` adds both
+    exact tails and the segment sums, so W1 is limited only by the error of
+    Phi (see the module docstring) and the rounding of each piece and of
+    the per-block sums.  dK equals ``kolmogorov_to_normal`` bit for bit.
     """
     atoms, levels = dist.atoms, dist.cdf_levels
-    gaps = []
-
-    def blocks():
-        for lo, phi in _phi_blocks(atoms):
-            gaps.append(_gap(atoms, levels, lo, phi))
-            yield lo, phi
-
-    return _wasserstein(atoms, levels, blocks()), max(gaps)
+    gaps, pieces, phi_before = [], [], None
+    for lo, phi in _phi_blocks(atoms):
+        if not lo:
+            pieces.append(_integral_cdf_below(float(atoms[0]), float(phi[0])))
+        gaps.append(_gap(atoms, levels, lo, phi))
+        pieces.append(_segment_sum(atoms, levels, lo, phi, phi_before))
+        phi_before = phi[-1]
+    pieces.append(_integral_sf_above(float(atoms[-1]), float(phi_before)))
+    return math.fsum(pieces), max(gaps)
 
 
 def wasserstein_to_normal(dist: DistributionTable) -> float:
-    """L1 distance between the law's CDF and Phi over the whole line.
-
-    Segments between consecutive atoms integrate |level - Phi| in closed
-    form and both tails are exact, so the result is limited only by the
-    error of Phi (see the module docstring) and the rounding of each
-    piece and of the per-block sums.
-    """
-    return _wasserstein(dist.atoms, dist.cdf_levels, _phi_blocks(dist.atoms))
+    """L1 distance between the law's CDF and Phi over the whole line, from
+    the walk of ``normal_distances``."""
+    return normal_distances(dist)[0]
 
 
 def empirical_distances(samples) -> tuple[float, float, float]:

@@ -43,6 +43,7 @@ from .chaos import (
     ChaosVector,
     ValueTable,
     basis_coefficients,
+    even_moments,
     expectation,
     fold_coordinate,
     integral_table,
@@ -71,35 +72,6 @@ def moment(
     if r == 4:
         return even_moments(table, model, caps)[1]
     return float(np.dot(model.weights(caps), table.values**r))
-
-
-def even_moments(
-    table: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAPS
-) -> tuple[float, float]:
-    """(E[F^2], E[F^4]) off one squared table.
-
-    The fourth power squares the squares in place; numpy's generic power
-    ``v**4`` costs several times as much.  ``v**2`` is the same product as
-    ``v * v``, so E[F^2] equals ``moment(table, 2)`` bit for bit.
-    """
-    w = model.weights(caps)
-    sq = table.values * table.values
-    second = float(np.dot(w, sq))
-    sq *= sq
-    return second, float(np.dot(w, sq))
-
-
-def independent_sum_moments(parts) -> tuple[float, float]:
-    """(E[F^2], E[F^4]) of F = sum_i P_i for independent centred pieces
-    with moments (v_i, e4_i) = (E[P_i^2], E[P_i^4]), as from ``even_moments``.
-
-    E[F^2] = sum v_i and E[F^4] = sum e4_i + 6 sum_{i<j} v_i v_j, the last
-    as 3 ((sum v_i)^2 - sum v_i^2); the odd cross moments vanish.  The sums
-    are ``math.fsum``, and one piece gives its own moments unchanged.
-    """
-    second = math.fsum(v for v, _ in parts)
-    cross = second * second - math.fsum(v * v for v, _ in parts)
-    return second, math.fsum(e4 for _, e4 in parts) + 3.0 * cross
 
 
 def fourth_moment_factorized(

@@ -152,6 +152,20 @@ class TestSphereBisection:
         with pytest.raises(DomainError):
             symmetric_counterexample(1, 4)
 
+    def test_tolerance_must_be_finite_and_positive(self):
+        for tol in (math.nan, math.inf, 0.0, -1e-12):
+            with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+                symmetric_counterexample(2, 4, tol)
+
+    def test_unreachable_tolerance_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"tolerance 1e-300 .*last residual"):
+            symmetric_counterexample(2, 6, 1e-300)
+
+    def test_endpoints_that_do_not_bracket_are_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(SupportPlan, "fourth_moment", lambda self, values: 3.0)
+        with pytest.raises(DomainError, match=r"do not bracket g = 3 \(tolerance 1e-12\)"):
+            symmetric_counterexample(2, 4)
+
     def test_bound_still_dominates_constructed_law(self):
         kern, _ = symmetric_counterexample(2, 4)
         model = RademacherModel.symmetric(4)

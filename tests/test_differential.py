@@ -84,7 +84,6 @@ from chaoslab.moments import (
     even_moments,
     fourth_moment_factorized,
     fourth_moment_symmetric,
-    independent_sum_moments,
     kolmogorov_term,
     moment,
     quartic_gradient_sum,
@@ -1054,13 +1053,13 @@ def test_law_by_pieces_matches_enumeration(drawn):
     """
     f, model = drawn
     n = model.n
-    route = integral_law(f, model, stat=even_moments)
+    route = integral_law(f, model)
     table = integral_table(f, model)
     want = exact_distribution(table, model)
     pieces = independent_pieces(f)
     assert [frozenset(c) for c, _ in pieces] == oracle_independent_pieces(f)
     assert sorted(s for _, subsets in pieces for s in subsets) == sorted(k for k in f.coeffs if k)
-    assert len(route.stats) == len(pieces) and route.dropped == 0
+    assert route.dropped == 0
     if len(pieces) == 1 and pieces[0][0] == tuple(range(n)):
         assert np.array_equal(route.law.atoms, want.atoms)
         assert np.array_equal(route.law.probs, want.probs)
@@ -1080,7 +1079,7 @@ def test_law_by_pieces_matches_enumeration(drawn):
     assert abs(w1 - w1_want) <= width + mass_gap * spread + walks
     assert abs(dk - dk_want) <= 0.4 * width + mass_gap + walks
     if f.order >= 1:
-        second, fourth = independent_sum_moments(route.stats)
+        second, fourth = route.variance, route.fourth
         second_want, fourth_want = even_moments(table, model)
         assert abs(second - second_want) <= tolerance(2 * (n + 1), scale**2)
         assert abs(fourth - fourth_want) <= tolerance(4 * (n + 1), scale**4)
@@ -1095,10 +1094,11 @@ def test_law_by_pieces_builds_a_repeated_piece_once(monkeypatch):
         return integral_table(f, sub_model, caps)
 
     monkeypatch.setattr("chaoslab.distance.integral_table", counting)
-    route = integral_law(kern, model, stat=even_moments)
+    route = integral_law(kern, model)
     assert built == [2]
-    assert len(route.stats) == 6
-    assert independent_sum_moments(route.stats)[1] == pytest.approx(3.0 - 4.0 / 12, abs=1e-12)
+    # all six pieces enter the moments
+    assert route.variance == pytest.approx(1.0, abs=1e-12)
+    assert route.fourth == pytest.approx(3.0 - 4.0 / 12, abs=1e-12)
 
 
 SMALL_CAPS = Caps(enum_cap=6)
@@ -1137,7 +1137,7 @@ def test_law_by_pieces_drops_underflowed_masses_within_their_bound():
     n, p = 60, FLOOR
     model = RademacherModel.homogeneous(p, n)
     f = Kernel(1, n, {(i,): 1.0 for i in range(n)}).normalized()
-    route = integral_law(f, model, stat=even_moments)
+    route = integral_law(f, model)
     law = route.law
     assert route.dropped > 0 and np.all(law.probs > 0.0)
     a = f.coeffs[(0,)]

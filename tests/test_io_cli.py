@@ -21,6 +21,7 @@ from chaoslab.distance import (
 from chaoslab.moments import moment
 from chaoslab.errors import FormatError
 from chaoslab.kernels import SupportPlan
+from conftest import random_model
 
 
 @pytest.fixture
@@ -251,6 +252,21 @@ class TestCli:
         assert rc == 2
         assert "n >= 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, says",
+        [(["-n", "4", "--tol", "nan"], "finite and positive"),
+         (["-n", "6", "--tol", "1e-300"], "last residual")],
+    )
+    def test_counterexample_bisection_failures_exit_2(self, capsys, argv, says):
+        rc = cli.main(["counterexample", "--kind", "symmetric", "-m", "2", *argv])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and says in err
+
+    def test_counterexample_above_enum_cap_names_it(self, capsys):
+        rc = cli.main(["counterexample", "--kind", "product", "-m", "2", "-n", "30"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "enum_cap=24" in err and "spans 30 coordinates" in err
+
     def test_moments_engines_agree(self, fair_pair, capsys):
         kpath, mpath, *_ = fair_pair
         rc = cli.main(["moments", "--kernel", kpath, "--model", mpath,
@@ -348,6 +364,36 @@ class TestCli:
         assert report["term_rho_squared"] == pytest.approx(
             4 * f.sup_influence(), rel=1e-9
         )
+
+    def test_dejong_rejects_a_non_finite_kappa(self, fair_pair, capsys):
+        kpath, mpath, *_ = fair_pair
+        for kappa in ("nan", "inf"):
+            rc = cli.main(["dejong", "--kernel", kpath, "--model", mpath, "--kappa-m", kappa])
+            err = capsys.readouterr().err
+            assert rc == 2 and err.startswith("error: ") and "kappa_m" in err
+
+    def test_bound_and_distance_report_the_route_moments(self, tmp_path, rng, capsys):
+        # one kernel file through ``bound`` and ``distance``: both report
+        # E[F^2] and E[F^4] of ``integral_law`` bit for bit, whether the
+        # support splits into n order-1 pieces, into matched pairs, or not
+        cases = [(random_kernel(1, n, rng, normalized=True), random_model(rng, n))
+                 for n in (3, 5, 7, 8, 9, 10, 11, 12)]
+        cases += [matched_pairs_kernel(n) for n in (4, 10, 20)]
+        cases += [(random_kernel(m, n, rng, normalized=True), random_model(rng, n))
+                  for m, n in ((2, 6), (2, 9), (3, 8))]
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        argv = ["--kernel", str(kpath), "--model", str(mpath), "--json"]
+        for kern, model in cases:
+            io.dump_json(io.kernel_to_dict(kern), kpath)
+            io.dump_json(io.model_to_dict(model), mpath)
+            route = integral_law(kern, model)
+            assert cli.main(["bound", *argv]) == 0
+            text = capsys.readouterr().out
+            first, end = json.JSONDecoder().raw_decode(text)
+            for rep in (first, json.loads(text[end:])):
+                assert (rep["variance"], rep["fourth_moment"]) == (route.variance, route.fourth)
+            assert cli.main(["distance", *argv]) == 0
+            assert json.loads(capsys.readouterr().out)["variance"] == route.variance
 
     def test_capacity_error_names_cap(self, tmp_path, rng, capsys):
         f = random_kernel(2, 8, rng, normalized=True)

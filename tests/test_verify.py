@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,3 +80,21 @@ def test_names_select_checks_and_unknown_names_are_a_domain_error():
     assert [r.name for r in results] == ["constants", "normal_cdf"]
     with pytest.raises(DomainError, match="dual_engin, nope"):
         verify.run_suite(names=["constants", "nope", "dual_engin"])
+
+
+def test_verify_report_is_the_same_bytes_in_every_process():
+    # the default report is a function of the seed alone: two interpreters
+    # with different string hashing print it byte for byte alike
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hashseed)
+        done = subprocess.run(
+            [sys.executable, "-m", "chaoslab", "--json", "verify", "--seed", "3"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert '"seed": 3' in outs[0]
