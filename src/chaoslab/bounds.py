@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -31,13 +32,14 @@ from .chaos import (
     expectation,
     fold_coordinate,
     split_coordinate,
+    subset_orders,
     to_table,
     variance as table_variance,
 )
 from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .distance import integral_law, normal_distances
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .malliavin import d_half, gamma0, minus_pseudo_inverse
 from .model import RademacherModel
 from .moments import sup_flip_pairing
@@ -306,18 +308,54 @@ _DEGENERACY_TOL = 1e-10
 DEFAULT_KAPPA_M = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HoeffdingDecomposition:
     """Components W_J = c_J Y_J over subsets J of the coordinates W depends
-    on; ``components`` maps each J to its coefficient c_J = E[W * Y_J]."""
+    on, kept as the coefficient array ``coeffs`` (c_J = E[W * Y_J] at the
+    bitmask of J) of one ``basis_coefficients`` transform and the sorted
+    ``dependent`` coordinates.
+
+    ``component``, ``reconstruct``, ``degenerate_order`` and ``rho_squared``
+    read the array.  ``components``, the dict from each subset J of the
+    dependent coordinates (sizes ascending, each size in ``combinations``
+    order) to c_J, is built on first use and holds 2**d Python tuples for
+    d dependent coordinates, so it is guarded by ``stroock_cap``.
+    """
 
     model: RademacherModel
-    components: dict[tuple[int, ...], float]
+    coeffs: np.ndarray
+    dependent: tuple[int, ...]
+    caps: Caps = DEFAULT_CAPS
+
+    @cached_property
+    def components(self) -> dict[tuple[int, ...], float]:
+        d = len(self.dependent)
+        if d > self.caps.stroock_cap:
+            raise CapacityError(
+                f"{d} dependent coordinates exceed stroock_cap={self.caps.stroock_cap} "
+                "(the component dict holds all 2**d subsets)",
+                cap_name="stroock_cap",
+                cap_value=self.caps.stroock_cap,
+                requested=d,
+            )
+        return {
+            J: float(self.coeffs[sum(1 << i for i in J)])
+            for size in range(d + 1)
+            for J in combinations(self.dependent, size)
+        }
+
+    def _coefficient(self, J: tuple[int, ...]) -> float:
+        """c_J; zero when J is not a strictly increasing subset of the
+        dependent coordinates."""
+        J = tuple(J)
+        if list(J) != sorted(set(J)) or not set(J) <= set(self.dependent):
+            return 0.0
+        return float(self.coeffs[sum(1 << i for i in J)])
 
     def component(self, J: tuple[int, ...]) -> ValueTable:
         """The table of W_J; zero when J is not a component."""
         n = self.model.n
-        term = np.full(2**n, self.components.get(J, 0.0))
+        term = np.full(2**n, self._coefficient(J))
         for i in J:
             minus, plus = split_coordinate(term, i)
             minus *= self.model.y_minus[i]
@@ -325,54 +363,64 @@ class HoeffdingDecomposition:
         return ValueTable._owning(n, term)
 
     def reconstruct(self) -> ValueTable:
-        coeffs = np.zeros(2**self.model.n)
-        for J, c in self.components.items():
-            coeffs[sum(1 << i for i in J)] = c
-        return basis_synthesis(coeffs, self.model)
+        return basis_synthesis(self.coeffs, self.model)
 
 
-def hoeffding_decompose(W: ValueTable, model: RademacherModel) -> HoeffdingDecomposition:
+def hoeffding_decompose(
+    W: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAPS
+) -> HoeffdingDecomposition:
     """Hoeffding components read off the Walsh coefficients.
 
     For independent binary coordinates the component on J is a single
     basis term, W_J = E[W * Y_J] Y_J; only its coefficient is kept.
     Subsets holding a coordinate W does not depend on have c_J = 0 exactly
-    and are omitted.
+    and are not components.  ``caps.stroock_cap`` guards only the
+    ``components`` dict.
     """
     coeffs = basis_coefficients(W, model)
-    dependent = [k for k in range(model.n) if np.any(split_coordinate(coeffs, k)[1])]
-    components = {
-        J: float(coeffs[sum(1 << i for i in J)])
-        for size in range(len(dependent) + 1)
-        for J in combinations(dependent, size)
-    }
-    return HoeffdingDecomposition(model, components)
+    coeffs.flags.writeable = False
+    dependent = tuple(k for k in range(model.n) if np.any(split_coordinate(coeffs, k)[1]))
+    return HoeffdingDecomposition(model, coeffs, dependent, caps)
 
 
 def degenerate_order(H: HoeffdingDecomposition) -> int:
     """The unique component size carrying energy (sum of c_J^2), or an error."""
-    energy: dict[int, float] = {}
-    for J, c in H.components.items():
-        if J:
-            energy[len(J)] = energy.get(len(J), 0.0) + c * c
-    total = sum(energy.values())
-    live = [s for s, e in energy.items() if e > _DEGENERACY_TOL * (1.0 + total)]
+    c = H.coeffs
+    energy = np.bincount(subset_orders(H.model.n), weights=c * c)
+    # sizes above the number of dependent coordinates hold no component
+    per_size = {s: float(energy[s]) for s in range(1, len(H.dependent) + 1)}
+    total = sum(per_size.values())
+    live = [s for s, e in per_size.items() if e > _DEGENERACY_TOL * (1.0 + total)]
     if len(live) != 1:
         raise DomainError(
-            f"decomposition is not degenerate of a single order; energies {energy}"
+            f"decomposition is not degenerate of a single order; energies {per_size}"
         )
     return live[0]
 
 
 def rho_squared(H: HoeffdingDecomposition) -> float:
-    """max over coordinates j of sum of E[W_J^2] over components J owning j."""
+    """max over coordinates j of sum of E[W_J^2] over components J owning j.
+
+    Each coordinate's sum adds the c_J^2 of its order-m components in
+    ``combinations`` order, as ``components`` lists them; the zero
+    coefficients, which leave a sum of squares unchanged, are skipped.
+    """
     m = degenerate_order(H)
-    per_coord: dict[int, float] = {}
-    for J, c in H.components.items():
-        if len(J) == m:
-            for j in J:
-                per_coord[j] = per_coord.get(j, 0.0) + c * c
-    return max(per_coord.values()) if per_coord else 0.0
+    n = H.model.n
+    c = H.coeffs
+    masks = np.flatnonzero((subset_orders(n) == m) & (c != 0.0))
+    # the coordinates of each order-m subset in increasing order, one row
+    # per subset, and the rows in combinations (lexicographic) order
+    owners = np.empty((masks.size, m), dtype=np.intp)
+    rest = masks.copy()
+    for t in range(m):
+        lowest = rest & -rest
+        owners[:, t] = np.frexp(lowest)[1] - 1
+        rest ^= lowest
+    order = np.lexsort(owners.T[::-1])
+    per_coord = np.zeros(n)
+    np.add.at(per_coord, owners[order].ravel(), np.repeat(np.square(c[masks[order]]), m))
+    return float(per_coord.max())
 
 
 def dejong_bound(
@@ -395,7 +443,7 @@ def dejong_bound(
         raise DomainError(f"input is not normalized: variance {var!r}")
     if abs(mean) > _NORMALIZATION_TOL:
         raise DomainError(f"degenerate statistic must be centered; mean {mean!r}")
-    H = hoeffding_decompose(W, model)
+    H = hoeffding_decompose(W, model, caps)
     m = degenerate_order(H)
     rho2 = rho_squared(H)
     s2pi = math.sqrt(2.0 / math.pi)

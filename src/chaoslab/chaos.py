@@ -11,11 +11,22 @@ bitmask of S.  A single per-coordinate butterfly, O(n 2^n), maps a table
 to that array (``basis_coefficients``) and back (``basis_synthesis``):
 
 * ``to_table`` and ``integral_table`` place ``r! f_r(J)`` at bitmask J
-  and synthesize once;
+  with one scatter and synthesize once;
 * ``stroock_decompose`` analyzes once and reads ``f_r(J) = E[F Y_J] / r!``
   off the array.
 
-Every per-coordinate operation goes through ``split_coordinate``, which
+One pass driver, ``_butterfly``, runs both directions: one step per
+coordinate k = 0..n-1, each an elementwise operation on the pairs of
+entries that differ in bit k.  The halves of a low coordinate are short
+strided runs, which numpy walks slowly, so from ``_ROTATE_FROM``
+coordinates on the driver rotates the index bits of each half of the
+table through the half-sized scratch, putting the next group of
+coordinates at the top bits before their steps run; the last rotation
+restores the bitmask order.  A step sees the same pairs and does the same
+arithmetic in any layout, and the coordinates keep their order for every
+pair, so every table and coefficient is the plain loop's bit for bit, and
+the peak stays at the array plus the scratch.  Every step, like every
+other per-coordinate operation, goes through ``split_coordinate``, which
 views a table as its ``X_k = -1`` and ``X_k = +1`` halves.
 
 A table's array is copied once.  The public ``ValueTable`` constructor
@@ -30,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,10 +51,27 @@ from .kernels import Kernel, zero_kernel
 from .model import RademacherModel, split_coordinate
 
 
-# elements per operand buffer of a numpy ufunc; numpy buffers the halves of
-# coordinates 1..11, whose contiguous runs are short, in blocks of this size,
-# and its default of 8192 costs 64 KB per operand
+# elements per operand buffer of a numpy ufunc; on the plain loop numpy
+# buffers the halves of coordinates 1..11, whose contiguous runs are short,
+# in blocks of this size, and its default of 8192 costs 64 KB per operand
 _UFUNC_BUFFER = 1024
+# horizon from which ``_butterfly`` rotates: on a 2-CPU host a synthesis
+# plus an analysis took 487 us rotated and 530 us looped at n = 12 (medians
+# of 30 alternating runs, 26 won) and 427 against 363 us at n = 11 (2 won),
+# where the rotations' calls cost more than the short runs
+_ROTATE_FROM = 12
+# fewest coordinates per rotation; synthesis took 1.26 and 2.16 ms at
+# n = 16 and 17 with 3, and 1.55 and 2.31 ms with 4
+_GROUP = 3
+# halves whose contiguous runs hold at least 2**_LONG_RUN entries step at
+# full speed (looped at n = 22: 5-8 ms per coordinate from 12 on, 11-16 ms
+# for 8..11), so larger tables rotate larger groups: synthesis took 158 and
+# 937 ms at n = 22 and 24, against 171 and 1052 ms in groups of 3
+_LONG_RUN = 12
+# entries per block of a rotation's transposing copy, whose reads then stay
+# in cache: rotating a table by 3 bits took 52 ms at n = 24 (105 ms in one
+# copy, 81 ms in blocks of 2**19) and 7.8 ms at n = 22 (16.4 ms)
+_ROTATE_BLOCK = 1 << 17
 
 
 def _frozen(horizon: int, v: np.ndarray) -> np.ndarray:
@@ -249,22 +278,15 @@ def basis_coefficients(table: ValueTable, model: RademacherModel) -> np.ndarray:
     One butterfly pass per coordinate: writing F = A + B * Y_k along
     coordinate k gives A = p F+ + q F- (the conditional mean) and
     B = sqrt(pq) (F+ - F-) (the discrete gradient).  The pass runs in place
-    on one copy of the table, with one half-sized scratch array shared by
-    all coordinates; q F- + p F+ is the same float as p F+ + q F-.
+    on one copy of the table (see ``_butterfly``); q F- + p F+ is the same
+    float as p F+ + q F-.
     """
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
     c = table.values.copy()
-    scratch = np.empty(c.size // 2)
     buffer = np.setbufsize(_UFUNC_BUFFER)
     try:
-        for k in range(model.n):
-            minus, plus = split_coordinate(c, k)
-            diff = np.subtract(plus, minus, out=scratch.reshape(minus.shape))
-            plus *= model.p[k]
-            minus *= model.q[k]
-            minus += plus
-            np.multiply(diff, model.sqrt_pq[k], out=plus)
+        _butterfly(c, model, _analysis_step)
     finally:
         np.setbufsize(buffer)
     return c
@@ -280,37 +302,106 @@ def basis_synthesis(coeffs: np.ndarray, model: RademacherModel) -> ValueTable:
 
 def _synthesize(v: np.ndarray, model: RademacherModel) -> ValueTable:
     """``basis_synthesis`` in place on ``v``, a float coefficient array of
-    the model's size that nothing else holds; the table takes ``v``.
-
-    Per coordinate, F- = A + B y_minus and F+ = A + B y_plus, with one
-    half-sized scratch array shared by all coordinates.
-    """
-    scratch = np.empty(v.size // 2)
-    for k in range(model.n):
-        minus, plus = split_coordinate(v, k)
-        at_minus = np.multiply(plus, model.y_minus[k], out=scratch.reshape(minus.shape))
-        plus *= model.y_plus[k]
-        plus += minus
-        minus += at_minus
+    the model's size that nothing else holds; the table takes ``v``."""
+    _butterfly(v, model, _synthesis_step)
     return ValueTable._owning(model.n, v)
+
+
+def _analysis_step(minus, plus, tmp, model: RademacherModel, k: int) -> None:
+    """(F-, F+) -> (A, B) = (p F+ + q F-, sqrt(pq) (F+ - F-)) along coordinate k."""
+    np.subtract(plus, minus, out=tmp)
+    plus *= model.p[k]
+    minus *= model.q[k]
+    minus += plus
+    np.multiply(tmp, model.sqrt_pq[k], out=plus)
+
+
+def _synthesis_step(minus, plus, tmp, model: RademacherModel, k: int) -> None:
+    """(A, B) -> (F-, F+) = (A + B y_minus, A + B y_plus) along coordinate k."""
+    np.multiply(plus, model.y_minus[k], out=tmp)
+    plus *= model.y_plus[k]
+    plus += minus
+    minus += tmp
+
+
+def _butterfly(v: np.ndarray, model: RademacherModel, step) -> None:
+    """Run ``step(minus, plus, tmp, model, k)`` on the halves of ``v`` along
+    each coordinate k = 0..n-1 in turn, in place; ``tmp`` is a view of one
+    half-sized scratch array.
+
+    From ``_ROTATE_FROM`` coordinates on, the steps of coordinates 0..n-2,
+    which never pair entries of different halves of ``v``, run on one half
+    at a time.  Before each group of them the half's index bits are rotated
+    right by the group's size, which puts the group at the top bits, where
+    its halves are long contiguous runs.  Each rotation is one transposing
+    copy between the half and the scratch, and the other of the two serves
+    as ``tmp``.  The group sizes sum to n-1, so the last rotation restores
+    the bitmask order (one copy moves the half back from the scratch when
+    the number of groups is odd).  Groups hold ``_GROUP`` coordinates, or
+    more on large tables, as many as keeps each run at 2**_LONG_RUN
+    entries.
+    """
+    n = model.n
+    scratch = np.empty(v.size // 2)
+    if n < _ROTATE_FROM:
+        for k in range(n):
+            minus, plus = split_coordinate(v, k)
+            step(minus, plus, scratch.reshape(minus.shape), model, k)
+        return
+    top = n - 1
+    size = max(_GROUP, top - _LONG_RUN)
+    for half in v.reshape(2, -1):
+        # the steps below the top coordinate stay inside one half; its data
+        # moves between the half and the scratch at each rotation
+        data, free = half, scratch
+        for first in range(0, top, size):
+            g = min(size, top - first)
+            _rotate(data, free, g)
+            data, free = free, data
+            tmp = free[: data.size // 2]
+            for j in range(g):
+                minus, plus = split_coordinate(data, top - g + j)
+                step(minus, plus, tmp.reshape(minus.shape), model, first + j)
+        if data is not half:
+            half[...] = data
+    minus, plus = split_coordinate(v, top)
+    step(minus, plus, scratch.reshape(minus.shape), model, top)
+
+
+def _rotate(src: np.ndarray, dst: np.ndarray, g: int) -> None:
+    """``dst`` = ``src`` with its index bits rotated right by g.
+
+    Entry hi * 2**g + lo moves to lo * 2**(bits-g) + hi: a transpose of the
+    (2**(bits-g), 2**g) view, copied ``_ROTATE_BLOCK`` entries at a time so
+    that the rows each block reads stay in cache while its 2**g strided
+    passes run.
+    """
+    rows = src.reshape(-1, 1 << g)
+    cols = dst.reshape(1 << g, -1)
+    block = max(_ROTATE_BLOCK >> g, 1)
+    for i in range(0, len(rows), block):
+        cols[:, i : i + block] = rows[i : i + block].T
 
 
 def coefficient_array(F: ChaosVector) -> np.ndarray:
     """Basis coefficients E[F * Y_J] = r! f_r(J) of a chaos vector, by bitmask."""
     c = np.zeros(2**F.horizon)
     for r, kern in enumerate(F.kernels):
-        fac = math.factorial(r)
-        for key, v in kern.coeffs.items():
-            c[sum(1 << i for i in key)] = fac * v
+        size = len(kern.coeffs)
+        if size:
+            keys = np.fromiter(chain.from_iterable(kern.coeffs), np.int64, size * r)
+            values = np.fromiter(kern.coeffs.values(), float, size)
+            c[(1 << keys.reshape(size, r)).sum(axis=1)] = float(math.factorial(r)) * values
     return c
 
 
 def subset_orders(n: int) -> np.ndarray:
     """The size |S| of every subset S of n coordinates, by bitmask."""
-    r = np.zeros(2**n, dtype=np.intp)
+    r = np.empty(2**n, dtype=np.intp)
+    r[0] = 0
+    # the masks in [2**k, 2**(k+1)) are those below 2**k with bit k added
     for k in range(n):
-        _, plus = split_coordinate(r, k)
-        plus += 1
+        np.add(r[: 1 << k], 1, out=r[1 << k : 2 << k])
     return r
 
 

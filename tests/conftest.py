@@ -5,9 +5,11 @@ over outcomes and tuples directly, or take the slower route the library
 replaced (the multiple integral evaluated one outcome at a time, the
 squared norms of a symmetrized tensor weighted by multiset orderings,
 one product table per subset, inclusion-exclusion over
-conditional expectations, the alternative pathwise forms of the generator
-and the squared field, the quadruple expansion of the fourth moment and
-the expansion of F**2 over all pairs of subsets, the contraction sum of the
+conditional expectations, the Walsh butterfly as a plain per-coordinate
+loop, the Hoeffding read-out as a dict over every subset, the alternative
+pathwise forms of the generator and the squared field, the quadruple
+expansion of the fourth moment and the expansion of F**2 over all pairs
+of subsets, the contraction sum of the
 tensor-square residual over explicit tuples, the sparse multiply-and-project
 route to the projection variances of F**2,
 the law by a stable sort with an fsum renormalization,
@@ -44,6 +46,7 @@ from chaoslab import (
     variance,
     y_moment,
 )
+from chaoslab.bounds import _DEGENERACY_TOL
 from chaoslab.chaos import join_coordinate, split_coordinate
 from chaoslab.distance import _MERGE_TOL, DistributionTable, normal_cdf
 from chaoslab.malliavin import d, gamma0, minus_pseudo_inverse
@@ -216,6 +219,74 @@ def oracle_hoeffding(W: ValueTable, model: RademacherModel) -> dict:
                     acc += (-1.0 if (size - ksize) % 2 else 1.0) * cond[K]
             out[J] = acc
     return out
+
+
+def oracle_basis_coefficients(values: np.ndarray, model: RademacherModel) -> np.ndarray:
+    """The analysis butterfly as a plain in-place loop over coordinates,
+    each on the ``split_coordinate`` halves of one copy of the table."""
+    c = np.array(values, dtype=float)
+    for k in range(model.n):
+        minus, plus = split_coordinate(c, k)
+        diff = plus - minus
+        plus *= model.p[k]
+        minus *= model.q[k]
+        minus += plus
+        np.multiply(diff, model.sqrt_pq[k], out=plus)
+    return c
+
+
+def oracle_basis_synthesis(coeffs: np.ndarray, model: RademacherModel) -> np.ndarray:
+    """The synthesis butterfly as a plain in-place loop over coordinates."""
+    v = np.array(coeffs, dtype=float)
+    for k in range(model.n):
+        minus, plus = split_coordinate(v, k)
+        at_minus = plus * model.y_minus[k]
+        plus *= model.y_plus[k]
+        plus += minus
+        minus += at_minus
+    return v
+
+
+def oracle_coefficient_array(F: ChaosVector) -> np.ndarray:
+    """r! f_r(J) stored one key at a time at the bitmask of J."""
+    c = np.zeros(2**F.horizon)
+    for r, kern in enumerate(F.kernels):
+        for key, v in kern.coeffs.items():
+            c[sum(1 << i for i in key)] = math.factorial(r) * v
+    return c
+
+
+def oracle_walsh_components(coeffs: np.ndarray, n: int) -> dict:
+    """c_J for every subset J of the coordinates some nonzero coefficient
+    holds, sizes ascending and each size in ``combinations`` order."""
+    dependent = [k for k in range(n) if np.any(split_coordinate(coeffs, k)[1])]
+    return {
+        J: float(coeffs[sum(1 << i for i in J)])
+        for size in range(len(dependent) + 1)
+        for J in combinations(dependent, size)
+    }
+
+
+def oracle_degenerate_order(components: dict) -> tuple[int | None, dict]:
+    """The one size whose energy (sum of c_J^2 in dict order) exceeds
+    _DEGENERACY_TOL (1 + total), or None, and the energies."""
+    energy: dict[int, float] = {}
+    for J, c in components.items():
+        if J:
+            energy[len(J)] = energy.get(len(J), 0.0) + c * c
+    total = sum(energy.values())
+    live = [s for s, e in energy.items() if e > _DEGENERACY_TOL * (1.0 + total)]
+    return (live[0] if len(live) == 1 else None), energy
+
+
+def oracle_rho_squared(components: dict, m: int) -> float:
+    """max over j of the sum, in dict order, of c_J^2 over |J| = m owning j."""
+    per_coord: dict[int, float] = {}
+    for J, c in components.items():
+        if len(J) == m:
+            for j in J:
+                per_coord[j] = per_coord.get(j, 0.0) + c * c
+    return max(per_coord.values()) if per_coord else 0.0
 
 
 def oracle_projection_variances(F: ChaosVector, model: RademacherModel) -> list[float]:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from chaoslab import (
+    Caps,
+    CapacityError,
     ChaosVector,
     DomainError,
     Kernel,
@@ -440,6 +442,47 @@ class TestHoeffding:
         assert int(out[0]) == 2**12
         assert float(out[1]) < 5.0
 
+    def test_route_memory_at_n18_stays_off_the_component_dict(self):
+        # the energies and rho**2 come off the coefficient array: ru_maxrss
+        # grows by about 3 tables of 2**18 floats, where the dict over all
+        # 2**18 subsets took 24.5 tables (49 MB); measured in a fresh process
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from chaoslab import RademacherModel, integral_table, random_kernel
+            from chaoslab.bounds import hoeffding_decompose, rho_squared
+            rng = np.random.default_rng(7)
+            model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 18)))
+            W = integral_table(random_kernel(2, 18, rng, normalized=True), model)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            H = hoeffding_decompose(W, model)
+            rho_squared(H)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) * 1024 / (8 * 2**18), "components" in H.__dict__)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        ).stdout.split()
+        assert float(out[0]) <= 6.0
+        assert out[1] == "False"
+
+    def test_component_dict_is_capped_by_stroock_cap(self, rng):
+        model = random_model(rng, 15)
+        H = hoeffding_decompose(integral_table(random_kernel(1, 15, rng), model), model)
+        assert H.dependent == tuple(range(15))
+        with pytest.raises(CapacityError, match="stroock_cap") as info:
+            H.components
+        assert (info.value.cap_name, info.value.cap_value, info.value.requested) == (
+            "stroock_cap", 14, 15
+        )
+        assert degenerate_order(H) == 1
+        small = hoeffding_decompose(H.reconstruct(), model, Caps(stroock_cap=15))
+        assert len(small.components) == 2**15
+
 
 class TestDeJong:
     def test_rho_of_single_subset_is_variance(self, rng):
@@ -494,6 +537,14 @@ class TestDeJong:
             dw = wasserstein_to_normal(exact_distribution(W, model))
             dominated.append(dw <= rep.bound_value)
         assert isinstance(dominated[0], bool)
+
+    def test_bound_above_stroock_cap(self, rng):
+        # n = 16 > stroock_cap: the bound never builds the component dict
+        model = random_model(rng, 16)
+        f = random_kernel(2, 16, rng, normalized=True)
+        rep = dejong_bound(integral_table(f, model), model)
+        assert rep.order == 2
+        assert rep.terms["rho_squared"] == pytest.approx(4.0 * f.sup_influence(), rel=1e-10)
 
     def test_kappa_validation(self, rng):
         model = random_model(rng, 5)

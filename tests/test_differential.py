@@ -54,7 +54,13 @@ from chaoslab.bounds import (
 )
 from chaoslab.construct import matched_pairs_kernel
 from chaoslab.kernels import SupportPlan, support_plan
-from chaoslab.chaos import join_coordinate, split_coordinate, subset_orders
+from chaoslab.chaos import (
+    _ROTATE_FROM,
+    basis_synthesis,
+    join_coordinate,
+    split_coordinate,
+    subset_orders,
+)
 from chaoslab.distance import (
     _BLOCK,
     _MERGE_TOL,
@@ -92,6 +98,10 @@ from chaoslab.moments import (
 )
 from conftest import (
     oracle_abstract_bounds,
+    oracle_basis_coefficients,
+    oracle_basis_synthesis,
+    oracle_coefficient_array,
+    oracle_degenerate_order,
     oracle_flip_thresholds,
     oracle_fourth_moment_pairs,
     oracle_fourth_moment_quadruple,
@@ -104,9 +114,11 @@ from conftest import (
     oracle_multiset_norms,
     oracle_projection_variances,
     oracle_quartic_gradient_sum,
+    oracle_rho_squared,
     oracle_squared_field,
     oracle_sup_flip_pairing,
     oracle_tensor_square_norms,
+    oracle_walsh_components,
     random_chaos,
     oracle_wasserstein,
 )
@@ -233,6 +245,77 @@ def test_squared_fields_match_skew_form(inst):
     assert np.abs(gamma0(tf, tg, model).values - want).max() <= tolerance(n + 1, pathwise_scale)
     spectral_scale = magnitude(F, model) * magnitude(G, model)
     assert np.abs(gamma(F, G, model).values - want).max() <= tolerance(n + 1, spectral_scale)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# horizons on both sides of the butterfly's rotation threshold
+walsh_models = st.integers(1, 14).flatmap(
+    lambda n: st.one_of(
+        st.just(RademacherModel.symmetric(n)),
+        st.lists(probs, min_size=n, max_size=n).map(lambda p: RademacherModel(tuple(p))),
+    )
+)
+
+
+@given(walsh_models, st.sampled_from(["random", "zero", "chaos"]), st.integers(0, 2**32 - 1))
+@example(RademacherModel.homogeneous(FLOOR, _ROTATE_FROM - 1), "chaos", 1)
+@example(RademacherModel.homogeneous(1.0 - FLOOR, _ROTATE_FROM), "chaos", 2)
+@example(RademacherModel.symmetric(14), "zero", 3)
+@settings(max_examples=60, deadline=None)
+def test_walsh_butterfly_matches_the_plain_loop_bit_for_bit(model, kind, seed):
+    assert 1 < _ROTATE_FROM <= 14
+    n, rng = model.n, np.random.default_rng(seed)
+    values = np.zeros(2**n) if kind == "zero" else rng.standard_normal(2**n)
+    F = random_chaos(rng, n, top=min(3, n), centered=False)
+    if kind == "zero":
+        F = ChaosVector.from_kernel(zero_kernel(min(2, n), n))
+    want = oracle_basis_synthesis(oracle_coefficient_array(F), model)
+    assert np.array_equal(bits(to_table(F, model).values), bits(want))
+    want = oracle_basis_synthesis(values, model)
+    assert np.array_equal(bits(basis_synthesis(values, model).values), bits(want))
+    want = oracle_basis_coefficients(values, model)
+    assert np.array_equal(bits(basis_coefficients(ValueTable(n, values), model)), bits(want))
+
+
+@given(instances(n_max=12), st.sampled_from(["integral", "sparse", "table", "zero"]))
+@settings(max_examples=60, deadline=None)
+def test_hoeffding_read_off_the_array_matches_the_dict_loops(inst, kind):
+    # the dict over every subset of the dependent coordinates is the route
+    # the array read-out replaced; a sparse kernel leaves coordinates out
+    model, rng = inst
+    n = model.n
+    m = int(rng.integers(1, min(3, n) + 1))
+    if kind == "table":
+        W = ValueTable(n, rng.standard_normal(2**n))
+    elif kind == "zero":
+        W = ValueTable(n, np.zeros(2**n))
+    else:
+        W = integral_table(random_kernel(m, n, rng, density=0.3 if kind == "sparse" else 1.0), model)
+    H = hoeffding_decompose(W, model)
+    want = oracle_walsh_components(oracle_basis_coefficients(W.values, model), n)
+    assert list(H.components) == list(want)
+    assert np.array_equal(bits(list(H.components.values())), bits(list(want.values())))
+    order, _ = oracle_degenerate_order(want)
+    if order is None:
+        with pytest.raises(DomainError, match="single order"):
+            degenerate_order(H)
+    else:
+        assert degenerate_order(H) == order
+        assert rho_squared(H).hex() == oracle_rho_squared(want, order).hex()
+    placed = np.zeros(2**n)
+    for J, c in want.items():
+        placed[sum(1 << i for i in J)] = c
+    assert np.array_equal(bits(H.reconstruct().values), bits(basis_synthesis(placed, model).values))
+    J = list(want)[int(rng.integers(len(want)))]
+    term = np.full(2**n, want[J])
+    for i in J:
+        minus, plus = split_coordinate(term, i)
+        minus *= model.y_minus[i]
+        plus *= model.y_plus[i]
+    assert np.array_equal(bits(H.component(J).values), bits(term))
 
 
 @given(instances(), st.booleans())
