@@ -319,7 +319,9 @@ class HoeffdingDecomposition:
     read the array.  ``components``, the dict from each subset J of the
     dependent coordinates (sizes ascending, each size in ``combinations``
     order) to c_J, is built on first use and holds 2**d Python tuples for
-    d dependent coordinates, so it is guarded by ``stroock_cap``.
+    d dependent coordinates, so it is guarded by ``stroock_cap``.  The
+    subset sizes ``orders`` and the degenerate ``order`` are also computed
+    once, on first use.
     """
 
     model: RademacherModel
@@ -343,6 +345,29 @@ class HoeffdingDecomposition:
             for size in range(d + 1)
             for J in combinations(self.dependent, size)
         }
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """|J| of every subset J, by bitmask (``chaos.subset_orders``)."""
+        r = subset_orders(self.model.n)
+        r.flags.writeable = False
+        return r
+
+    @cached_property
+    def order(self) -> int:
+        """The unique component size carrying energy (sum of c_J^2); raises
+        ``DomainError`` when there is none or more than one."""
+        c = self.coeffs
+        energy = np.bincount(self.orders, weights=c * c)
+        # sizes above the number of dependent coordinates hold no component
+        per_size = {s: float(energy[s]) for s in range(1, len(self.dependent) + 1)}
+        total = sum(per_size.values())
+        live = [s for s, e in per_size.items() if e > _DEGENERACY_TOL * (1.0 + total)]
+        if len(live) != 1:
+            raise DomainError(
+                f"decomposition is not degenerate of a single order; energies {per_size}"
+            )
+        return live[0]
 
     def _coefficient(self, J: tuple[int, ...]) -> float:
         """c_J; zero when J is not a strictly increasing subset of the
@@ -385,17 +410,7 @@ def hoeffding_decompose(
 
 def degenerate_order(H: HoeffdingDecomposition) -> int:
     """The unique component size carrying energy (sum of c_J^2), or an error."""
-    c = H.coeffs
-    energy = np.bincount(subset_orders(H.model.n), weights=c * c)
-    # sizes above the number of dependent coordinates hold no component
-    per_size = {s: float(energy[s]) for s in range(1, len(H.dependent) + 1)}
-    total = sum(per_size.values())
-    live = [s for s, e in per_size.items() if e > _DEGENERACY_TOL * (1.0 + total)]
-    if len(live) != 1:
-        raise DomainError(
-            f"decomposition is not degenerate of a single order; energies {per_size}"
-        )
-    return live[0]
+    return H.order
 
 
 def rho_squared(H: HoeffdingDecomposition) -> float:
@@ -405,10 +420,10 @@ def rho_squared(H: HoeffdingDecomposition) -> float:
     ``combinations`` order, as ``components`` lists them; the zero
     coefficients, which leave a sum of squares unchanged, are skipped.
     """
-    m = degenerate_order(H)
+    m = H.order
     n = H.model.n
     c = H.coeffs
-    masks = np.flatnonzero((subset_orders(n) == m) & (c != 0.0))
+    masks = np.flatnonzero((H.orders == m) & (c != 0.0))
     # the coordinates of each order-m subset in increasing order, one row
     # per subset, and the rows in combinations (lexicographic) order
     owners = np.empty((masks.size, m), dtype=np.intp)

@@ -17,24 +17,35 @@ to that array (``basis_coefficients``) and back (``basis_synthesis``):
 
 One pass driver, ``_butterfly``, runs both directions: one step per
 coordinate k = 0..n-1, each an elementwise operation on the pairs of
-entries that differ in bit k.  The halves of a low coordinate are short
-strided runs, which numpy walks slowly, so from ``_ROTATE_FROM``
-coordinates on the driver rotates the index bits of each half of the
-table through the half-sized scratch, putting the next group of
-coordinates at the top bits before their steps run; the last rotation
-restores the bitmask order.  A step sees the same pairs and does the same
-arithmetic in any layout, and the coordinates keep their order for every
-pair, so every table and coefficient is the plain loop's bit for bit, and
-the peak stays at the array plus the scratch.  Every step, like every
-other per-coordinate operation, goes through ``split_coordinate``, which
-views a table as its ``X_k = -1`` and ``X_k = +1`` halves.
+entries that differ in bit k.  It has two paths:
+
+* below ``_ROTATE_FROM`` coordinates each step is one self-sorting pass
+  over the whole table (Stockham's layout): the pairs along bit 0 are the
+  table's two stride-2 views, and the step writes its two results to the
+  contiguous halves of a second, same-sized array, which the next pass
+  reads.  A pass rotates the index bits right by one, so the next
+  coordinate sits at bit 0, and after n passes the table is back in
+  bitmask order.  The peak is the array plus that one buffer.
+* from ``_ROTATE_FROM`` on, the low coordinates' halves, short strided
+  runs that numpy walks slowly, are put at the top bits of each half of
+  the table by rotating its index bits through a half-sized scratch
+  before each group of steps runs in place; the last rotation restores
+  the bitmask order.  The peak is the array plus the half-sized scratch.
+
+A step sees the same pairs and does the same arithmetic in any layout,
+the coordinates keep their order for every pair, and the out-of-place
+steps of the first path round every entry as the in-place steps of the
+second do, so every table and coefficient is the plain loop's over
+``split_coordinate``'s halves bit for bit.  Every per-coordinate operation
+outside the butterfly goes through ``split_coordinate``, which views a
+table as its ``X_k = -1`` and ``X_k = +1`` halves.
 
 A table's array is copied once.  The public ``ValueTable`` constructor
 copies its input; arithmetic, the butterfly and the Malliavin operators
 hand over the array they have just allocated (``ValueTable._owning``),
-with the same shape and finiteness checks.  ``to_table`` synthesizes in
-place on its own coefficient array, so its peak is that array plus a
-half-sized scratch.
+with the same shape and finiteness checks.  ``to_table`` synthesizes on
+its own coefficient array, so its peak is that array plus the butterfly's
+buffer: a second table below ``_ROTATE_FROM``, half a table from it on.
 """
 
 from __future__ import annotations
@@ -51,15 +62,20 @@ from .kernels import Kernel, zero_kernel
 from .model import RademacherModel, split_coordinate
 
 
-# elements per operand buffer of a numpy ufunc; on the plain loop numpy
-# buffers the halves of coordinates 1..11, whose contiguous runs are short,
-# in blocks of this size, and its default of 8192 costs 64 KB per operand
+# elements per operand buffer of a numpy ufunc; numpy buffers the 2-D
+# halves of the rotated path's steps in blocks of this size, and its default
+# of 8192 costs 64 KB per operand (``basis_coefficients`` peaked at 2.27
+# tables at n = 14 with it, 1.52 with this); the self-sorting passes' 1-D
+# views are not buffered
 _UFUNC_BUFFER = 1024
-# horizon from which ``_butterfly`` rotates: on a 2-CPU host a synthesis
-# plus an analysis took 487 us rotated and 530 us looped at n = 12 (medians
-# of 30 alternating runs, 26 won) and 427 against 363 us at n = 11 (2 won),
-# where the rotations' calls cost more than the short runs
-_ROTATE_FROM = 12
+# horizon from which ``_butterfly`` rotates instead of running self-sorting
+# passes: on a 2-CPU host a synthesis plus an analysis took 504 us
+# self-sorted and 827 us rotated at n = 13, 807 against 1099 us at n = 14
+# (medians of 30 alternating runs, 30 and 29 won), 1475 against 1460 us at
+# n = 15 (15 won) and 4712 against 3402 us at n = 16 (1 won); rotating
+# from n = 14, short of that break-even, keeps the peak at the half-sized
+# scratch instead of a second table from there on
+_ROTATE_FROM = 14
 # fewest coordinates per rotation; synthesis took 1.26 and 2.16 ms at
 # n = 16 and 17 with 3, and 1.55 and 2.31 ms with 4
 _GROUP = 3
@@ -277,19 +293,17 @@ def basis_coefficients(table: ValueTable, model: RademacherModel) -> np.ndarray:
 
     One butterfly pass per coordinate: writing F = A + B * Y_k along
     coordinate k gives A = p F+ + q F- (the conditional mean) and
-    B = sqrt(pq) (F+ - F-) (the discrete gradient).  The pass runs in place
-    on one copy of the table (see ``_butterfly``); q F- + p F+ is the same
-    float as p F+ + q F-.
+    B = sqrt(pq) (F+ - F-) (the discrete gradient).  The passes run on one
+    copy of the table (see ``_butterfly``); q F- + p F+ is the same float
+    as p F+ + q F-.
     """
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
-    c = table.values.copy()
     buffer = np.setbufsize(_UFUNC_BUFFER)
     try:
-        _butterfly(c, model, _analysis_step)
+        return _butterfly(table.values.copy(), model, _analysis_step, _analysis_pass)
     finally:
         np.setbufsize(buffer)
-    return c
 
 
 def basis_synthesis(coeffs: np.ndarray, model: RademacherModel) -> ValueTable:
@@ -301,10 +315,10 @@ def basis_synthesis(coeffs: np.ndarray, model: RademacherModel) -> ValueTable:
 
 
 def _synthesize(v: np.ndarray, model: RademacherModel) -> ValueTable:
-    """``basis_synthesis`` in place on ``v``, a float coefficient array of
-    the model's size that nothing else holds; the table takes ``v``."""
-    _butterfly(v, model, _synthesis_step)
-    return ValueTable._owning(model.n, v)
+    """``basis_synthesis`` of ``v``, a float coefficient array of the
+    model's size that nothing else holds and that the butterfly may
+    overwrite; the table takes the array that holds the result."""
+    return ValueTable._owning(model.n, _butterfly(v, model, _synthesis_step, _synthesis_pass))
 
 
 def _analysis_step(minus, plus, tmp, model: RademacherModel, k: int) -> None:
@@ -316,6 +330,16 @@ def _analysis_step(minus, plus, tmp, model: RademacherModel, k: int) -> None:
     np.multiply(tmp, model.sqrt_pq[k], out=plus)
 
 
+def _analysis_pass(minus, plus, lo, hi, model: RademacherModel, k: int) -> None:
+    """``_analysis_step`` from (F-, F+) into (lo, hi) = (A, B), with the
+    same roundings; ``hi`` holds p F+ until A is summed."""
+    np.multiply(minus, model.q[k], out=lo)
+    np.multiply(plus, model.p[k], out=hi)
+    lo += hi
+    np.subtract(plus, minus, out=hi)
+    hi *= model.sqrt_pq[k]
+
+
 def _synthesis_step(minus, plus, tmp, model: RademacherModel, k: int) -> None:
     """(A, B) -> (F-, F+) = (A + B y_minus, A + B y_plus) along coordinate k."""
     np.multiply(plus, model.y_minus[k], out=tmp)
@@ -324,30 +348,52 @@ def _synthesis_step(minus, plus, tmp, model: RademacherModel, k: int) -> None:
     minus += tmp
 
 
-def _butterfly(v: np.ndarray, model: RademacherModel, step) -> None:
-    """Run ``step(minus, plus, tmp, model, k)`` on the halves of ``v`` along
-    each coordinate k = 0..n-1 in turn, in place; ``tmp`` is a view of one
-    half-sized scratch array.
+def _synthesis_pass(minus, plus, lo, hi, model: RademacherModel, k: int) -> None:
+    """``_synthesis_step`` from (A, B) into (lo, hi) = (F-, F+), with the
+    same roundings."""
+    np.multiply(plus, model.y_minus[k], out=lo)
+    lo += minus
+    np.multiply(plus, model.y_plus[k], out=hi)
+    hi += minus
 
-    From ``_ROTATE_FROM`` coordinates on, the steps of coordinates 0..n-2,
-    which never pair entries of different halves of ``v``, run on one half
-    at a time.  Before each group of them the half's index bits are rotated
-    right by the group's size, which puts the group at the top bits, where
-    its halves are long contiguous runs.  Each rotation is one transposing
-    copy between the half and the scratch, and the other of the two serves
-    as ``tmp``.  The group sizes sum to n-1, so the last rotation restores
-    the bitmask order (one copy moves the half back from the scratch when
-    the number of groups is odd).  Groups hold ``_GROUP`` coordinates, or
-    more on large tables, as many as keeps each run at 2**_LONG_RUN
-    entries.
+
+def _butterfly(v: np.ndarray, model: RademacherModel, step, step_out) -> np.ndarray:
+    """Run one butterfly step along each coordinate k = 0..n-1 in turn on
+    ``v``, which it may overwrite, and return the array holding the result:
+    ``v`` itself, or on the self-sorting path a buffer of the same size.
+
+    Below ``_ROTATE_FROM`` coordinates each coordinate is one self-sorting
+    pass ``step_out(minus, plus, lo, hi, model, k)``: ``minus`` and
+    ``plus`` are the stride-2 views of the entries with bit 0 clear and
+    set, ``lo`` and ``hi`` the contiguous halves of the other array, and
+    the two arrays then swap roles.  Entry 2i + b moves to b 2**(n-1) + i,
+    a right rotation of the index bits, so coordinate k is at bit 0 when
+    its pass runs and the n-th pass restores the bitmask order.  The peak
+    is ``v`` plus one same-sized buffer.
+
+    From ``_ROTATE_FROM`` on, ``step(minus, plus, tmp, model, k)`` runs in
+    place on the halves along each coordinate, with ``tmp`` a view of one
+    half-sized scratch array, which is the peak on top of ``v``.  The steps
+    of coordinates 0..n-2, which never pair entries of different halves of
+    ``v``, run on one half at a time.  Before each group of them the half's
+    index bits are rotated right by the group's size, which puts the group
+    at the top bits, where its halves are long contiguous runs.  Each
+    rotation is one transposing copy between the half and the scratch, and
+    the other of the two serves as ``tmp``.  The group sizes sum to n-1, so
+    the last rotation restores the bitmask order (one copy moves the half
+    back from the scratch when the number of groups is odd).  Groups hold
+    ``_GROUP`` coordinates, or more on large tables, as many as keeps each
+    run at 2**_LONG_RUN entries.
     """
     n = model.n
-    scratch = np.empty(v.size // 2)
     if n < _ROTATE_FROM:
+        data, free = v, np.empty_like(v)
         for k in range(n):
-            minus, plus = split_coordinate(v, k)
-            step(minus, plus, scratch.reshape(minus.shape), model, k)
-        return
+            lo, hi = free.reshape(2, -1)
+            step_out(data[0::2], data[1::2], lo, hi, model, k)
+            data, free = free, data
+        return data
+    scratch = np.empty(v.size // 2)
     top = n - 1
     size = max(_GROUP, top - _LONG_RUN)
     for half in v.reshape(2, -1):
@@ -366,6 +412,7 @@ def _butterfly(v: np.ndarray, model: RademacherModel, step) -> None:
             half[...] = data
     minus, plus = split_coordinate(v, top)
     step(minus, plus, scratch.reshape(minus.shape), model, top)
+    return v
 
 
 def _rotate(src: np.ndarray, dst: np.ndarray, g: int) -> None:

@@ -7,8 +7,9 @@ using E[(a - N)^+] = phi(a) + a Phi(a) and its mirror image.
 
 A law has one atom per level of the values (``_levels``, which also gives
 the levels of the indicator sup in ``moments``).  It is built by one
-unstable sort of the values and one of their indices; the sort order inside
-a level only changes the order in which its weights are added, and the
+unstable argsort of the values, which also gives them sorted; the sort
+order inside a level only changes the order in which its weights are
+added, and which of its equal values (0.0 or -0.0) is its atom, and the
 probabilities are renormalized by one numpy sum.
 
 ``integral_law`` is the one route from a kernel to its law and moments.
@@ -151,12 +152,13 @@ def _levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scales with its largest entries, and at the probability floor, where |F|
     reaches 1e5, one ulp (1.5e-11) already exceeds an absolute 1e-12.
     """
-    v = np.sort(values)
+    order = np.argsort(values)
+    v = values[order]
     if not (len(v) and np.isfinite(v[0]) and np.isfinite(v[-1])):  # NaN sorts last
         raise DomainError("values must be finite and non-empty")
     tol = _MERGE_TOL * max(1.0, abs(float(v[0])), abs(float(v[-1])))
     starts = np.flatnonzero(np.concatenate(([True], np.diff(v) > tol)))
-    return v, np.argsort(values), starts  # argsort after diff's table is freed
+    return v, order, starts
 
 
 def from_weighted_values(values: np.ndarray, weights: np.ndarray) -> DistributionTable:

@@ -71,19 +71,19 @@ def integer_key(key: Iterable) -> Subset:
     return key
 
 
-def real_value(key, value) -> float:
+def real_value(key, value, label: str = "coefficient of {!r}") -> float:
     """``value`` as a float: it must be a finite real number, not a bool or
-    a string; ``DomainError`` names ``key`` otherwise."""
+    a string; ``DomainError`` names ``label.format(key)`` otherwise."""
     if type(value) is not float and (
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
-        raise DomainError(f"coefficient of {key!r} is {value!r}, not a real number")
+        raise DomainError(f"{label.format(key)} is {value!r}, not a real number")
     try:
         value = float(value)
     except OverflowError:  # an int beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"coefficient of {key!r} is {value}, not finite")
+        raise DomainError(f"{label.format(key)} is {value}, not finite")
     return value
 
 

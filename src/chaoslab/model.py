@@ -13,8 +13,9 @@ Outcomes of the whole sequence are indexed by bitmask: bit ``k`` of the
 index is set iff ``X_k = +1``.  A model gives the exact weights of all
 2**n outcomes and the tables of ``X_k`` and ``Y_k`` in that order;
 ``sample_y_matrix`` draws rows of ``Y`` for the empirical checks.  Every
-``p_k`` must lie in ``[PROB_FLOOR, 1 - PROB_FLOOR]``.  All coordinate
-indices are 0-based.
+``p_k`` must be a real number under the kernels' input rule
+(``kernels.real_value``), stored as a Python float, and lie in
+``[PROB_FLOOR, 1 - PROB_FLOOR]``.  All coordinate indices are 0-based.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
+from .kernels import real_value
 
 # success probabilities must lie in [PROB_FLOOR, 1 - PROB_FLOOR], so that
 # sqrt(q/p) and sqrt(p/q) stay representable
@@ -85,15 +87,26 @@ class RademacherModel:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.probs) == 0:
-            raise DomainError("model needs at least one coordinate")
+        try:
+            entries = enumerate(self.probs)
+        except TypeError:
+            raise DomainError(f"probs must be a sequence, got {self.probs!r}") from None
         lo, hi = PROB_FLOOR, 1.0 - PROB_FLOOR
-        for k, p in enumerate(self.probs):
+        probs = []
+        for k, p in entries:
+            if type(p) is not float:
+                p = real_value(k, p, "p[{}]")
             if not (lo <= p <= hi):
                 raise DomainError(
                     f"p[{k}] = {p} outside [{lo}, {hi}]; values this extreme "
                     "overflow sqrt(p/q)"
                 )
+            probs.append(p)
+        if not probs:
+            raise DomainError("model needs at least one coordinate")
+        # a tuple of Python floats, so that a list or numpy input gives a
+        # hashable model equal to the tuple one
+        object.__setattr__(self, "probs", tuple(probs))
 
     @staticmethod
     def homogeneous(p: float, n: int) -> "RademacherModel":
@@ -151,10 +164,15 @@ class RademacherModel:
     @cached_property
     def _weights(self) -> np.ndarray:
         # weight of outcome index w: prod over k of (p_k if bit k of w else q_k);
-        # doubling keeps bit k of the index aligned with coordinate k
-        w = np.array([1.0])
+        # doubling keeps bit k of the index aligned with coordinate k, and
+        # read-only because every caller shares the array
+        w = np.empty(2**self.n)
+        w[0] = 1.0
         for k in range(self.n):
-            w = np.concatenate([w * self.q[k], w * self.p[k]])
+            s = 1 << k
+            np.multiply(w[:s], self.p[k], out=w[s : 2 * s])
+            w[:s] *= self.q[k]
+        w.flags.writeable = False
         return w
 
     def weights(self, caps: Caps = DEFAULT_CAPS) -> np.ndarray:

@@ -5,7 +5,8 @@ over outcomes and tuples directly, or take the slower route the library
 replaced (the multiple integral evaluated one outcome at a time, the
 squared norms of a symmetrized tensor weighted by multiset orderings,
 one product table per subset, inclusion-exclusion over
-conditional expectations, the Walsh butterfly as a plain per-coordinate
+conditional expectations, the outcome weights by one concatenation per
+coordinate, the Walsh butterfly as a plain per-coordinate
 loop, the Hoeffding read-out as a dict over every subset, the alternative
 pathwise forms of the generator and the squared field, the quadruple
 expansion of the fourth moment and the expansion of F**2 over all pairs
@@ -81,6 +82,14 @@ class Outcome:
     @property
     def index(self) -> int:
         return sum(1 << k for k, s in enumerate(self.signs) if s == 1)
+
+
+def oracle_weights(model: RademacherModel) -> np.ndarray:
+    """The outcome weights by doubling, one concatenation per coordinate."""
+    w = np.array([1.0])
+    for k in range(model.n):
+        w = np.concatenate([w * model.q[k], w * model.p[k]])
+    return w
 
 
 def oracle_outcomes(model: RademacherModel) -> Iterator[Outcome]:

@@ -409,6 +409,21 @@ class TestHoeffding:
         assert degenerate_order(H) == 2
         assert rho_squared(H) == pytest.approx(4.0 * f.sup_influence(), rel=1e-10)
 
+    def test_dejong_bound_computes_the_orders_once(self, rng, monkeypatch):
+        model = random_model(rng, 8)
+        W = integral_table(random_kernel(2, 8, rng, normalized=True), model)
+        want = dejong_bound(W, model)
+        calls, subset_orders = [], bounds.subset_orders
+
+        def counted(n):
+            calls.append(n)
+            return subset_orders(n)
+
+        monkeypatch.setattr(bounds, "subset_orders", counted)
+        rep = dejong_bound(W, model)
+        assert calls == [8]
+        assert (rep.order, rep.terms["rho_squared"]) == (want.order, want.terms["rho_squared"])
+
     def test_mixed_orders_are_not_degenerate(self, rng):
         model = random_model(rng, 5)
         F = ChaosVector(5, (zero_kernel(0, 5), random_kernel(1, 5, rng), random_kernel(2, 5, rng)))

@@ -32,6 +32,7 @@ from chaoslab import (
     variance,
 )
 from chaoslab.bounds import abstract_bounds, hoeffding_decompose
+from chaoslab.chaos import _ROTATE_FROM
 from chaoslab.malliavin import (
     d,
     d_minus,
@@ -386,6 +387,26 @@ class TestOwnedTables:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * table.values.nbytes
+
+    def test_self_sorting_transforms_peak_at_two_tables(self):
+        # below the rotation the passes alternate between the array and one
+        # same-sized buffer, with no half-sized scratch: measured 2.16 tables
+        # for integral_table (with the coefficient scatter's temporaries) and
+        # 2.02 for basis_coefficients at n = 13
+        n = 13
+        assert n < _ROTATE_FROM
+        model = RademacherModel.homogeneous(0.3, n)
+        f = random_kernel(2, n, 7)
+        table = integral_table(f, model)  # fill the model's cached coordinate arrays
+        for call, tables in ((lambda: integral_table(f, model), 2.25),
+                             (lambda: basis_coefficients(table, model), 2.1)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= tables * table.values.nbytes
 
     @pytest.mark.parametrize("call, tables", [(abstract_bounds, 8.0), (kolmogorov_term, 6.5)])
     def test_operator_terms_peak_at_a_constant_number_of_tables(self, call, tables):

@@ -261,6 +261,12 @@ walsh_models = st.integers(1, 14).flatmap(
 
 
 @given(walsh_models, st.sampled_from(["random", "zero", "chaos"]), st.integers(0, 2**32 - 1))
+# the self-sorting passes at n = 1, an even and an odd n, and the last n
+# before the rotation, whose number of passes decides which of the two
+# arrays holds the result
+@example(RademacherModel((0.3,)), "random", 4)
+@example(RademacherModel.homogeneous(0.7, 6), "random", 5)
+@example(RademacherModel.homogeneous(FLOOR, 9), "chaos", 6)
 @example(RademacherModel.homogeneous(FLOOR, _ROTATE_FROM - 1), "chaos", 1)
 @example(RademacherModel.homogeneous(1.0 - FLOOR, _ROTATE_FROM), "chaos", 2)
 @example(RademacherModel.symmetric(14), "zero", 3)
@@ -269,6 +275,7 @@ def test_walsh_butterfly_matches_the_plain_loop_bit_for_bit(model, kind, seed):
     assert 1 < _ROTATE_FROM <= 14
     n, rng = model.n, np.random.default_rng(seed)
     values = np.zeros(2**n) if kind == "zero" else rng.standard_normal(2**n)
+    kept = values.copy()
     F = random_chaos(rng, n, top=min(3, n), centered=False)
     if kind == "zero":
         F = ChaosVector.from_kernel(zero_kernel(min(2, n), n))
@@ -276,8 +283,11 @@ def test_walsh_butterfly_matches_the_plain_loop_bit_for_bit(model, kind, seed):
     assert np.array_equal(bits(to_table(F, model).values), bits(want))
     want = oracle_basis_synthesis(values, model)
     assert np.array_equal(bits(basis_synthesis(values, model).values), bits(want))
+    assert np.array_equal(bits(values), bits(kept))
+    table = ValueTable(n, values)
     want = oracle_basis_coefficients(values, model)
-    assert np.array_equal(bits(basis_coefficients(ValueTable(n, values), model)), bits(want))
+    assert np.array_equal(bits(basis_coefficients(table, model)), bits(want))
+    assert np.array_equal(bits(table.values), bits(kept))
 
 
 @given(instances(n_max=12), st.sampled_from(["integral", "sparse", "table", "zero"]))

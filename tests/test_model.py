@@ -15,7 +15,7 @@ from chaoslab import (
     sample_y_matrix,
     y_moment,
 )
-from conftest import oracle_outcomes
+from conftest import oracle_outcomes, oracle_weights
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -103,6 +103,43 @@ class TestModel:
         for _ in range(10):
             model = RademacherModel(tuple(rng.uniform(0.05, 0.95, 10)))
             assert abs(model.weights().sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_weights_match_the_concatenation_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for probs in (
+            tuple(rng.uniform(0.05, 0.95, n)),
+            (1e-6,) * n,
+            tuple(rng.choice([1e-6, 1 - 1e-6, 0.5], n)),
+        ):
+            model = RademacherModel(probs)
+            want = oracle_weights(model)
+            assert np.array_equal(model.weights().view(np.int64), want.view(np.int64))
+
+    def test_weights_are_read_only_and_shared(self):
+        model = RademacherModel((0.3, 0.6))
+        w = model.weights()
+        assert not w.flags.writeable
+        assert model.weights() is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    @pytest.mark.parametrize("bad", ["0.5", None, 0.5 + 0j, [0.5], True, math.nan, math.inf])
+    def test_non_real_probability_names_its_index(self, bad):
+        with pytest.raises(DomainError, match=r"p\[1\]"):
+            RademacherModel((0.5, bad))
+
+    def test_probs_must_be_a_sequence(self):
+        with pytest.raises(DomainError, match="sequence"):
+            RademacherModel(0.5)
+
+    def test_list_and_numpy_inputs_give_the_tuple_model(self):
+        want = RademacherModel((0.3, 0.6))
+        for probs in ([0.3, 0.6], np.array([0.3, 0.6]), (np.float64(0.3), 0.6)):
+            model = RademacherModel(probs)
+            assert model == want and hash(model) == hash(want)
+            assert type(model.probs) is tuple
+            assert all(type(p) is float for p in model.probs)
 
     def test_outcome_weight_is_product(self, rng):
         model = RademacherModel(tuple(rng.uniform(0.2, 0.8, 5)))
