@@ -62,11 +62,12 @@ from .kernels import Kernel, zero_kernel
 from .model import RademacherModel, split_coordinate
 
 
-# elements per operand buffer of a numpy ufunc; numpy buffers the 2-D
-# halves of the rotated path's steps in blocks of this size, and its default
-# of 8192 costs 64 KB per operand (``basis_coefficients`` peaked at 2.27
-# tables at n = 14 with it, 1.52 with this); the self-sorting passes' 1-D
-# views are not buffered
+# elements per operand buffer of a numpy ufunc, which ``_butterfly`` sets
+# for its rotated path; numpy buffers the 2-D halves of that path's steps
+# in blocks of this size, and its default of 8192 costs 64 KB per operand
+# (at n = 14 ``basis_coefficients``, ``integral_table`` and
+# ``basis_synthesis`` each peaked at about 2.27 tables with it, 1.52 with
+# this); the self-sorting passes' 1-D views are not buffered
 _UFUNC_BUFFER = 1024
 # horizon from which ``_butterfly`` rotates instead of running self-sorting
 # passes: on a 2-CPU host a synthesis plus an analysis took 504 us
@@ -299,11 +300,7 @@ def basis_coefficients(table: ValueTable, model: RademacherModel) -> np.ndarray:
     """
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
-    buffer = np.setbufsize(_UFUNC_BUFFER)
-    try:
-        return _butterfly(table.values.copy(), model, _analysis_step, _analysis_pass)
-    finally:
-        np.setbufsize(buffer)
+    return _butterfly(table.values.copy(), model, _analysis_step, _analysis_pass)
 
 
 def basis_synthesis(coeffs: np.ndarray, model: RademacherModel) -> ValueTable:
@@ -383,7 +380,8 @@ def _butterfly(v: np.ndarray, model: RademacherModel, step, step_out) -> np.ndar
     the last rotation restores the bitmask order (one copy moves the half
     back from the scratch when the number of groups is odd).  Groups hold
     ``_GROUP`` coordinates, or more on large tables, as many as keeps each
-    run at 2**_LONG_RUN entries.
+    run at 2**_LONG_RUN entries.  The rotated steps run with numpy's ufunc
+    buffer at ``_UFUNC_BUFFER`` elements.
     """
     n = model.n
     if n < _ROTATE_FROM:
@@ -393,25 +391,29 @@ def _butterfly(v: np.ndarray, model: RademacherModel, step, step_out) -> np.ndar
             step_out(data[0::2], data[1::2], lo, hi, model, k)
             data, free = free, data
         return data
-    scratch = np.empty(v.size // 2)
-    top = n - 1
-    size = max(_GROUP, top - _LONG_RUN)
-    for half in v.reshape(2, -1):
-        # the steps below the top coordinate stay inside one half; its data
-        # moves between the half and the scratch at each rotation
-        data, free = half, scratch
-        for first in range(0, top, size):
-            g = min(size, top - first)
-            _rotate(data, free, g)
-            data, free = free, data
-            tmp = free[: data.size // 2]
-            for j in range(g):
-                minus, plus = split_coordinate(data, top - g + j)
-                step(minus, plus, tmp.reshape(minus.shape), model, first + j)
-        if data is not half:
-            half[...] = data
-    minus, plus = split_coordinate(v, top)
-    step(minus, plus, scratch.reshape(minus.shape), model, top)
+    buffer = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        scratch = np.empty(v.size // 2)
+        top = n - 1
+        size = max(_GROUP, top - _LONG_RUN)
+        for half in v.reshape(2, -1):
+            # the steps below the top coordinate stay inside one half; its data
+            # moves between the half and the scratch at each rotation
+            data, free = half, scratch
+            for first in range(0, top, size):
+                g = min(size, top - first)
+                _rotate(data, free, g)
+                data, free = free, data
+                tmp = free[: data.size // 2]
+                for j in range(g):
+                    minus, plus = split_coordinate(data, top - g + j)
+                    step(minus, plus, tmp.reshape(minus.shape), model, first + j)
+            if data is not half:
+                half[...] = data
+        minus, plus = split_coordinate(v, top)
+        step(minus, plus, scratch.reshape(minus.shape), model, top)
+    finally:
+        np.setbufsize(buffer)
     return v
 
 

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .chaos import integral_table
 from .config import Caps, DEFAULT_CAPS
 from .errors import DomainError
@@ -83,20 +85,6 @@ class BisectionTrace:
     endpoint_high: float  # quadruple sum at theta = 1
 
 
-def _sphere_path_point(
-    c: dict[Subset, float], b: dict[Subset, float], theta: float
-) -> dict[Subset, float]:
-    mixed = {}
-    for key in set(c) | set(b):
-        v = (1.0 - theta) * c.get(key, 0.0) + theta * b.get(key, 0.0)
-        if v != 0.0:
-            mixed[key] = v
-    norm = math.sqrt(sum(v * v for v in mixed.values()))
-    if norm <= 1e-12:
-        raise DomainError("path degenerated; endpoints are antipodal")
-    return {k: v / norm for k, v in mixed.items()}
-
-
 def symmetric_counterexample(
     m: int, n: int, bisection_tol: float = 1e-12
 ) -> tuple[Kernel, BisectionTrace]:
@@ -108,7 +96,8 @@ def symmetric_counterexample(
     product of independent signs, which preserves variance and fourth
     moment.  One fair-coin plan of the union support of the endpoints
     evaluates the quadruple sum ``g_value`` at both endpoints and at every
-    bisection step; the values equal fresh calls bit for bit.
+    bisection step, on arrays of the path's coefficients; the values equal
+    fresh calls on dictionaries bit for bit.
     """
     if m < 2:
         raise DomainError(f"order must be >= 2, got {m}")
@@ -123,13 +112,26 @@ def symmetric_counterexample(
     if dot <= 0.0:
         raise DomainError("endpoints are not in the same half-space")
 
-    plan = SupportPlan({**b, **c})
+    # the path's coordinates in the order of ``set(c) | set(b)``; a plan's
+    # sums do not depend on the order of its keys
+    keys = list(set(c) | set(b))
+    plan = SupportPlan(keys)
+    low, high = (np.array([a.get(key, 0.0) for key in keys]) for a in (c, b))
 
-    def g_minus_3(a: dict[Subset, float]) -> float:
-        return plan.fourth_moment(plan.values_of(a)) - 3.0
+    def path_point(theta: float) -> np.ndarray:
+        """normalize((1 - theta) c + theta b); the norm adds the squares
+        left to right, as ``sum`` over the nonzero entries does."""
+        v = (1.0 - theta) * low + theta * high
+        norm = math.sqrt(np.add.accumulate(v * v)[-1])
+        if norm <= 1e-12:
+            raise DomainError("path degenerated; endpoints are antipodal")
+        return v / norm
 
-    g_low = g_minus_3(c)
-    g_high = g_minus_3(b)
+    def g_minus_3(point: np.ndarray) -> float:
+        return plan.fourth_moment(point) - 3.0
+
+    g_low = g_minus_3(low)
+    g_high = g_minus_3(high)
     if not (g_low < 0.0 < g_high):
         raise DomainError(
             f"endpoints do not bracket g = 3 (tolerance {bisection_tol}): "
@@ -145,7 +147,7 @@ def symmetric_counterexample(
     for _ in range(_MAX_BISECTION_STEPS):
         theta = 0.5 * (lo + hi)
         iterations += 1
-        h_mid = g_minus_3(_sphere_path_point(c, b, theta))
+        h_mid = g_minus_3(path_point(theta))
         residual = h_mid
         if abs(h_mid) <= bisection_tol:
             break
@@ -161,7 +163,7 @@ def symmetric_counterexample(
             f"{_MAX_BISECTION_STEPS} iterations; last residual {residual}"
         )
 
-    a = _sphere_path_point(c, b, theta)
+    a = {key: v for key, v in zip(keys, path_point(theta).tolist()) if v != 0.0}
     trace = BisectionTrace(
         theta=theta,
         residual=residual,

@@ -10,7 +10,9 @@ coordinate, the Walsh butterfly as a plain per-coordinate
 loop, the Hoeffding read-out as a dict over every subset, the alternative
 pathwise forms of the generator and the squared field, the quadruple
 expansion of the fourth moment and the expansion of F**2 over all pairs
-of subsets, the contraction sum of the
+of subsets, the tensor square as a dictionary over the multisets of all
+pairs of subsets, the sphere-path bisection on dictionary points with a
+fresh fourth moment at each step, the contraction sum of the
 tensor-square residual over explicit tuples, the sparse multiply-and-project
 route to the projection variances of F**2,
 the law by a stable sort with an fsum renormalization,
@@ -48,10 +50,11 @@ from chaoslab import (
     y_moment,
 )
 from chaoslab.bounds import _DEGENERACY_TOL
+from chaoslab.construct import first_coordinate_point, uniform_sphere_point
 from chaoslab.chaos import join_coordinate, split_coordinate
 from chaoslab.distance import _MERGE_TOL, DistributionTable, normal_cdf
 from chaoslab.malliavin import d, gamma0, minus_pseudo_inverse
-from chaoslab.moments import moment
+from chaoslab.moments import fourth_moment_symmetric, moment
 
 
 def random_model(rng, n, lo=0.1, hi=0.9) -> RademacherModel:
@@ -400,6 +403,64 @@ def oracle_fourth_moment_pairs(coeffs: dict, skew=None) -> float:
             for u, t in terms:
                 g[u] = g.get(u, 0.0) + t
     return math.fsum(v * v for v in g.values())
+
+
+def oracle_tensor_square_pairs(a: dict) -> tuple[float, float]:
+    """(2m)! ||f (~x) f||**2 and its diagonal-hitting part for the subset
+    coefficients a_J = m! f_J of one order m, by a dictionary over the
+    multisets I + J of the pairs of subsets: a multiset M with k repeated
+    coordinates adds 2**k G_M**2, where G_M sums a_I a_J over the ordered
+    pairs (I, J) with I + J = M."""
+    items = [(tuple(k), float(v)) for k, v in a.items() if v != 0.0]
+    g: dict[tuple, float] = {}
+    for i, (key, x) in enumerate(items):
+        for j, (other, y) in enumerate(items[i:]):
+            multiset = tuple(sorted(key + other))
+            g[multiset] = g.get(multiset, 0.0) + (2.0 * x * y if j else x * y)
+    full, diag = [], []
+    for multiset, v in g.items():
+        repeats = len(multiset) - len(set(multiset))
+        full.append(2.0**repeats * v * v)
+        if repeats:
+            diag.append(full[-1])
+    return math.fsum(full), math.fsum(diag)
+
+
+def oracle_sphere_path_point(c: dict, b: dict, theta: float) -> dict:
+    """normalize((1 - theta) c + theta b) as a dictionary loop over
+    ``set(c) | set(b)``, zeros dropped, the norm by Python's ``sum``."""
+    mixed = {}
+    for key in set(c) | set(b):
+        v = (1.0 - theta) * c.get(key, 0.0) + theta * b.get(key, 0.0)
+        if v != 0.0:
+            mixed[key] = v
+    norm = math.sqrt(sum(v * v for v in mixed.values()))
+    return {k: v / norm for k, v in mixed.items()}
+
+
+def oracle_symmetric_counterexample(m: int, n: int, tol: float = 1e-12):
+    """``symmetric_counterexample`` with a dictionary point and a fresh
+    ``fourth_moment_symmetric`` call at each bisection step: the kernel's
+    coefficients, theta, the residual, the steps, the brackets and the
+    quadruple sums at both endpoints."""
+    b, c = uniform_sphere_point(2, n), first_coordinate_point(2, n)
+    g_low, g_high = fourth_moment_symmetric(c) - 3.0, fourth_moment_symmetric(b) - 3.0
+    lo, hi, h_lo = 0.0, 1.0, g_low
+    brackets = [(lo, hi)]
+    for iterations in range(1, 201):
+        theta = 0.5 * (lo + hi)
+        residual = fourth_moment_symmetric(oracle_sphere_path_point(c, b, theta)) - 3.0
+        if abs(residual) <= tol:
+            break
+        if (residual < 0.0) == (h_lo < 0.0):
+            lo, h_lo = theta, residual
+        else:
+            hi = theta
+        brackets.append((lo, hi))
+    extra = tuple(range(n, n + m - 2))
+    a = {tuple(sorted(J + extra)): v for J, v in oracle_sphere_path_point(c, b, theta).items()}
+    kern = Kernel.from_subset_coeffs(m, n + m - 2, a)
+    return kern.coeffs, theta, residual, iterations, brackets, g_low + 3.0, g_high + 3.0
 
 
 def oracle_level_starts(v: np.ndarray) -> np.ndarray:

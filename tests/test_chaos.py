@@ -388,6 +388,25 @@ class TestOwnedTables:
             tracemalloc.stop()
         assert peak <= 1.6 * table.values.nbytes
 
+    def test_rotated_synthesis_peaks_at_a_table_and_a_half(self):
+        # the rotated path sets the ufunc buffer for synthesis as for
+        # analysis: measured 1.52 tables at n = 14 for both calls (2.27
+        # with numpy's default buffer)
+        n = 14
+        assert n >= _ROTATE_FROM
+        model = RademacherModel.homogeneous(0.3, n)
+        f = random_kernel(2, n, 7)
+        table = integral_table(f, model)  # fill the model's cached coordinate arrays
+        coeffs = basis_coefficients(table, model)
+        for call in (lambda: integral_table(f, model), lambda: basis_synthesis(coeffs, model)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.6 * table.values.nbytes
+
     def test_self_sorting_transforms_peak_at_two_tables(self):
         # below the rotation the passes alternate between the array and one
         # same-sized buffer, with no half-sized scratch: measured 2.16 tables

@@ -23,6 +23,7 @@ from chaoslab.construct import (
 from chaoslab.distance import exact_distribution, kolmogorov_to_normal
 from chaoslab.kernels import SupportPlan, random_kernel
 from chaoslab.moments import moment
+from conftest import oracle_symmetric_counterexample
 
 # exact laws recorded from enumeration runs of this module's constructions
 DK_TUNED_M1_FLOOR = 0.48  # measured 0.48632 for the order-1 tuned product
@@ -128,6 +129,20 @@ class TestSphereBisection:
         assert built == [120]  # the union support: all C(16, 2) subsets
         assert trace.iterations > 30
         assert abs(trace.residual) <= 1e-12
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (2, 5), (2, 16), (2, 40), (3, 12)])
+    def test_matches_the_dictionary_bisection_bit_for_bit(self, m, n):
+        kern, trace = symmetric_counterexample(m, n)
+        coeffs, theta, residual, iterations, brackets, low, high = oracle_symmetric_counterexample(m, n)
+        assert trace.theta.hex() == theta.hex()
+        assert trace.residual.hex() == residual.hex()
+        assert trace.iterations == iterations
+        assert trace.brackets == tuple(brackets)
+        assert (trace.endpoint_low.hex(), trace.endpoint_high.hex()) == (low.hex(), high.hex())
+        assert list(kern.coeffs) == list(coeffs)
+        assert [v.hex() for v in kern.coeffs.values()] == [v.hex() for v in coeffs.values()]
+        if (m, n) == (2, 16):
+            assert (trace.theta, trace.iterations) == (0.08099968043643457, 39)
 
     def test_brackets_shrink_strictly(self):
         _, trace = symmetric_counterexample(2, 4)

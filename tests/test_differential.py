@@ -53,6 +53,7 @@ from chaoslab.bounds import (
     theorem_bounds,
 )
 from chaoslab.construct import matched_pairs_kernel
+from chaoslab import kernels
 from chaoslab.kernels import SupportPlan, support_plan
 from chaoslab.chaos import (
     _ROTATE_FROM,
@@ -118,6 +119,7 @@ from conftest import (
     oracle_squared_field,
     oracle_sup_flip_pairing,
     oracle_tensor_square_norms,
+    oracle_tensor_square_pairs,
     oracle_walsh_components,
     random_chaos,
     oracle_wasserstein,
@@ -674,6 +676,71 @@ def test_plan_keys_longer_than_one_word(rng):
     wide_values = np.concatenate([values, np.zeros(len(padding))])
     assert wide.tensor_terms(wide_values) == small.tensor_terms(values)
     assert wide.fourth_moment(wide_values) == small.fourth_moment(values)
+
+
+# (order, horizon, subsets drawn, whether some sum of the plan reaches
+# ``_BINNED_FROM`` terms): the largest sum measured 0, 1149-1200, 0,
+# 1084-1116, 0 and 2392-2956 terms on seeds 0-5, and order 1 sums S terms
+CROSSOVER_CASES = [
+    (1, 60, 60, False),
+    (1, 1100, 1100, True),
+    (2, 12, 60, False),
+    (2, 200, 300, True),
+    (3, 30, 30, False),
+    (3, 10, 60, True),
+    ("mixed", 10, 60, False),
+    ("mixed", 60, 400, True),
+]
+
+
+def engine_values(coeffs: dict, model: RademacherModel, m) -> list[float]:
+    """fourth_moment_symmetric, fourth_moment_factorized within its support
+    cap, and for a pure order the two tensor terms."""
+    out = [fourth_moment_symmetric(coeffs)]
+    if len(coeffs) <= Caps().factorized_support_cap:
+        out.append(fourth_moment_factorized(coeffs, model))
+    if m != "mixed":
+        f = Kernel.from_subset_coeffs(m, model.n, coeffs)
+        out += [off_diagonal_defect(f), tensor_square_residual(f)]
+    return out
+
+
+@pytest.mark.parametrize("m, n, S, crosses", CROSSOVER_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_engines_match_the_dictionary_oracles_at_the_binned_crossover(monkeypatch, m, n, S, crosses, seed):
+    rng = np.random.default_rng(seed)
+    if m == "mixed":
+        coeffs = {(): float(rng.standard_normal()), **sparse_support(rng, n, S)}
+    else:
+        coeffs = distinct_subsets(rng, n, m, S)
+    model = floor_model(rng, n)
+    binned = []
+    sums = kernels._binned_sum
+    monkeypatch.setattr(kernels, "_binned_sum", lambda terms: binned.append(terms.size) or sums(terms))
+    got = engine_values(coeffs, model, m)
+    assert bool(binned) == crosses
+    # the exponent bins give fsum's bits
+    monkeypatch.setattr(kernels, "_BINNED_FROM", math.inf)
+    assert [v.hex() for v in engine_values(coeffs, model, m)] == [v.hex() for v in got]
+
+    # (oracle, magnitude of its terms) per engine
+    capped = len(coeffs) > Caps().factorized_support_cap
+    square = math.fsum(v * v for v in coeffs.values())
+    tensor_scale = 2.0**m * sum(abs(v) for v in coeffs.values()) ** 4 if m != "mixed" else None
+    if m == 1 and capped:  # the closed forms of order one; the pair oracles are quadratic in S
+        fourth = math.fsum(v**4 for v in coeffs.values())
+        want = [(3.0 * square**2 - 2.0 * fourth, 3.0 * square**2), (2.0 * fourth, tensor_scale), (0.0, tensor_scale)]
+    else:
+        want = [(oracle_fourth_moment_pairs(coeffs), pair_scale(coeffs, RademacherModel.symmetric(n)))]
+        if not capped:
+            want.append((oracle_fourth_moment_pairs(coeffs, model.skew), pair_scale(coeffs, model)))
+        if m != "mixed":
+            full, diag = oracle_tensor_square_pairs(coeffs)
+            want += [(diag, tensor_scale), (full - 2.0 * square**2, tensor_scale)]
+    assert len(want) == len(got)
+    terms = (len(coeffs) + 1) ** 2
+    for value, (expected, scale) in zip(got, want):
+        assert abs(value - expected) <= tolerance(terms, scale)
 
 
 def tensor_tolerance(f: Kernel) -> float:

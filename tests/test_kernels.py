@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
@@ -18,7 +18,7 @@ from chaoslab import (
     tensor_square_residual,
     zero_kernel,
 )
-from chaoslab.kernels import support_plan
+from chaoslab.kernels import _BINNED_FROM, _binned_sum, _finite_sum, support_plan
 from conftest import (
     oracle_contraction_residual,
     oracle_multiset_norms,
@@ -280,3 +280,112 @@ class TestOffDiagonalDefect:
             f = random_kernel(2, 8, rng)
             lim = gamma_m(2) * 2 * f.norm_sq() * f.sup_influence()
             assert off_diagonal_defect(f) <= lim + 1e-10
+
+
+# -- the exact sum ------------------------------------------------------------
+# Both routes of ``_finite_sum`` must give ``math.fsum``'s bits: the exponent
+# bins from ``_BINNED_FROM`` terms on, fsum below and near overflow.
+
+SIZES = st.one_of(
+    st.sampled_from([0, 1, 2, _BINNED_FROM - 1, _BINNED_FROM, _BINNED_FROM + 1]),
+    st.integers(0, 3 * _BINNED_FROM),
+)
+
+
+@st.composite
+def float_arrays(draw, top: int = 1000):
+    """Finite doubles with exponents (as ``np.frexp`` gives them) drawn
+    from a window inside [-1073, top], in one of four sign patterns, with
+    zeros of both signs and subnormals sprinkled in."""
+    size = draw(SIZES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-1073, top))
+    hi = draw(st.integers(lo, min(top, lo + draw(st.sampled_from([0, 3, 60, 2100])))))
+    x = np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(lo, hi + 1, size))
+    signs = draw(st.sampled_from(["positive", "negative", "mixed", "cancelling"]))
+    if signs == "negative":
+        x = -x
+    elif signs == "mixed":
+        x[rng.random(size) < 0.5] *= -1.0
+    elif signs == "cancelling":  # each term and its negation, apart from a few
+        half = x[: size // 2]
+        x[size // 2 : size // 2 * 2] = -half
+        x[rng.random(size) < 0.01] *= 3.0
+        rng.shuffle(x)
+    special = rng.random(size)
+    x[special < 0.02] = 0.0
+    x[(special >= 0.02) & (special < 0.04)] = -0.0
+    tiny = (special >= 0.04) & (special < 0.06)
+    x[tiny] = (rng.integers(1, 2**52, int(tiny.sum())) * 2.0**-1074) * rng.choice([-1.0, 1.0], int(tiny.sum()))
+    return x
+
+
+@st.composite
+def bit_patterns(draw):
+    """Doubles from uniform random bits, every finite exponent alike."""
+    size = draw(SIZES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(-(2**63), 2**63 - 1, size, dtype=np.int64, endpoint=True)
+    x = bits.view(np.float64)
+    x[~np.isfinite(x)] = 1.5
+    return x
+
+
+def fsum_outcome(x: np.ndarray):
+    """``math.fsum`` of the list as int64 bits, or "overflow" where it
+    raises or leaves the float range."""
+    try:
+        total = math.fsum(x.tolist())
+    except (OverflowError, ValueError):
+        return "overflow"
+    return np.float64(total).view(np.int64) if math.isfinite(total) else "overflow"
+
+
+def finite_sum_outcome(x: np.ndarray):
+    try:
+        return np.float64(_finite_sum(x)).view(np.int64)
+    except DomainError:
+        return "overflow"
+
+
+class TestExactSum:
+    @given(st.one_of(float_arrays(), float_arrays(top=1024), bit_patterns()))
+    @example(np.array([1.0, 2.0**-53]))  # a tie: rounds to the even 1.0
+    @example(np.array([1.0 + 2.0**-52, 2.0**-53]))  # a tie: rounds up to even
+    @example(np.array([1.0, 2.0**-53, 2.0**-106]))  # just above a tie
+    @example(np.array([2.0**-1074] * 3 + [-0.0]))
+    @example(np.array([-0.0] * 2000))
+    @example(np.array([1e308, -1e308] * 600))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fsum_bit_for_bit(self, x):
+        want = fsum_outcome(x)
+        assert finite_sum_outcome(x) == want
+        binned = _binned_sum(x)
+        if binned is not None:  # None only where the sum might overflow
+            assert np.float64(binned).view(np.int64) == want
+        else:
+            assert int(np.frexp(x)[1].max()) + x.size.bit_length() > 1023
+
+    @given(st.sampled_from([1, _BINNED_FROM - 1, _BINNED_FROM, 3000]), st.integers(0, 2**32 - 1),
+           st.sampled_from([math.inf, -math.inf, math.nan]))
+    @settings(max_examples=30, deadline=None)
+    def test_inf_and_nan_terms_raise(self, size, seed, bad):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(size)
+        x[rng.integers(size)] = bad
+        with pytest.raises(DomainError, match="overflow the fourth moment"):
+            _finite_sum(x)
+        with pytest.raises(DomainError, match="overflow the fourth moment"):
+            _binned_sum(x)
+
+    @given(st.sampled_from([3, _BINNED_FROM, 3000]), st.integers(0, 2**32 - 1),
+           st.floats(0.5, 1.0, exclude_max=True), st.integers(1000, 1024))
+    @settings(max_examples=40, deadline=None)
+    def test_near_overflow_keeps_the_fsum_outcome(self, size, seed, mantissa, top):
+        # sums that may or may not leave the float range, with partial sums
+        # past it: the same value, or the same DomainError, as fsum
+        rng = np.random.default_rng(seed)
+        x = np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(top - 12, top + 1, size))
+        x[rng.random(size) < 0.5] *= -1.0
+        x[0] = np.ldexp(mantissa, 1024)
+        assert finite_sum_outcome(x) == fsum_outcome(x)
