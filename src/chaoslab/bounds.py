@@ -144,39 +144,25 @@ def theorem_bounds(
     root_excess = math.sqrt(abs(fourth - 3.0))
     root_inf = math.sqrt(sup_inf)
 
-    c1, c2 = wasserstein_constants(m)
-    t_fourth, t_inf = c1 * root_excess, c2 * root_inf
-    wasserstein = BoundReport(
-        kind="wasserstein",
-        order=m,
-        fourth_moment=fourth,
-        variance=var,
-        sup_influence=sup_inf,
-        constants={"C1": c1, "C2": c2, "gamma_m": gamma_m(m)},
-        terms={"fourth_moment": t_fourth, "influence": t_inf},
-        bound_value=t_fourth + t_inf,
-        exact_distance=w1,
-        slack=t_fourth + t_inf - w1,
-    )
+    def report(kind, constants, a, b, exact):
+        """The report whose bound is a sqrt|E[F^4] - 3| + b sqrt(sup-influence)."""
+        t_fourth, t_inf = a * root_excess, b * root_inf
+        return BoundReport(
+            kind=kind, order=m, fourth_moment=fourth, variance=var, sup_influence=sup_inf,
+            constants={**constants, "gamma_m": gamma_m(m)},
+            terms={"fourth_moment": t_fourth, "influence": t_inf},
+            bound_value=t_fourth + t_inf, exact_distance=exact, slack=t_fourth + t_inf - exact,
+        )
 
+    c1, c2 = wasserstein_constants(m)
     k1, k2, k3, k4 = kolmogorov_constants(m)
     beta = fourth**0.25
     pref = (beta + 1.0) * beta
-    t_fourth = (k1 + k2 * pref) * root_excess
-    t_inf = (k3 + k4 * pref) * root_inf
-    kolmogorov = BoundReport(
-        kind="kolmogorov",
-        order=m,
-        fourth_moment=fourth,
-        variance=var,
-        sup_influence=sup_inf,
-        constants={"K1": k1, "K2": k2, "K3": k3, "K4": k4, "gamma_m": gamma_m(m)},
-        terms={"fourth_moment": t_fourth, "influence": t_inf},
-        bound_value=t_fourth + t_inf,
-        exact_distance=dk,
-        slack=t_fourth + t_inf - dk,
+    return (
+        report("wasserstein", {"C1": c1, "C2": c2}, c1, c2, w1),
+        report("kolmogorov", {"K1": k1, "K2": k2, "K3": k3, "K4": k4},
+               k1 + k2 * pref, k3 + k4 * pref, dk),
     )
-    return wasserstein, kolmogorov
 
 
 def theorem_bound_wasserstein(

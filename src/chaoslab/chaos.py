@@ -187,8 +187,7 @@ def fold_coordinate(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def conditional_expectation(
-    table: ValueTable, model: RademacherModel, keep: set[int] | frozenset[int],
-    caps: Caps = DEFAULT_CAPS,
+    table: ValueTable, model: RademacherModel, keep: set[int] | frozenset[int]
 ) -> ValueTable:
     """Average out every coordinate not in ``keep`` under the model."""
     if model.n != table.horizon:

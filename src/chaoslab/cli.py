@@ -30,37 +30,24 @@ def _emit(data: dict, as_json: bool) -> None:
             print(f"{key} = {data[key]}")
 
 
-def _caps_from_args(args) -> Caps:
-    if getattr(args, "cap_enum", None) is None:
-        return DEFAULT_CAPS
-    return dataclasses.replace(DEFAULT_CAPS, enum_cap=args.cap_enum)
-
-
 def _load_pair(args) -> tuple[RademacherModel, "io.Kernel"]:
+    """The model and kernel files of a kernel-file command, the kernel
+    rescaled to unit variance under ``--normalize``."""
     kern = io.load_kernel(args.kernel)
     model = io.load_model(args.model)
     if model.n != kern.horizon:
         raise FormatError(
             f"kernel horizon {kern.horizon} does not match model horizon {model.n}"
         )
-    return model, kern
+    return model, kern.normalized() if args.normalize else kern
 
 
-def cmd_verify(args) -> int:
-    results = verify.run_suite(seed=args.seed, caps=_caps_from_args(args))
+def cmd_verify(args, caps: Caps) -> int:
+    results = verify.run_suite(seed=args.seed, caps=caps)
     failures = [r for r in results if not r.passed]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "seed": args.seed,
-                    "checks": [r.to_dict() for r in results],
-                    "failures": [r.name for r in failures],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        checks = [r.to_dict() for r in results]
+        _emit({"seed": args.seed, "checks": checks, "failures": [r.name for r in failures]}, True)
     else:
         for r in results:
             mark = "ok  " if r.passed else "FAIL"
@@ -73,11 +60,8 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_bound(args) -> int:
-    caps = _caps_from_args(args)
+def cmd_bound(args, caps: Caps) -> int:
     model, kern = _load_pair(args)
-    if args.normalize:
-        kern = kern.normalized()
     F = ChaosVector.from_kernel(kern)
     try:
         pair = bounds.theorem_bounds(F, model, caps)
@@ -95,8 +79,7 @@ def cmd_bound(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_counterexample(args) -> int:
-    caps = _caps_from_args(args)
+def cmd_counterexample(args, caps: Caps) -> int:
     if args.kind == "inhomogeneous":
         model, kern = construct.inhomogeneous_counterexample(args.m, args.sign)
         provenance = {
@@ -144,11 +127,8 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
-def cmd_moments(args) -> int:
-    caps = _caps_from_args(args)
+def cmd_moments(args, caps: Caps) -> int:
     model, kern = _load_pair(args)
-    if args.normalize:
-        kern = kern.normalized()
     report: dict = {"order": kern.order, "horizon": kern.horizon}
     engines = {}
     want = args.engine
@@ -178,17 +158,14 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args, caps: Caps) -> int:
     """Atoms, variance and exact distances of a kernel's integral.
 
     The law and the variance come from the kernel's independent pieces
     (``distance.integral_law``), as in ``bound``, so the horizon may
     exceed ``enum_cap`` when every piece fits under it.
     """
-    caps = _caps_from_args(args)
     model, kern = _load_pair(args)
-    if args.normalize:
-        kern = kern.normalized()
     route = distance.integral_law(kern, model, caps)
     law = route.law
     report = {"atoms": len(law.atoms), "variance": route.variance}
@@ -204,11 +181,8 @@ def cmd_distance(args) -> int:
     return 0
 
 
-def cmd_dejong(args) -> int:
-    caps = _caps_from_args(args)
+def cmd_dejong(args, caps: Caps) -> int:
     model, kern = _load_pair(args)
-    if args.normalize:
-        kern = kern.normalized()
     table = integral_table(kern, model, caps)
     rep = bounds.dejong_bound(table, model, kappa_m=args.kappa_m, caps=caps)
     data = rep.to_dict()
@@ -239,24 +213,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--cap-enum", type=int, default=argparse.SUPPRESS)
+    # the four kernel-file commands read the same pair of files
+    kernel_file = argparse.ArgumentParser(add_help=False, parents=[common])
+    kernel_file.add_argument("--kernel", required=True)
+    kernel_file.add_argument("--model", required=True)
+    kernel_file.add_argument("--normalize", action="store_true")
+    distances = argparse.ArgumentParser(add_help=False)
+    distances.add_argument(
+        "--distance", choices=["wasserstein", "kolmogorov", "both"], default="both"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "verify",
-        help="run the full identity and inequality suite",
-        parents=[common],
-    )
+    p = sub.add_parser("verify", parents=[common], help="run the full identity and inequality suite")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("bound", parents=[common], help="evaluate distance bounds for a kernel file")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument(
-        "--distance",
-        choices=["wasserstein", "kolmogorov", "both"],
-        default="both",
+    p = sub.add_parser(
+        "bound", parents=[kernel_file, distances], help="evaluate distance bounds for a kernel file"
     )
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("counterexample", parents=[common], help="construct a named example family")
@@ -273,33 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", default=None, help="write the model file here")
     p.set_defaults(fn=cmd_counterexample)
 
-    p = sub.add_parser("moments", parents=[common], help="fourth moments through selectable engines")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("moments", parents=[kernel_file], help="fourth moments through selectable engines")
     p.add_argument(
         "--engine",
         choices=["enumerate", "factorized", "symmetric-fast", "both"],
         default="both",
     )
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(fn=cmd_moments)
 
-    p = sub.add_parser("distance", parents=[common], help="exact distances to the standard normal")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument(
-        "--distance",
-        choices=["wasserstein", "kolmogorov", "both"],
-        default="both",
+    p = sub.add_parser(
+        "distance", parents=[kernel_file, distances], help="exact distances to the standard normal"
     )
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(fn=cmd_distance)
 
-    p = sub.add_parser("dejong", parents=[common], help="degenerate U-statistic bound and rho^2 report")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("dejong", parents=[kernel_file], help="degenerate U-statistic bound and rho^2 report")
     p.add_argument("--kappa-m", type=float, default=bounds.DEFAULT_KAPPA_M)
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(fn=cmd_dejong)
 
     return parser
@@ -314,8 +275,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    caps = DEFAULT_CAPS
+    if args.cap_enum is not None:
+        caps = dataclasses.replace(DEFAULT_CAPS, enum_cap=args.cap_enum)
     try:
-        return args.fn(args)
+        return args.fn(args, caps)
     except FormatError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2

@@ -121,11 +121,14 @@ class DistributionTable:
     def _freeze(self, a: np.ndarray, p: np.ndarray) -> None:
         if a.ndim != 1 or a.shape != p.shape or len(a) == 0:
             raise DomainError("atoms and probs must be equal-length 1-d arrays")
-        if np.any(np.diff(a) <= 0):
+        # each check is written so that a NaN fails it
+        if not (np.diff(a) > 0).all():
             raise DomainError("atoms must be strictly increasing")
-        if np.any(p <= 0):
+        if not (math.isfinite(a[0]) and math.isfinite(a[-1])):
+            raise DomainError("atoms must be finite")
+        if not (p > 0).all():
             raise DomainError("probabilities must be positive")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise DomainError(f"probabilities sum to {p.sum()}, expected 1")
         a.flags.writeable = False
         p.flags.writeable = False

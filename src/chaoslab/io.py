@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .errors import DomainError, FormatError
+from .errors import ChaoslabError, DomainError, FormatError
 from .kernels import Kernel, checked_subset, real_value
 from .model import RademacherModel
 
@@ -54,6 +54,8 @@ def kernel_from_dict(data: dict) -> Kernel:
         entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"kernel record needs integer 'm', 'n' and 'entries': {exc}")
+    if not isinstance(entries, list):
+        raise FormatError(f"'entries' must be a JSON list, got {entries!r}")
     coeffs = {}
     for i, entry in enumerate(entries):
         try:
@@ -85,17 +87,14 @@ def model_to_dict(model: RademacherModel) -> dict:
 
 
 def model_from_dict(data: dict) -> RademacherModel:
-    if "probs" in data:
-        try:
+    try:
+        if "probs" in data:
             return RademacherModel(tuple(_number(p, "'probs' entry") for p in data["probs"]))
-        except Exception as exc:
-            raise FormatError(f"model record invalid: {exc}")
-    if "homogeneous" in data:
-        try:
+        if "homogeneous" in data:
             p = _number(data["homogeneous"], "'homogeneous'")
             return RademacherModel.homogeneous(p, _integer(data["n"], "'n'"))
-        except Exception as exc:
-            raise FormatError(f"model record invalid: {exc}")
+    except (ChaoslabError, KeyError, TypeError) as exc:
+        raise FormatError(f"model record invalid: {exc}")
     raise FormatError("model record needs either 'probs' or 'homogeneous' + 'n'")
 
 

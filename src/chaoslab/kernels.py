@@ -717,14 +717,6 @@ class SupportPlan:
         found = (part >= 0) & (rest >= 0)
         self.disjoint = (groups[owner[fits][found]], part[found], rest[found])
 
-    def values_of(self, coeffs: Mapping[Subset, float]) -> np.ndarray:
-        """The coefficients of ``coeffs`` in the order of ``keys``; every
-        nonzero coefficient must have its key in the plan."""
-        values = np.array([coeffs.get(key, 0.0) for key in self.keys], dtype=float)
-        if np.count_nonzero(values) != sum(1 for v in coeffs.values() if v != 0.0):
-            raise DomainError("coefficients outside the support of the plan")
-        return values
-
     def _sums(self, values: np.ndarray):
         """Coefficients c, split sums H, multiset sums G / 2 (the diagonal
         multisets last), D0, sum of c_J**2 over J nonempty, and sum c**2."""

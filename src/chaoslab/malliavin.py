@@ -184,9 +184,7 @@ def _gamma_tables(
     return ValueTable._owning(model.n, vals)
 
 
-def skorohod(
-    u: list[ChaosVector], model: RademacherModel, caps: Caps = DEFAULT_CAPS
-) -> ChaosVector:
+def skorohod(u: list[ChaosVector], model: RademacherModel) -> ChaosVector:
     """Adjoint of the gradient on chaos-vector-valued processes.
 
     For each component order r, the order-(r+1) output kernel at a subset

@@ -258,9 +258,7 @@ def check_truncation_martingale(rng, caps):
     f = random_kernel(int(rng.integers(1, 4)), n, rng)
     h = int(rng.integers(1, n + 1))
     lhs = integral_table(f.truncate(h), model, caps)
-    rhs = conditional_expectation(
-        integral_table(f, model, caps), model, set(range(h)), caps
-    )
+    rhs = conditional_expectation(integral_table(f, model, caps), model, set(range(h)))
     yield float(np.abs(lhs.values - rhs.values).max())
 
 
@@ -326,7 +324,7 @@ def check_generator_adjoint(rng, caps):
 def check_gradient_skorohod_link(rng, caps):
     n = int(rng.integers(4, 9))
     F = _random_chaos(rng, n, top=3)
-    lhs = mv.skorohod(mv.gradient_process(F), _random_model(rng, n), caps)
+    lhs = mv.skorohod(mv.gradient_process(F), _random_model(rng, n))
     rhs = mv.ou_generator_spectral(F).scale(-1.0)
     for r in range(max(lhs.top_order, rhs.top_order) + 1):
         yield _kernel_gap(lhs.kernel(r), rhs.kernel(r))
@@ -337,7 +335,7 @@ def check_skorohod_isometry(rng, caps):
     n = int(rng.integers(4, 8))
     model = _random_model(rng, n)
     u = [_random_chaos(rng, n, top=2, centered=False) for _ in range(n)]
-    du = mv.skorohod(u, model, caps)
+    du = mv.skorohod(u, model)
     t_du = to_table(du, model, caps)
     lhs = moments.moment(t_du, 2, model, caps)
     ut = [to_table(c, model, caps) for c in u]
@@ -358,7 +356,7 @@ def check_skorohod_adjoint(rng, caps):
     F = _random_chaos(rng, n, top=2, centered=False)
     u = [_random_chaos(rng, n, top=2, centered=False) for _ in range(n)]
     tf = to_table(F, model, caps)
-    du = to_table(mv.skorohod(u, model, caps), model, caps)
+    du = to_table(mv.skorohod(u, model), model, caps)
     lhs = expectation(tf * du, model, caps)
     rhs = sum(
         expectation(mv.d(tf, k, model) * to_table(u[k], model, caps), model, caps)
@@ -595,7 +593,7 @@ def check_hoeffding(rng, caps):
         )
         if set(J) <= set(K):
             continue
-        ce = conditional_expectation(H.component(J), model, set(K), caps)
+        ce = conditional_expectation(H.component(J), model, set(K))
         yield ce.max_abs()
     # random non-integral functional still reconstructs
     T = ValueTable(n, rng.standard_normal(2**n))

@@ -103,6 +103,27 @@ class TestDistributionTable:
         with pytest.raises(DomainError, match="strictly increasing"):
             DistributionTable(np.array([0.0, 1e-20]), np.array([0.5, 0.5])).shift(1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DistributionTable([0.0, 1.0], [math.nan, math.nan]),
+            lambda: DistributionTable([0.0, 1.0], [0.5, math.nan]),
+            lambda: DistributionTable([math.nan], [1.0]),
+            lambda: DistributionTable([0.0, math.nan], [0.5, 0.5]),
+            lambda: DistributionTable([-math.inf, 0.0], [0.5, 0.5]),
+            lambda: DistributionTable([0.0, math.inf], [0.5, 0.5]),
+            lambda: from_weighted_values(np.array([0.0, 1.0]), np.array([0.0, 0.0])),
+            lambda: DistributionTable([0.0, 1.0], [0.5, 0.5]).shift(math.nan),
+            lambda: DistributionTable([0.0], [1.0]).shift(math.nan),
+            lambda: DistributionTable([0.0], [1.0]).shift(math.inf),
+        ],
+        ids=["nan-probs", "one-nan-prob", "nan-atom", "nan-last-atom", "-inf-atom", "inf-atom",
+             "zero-weight", "nan-shift", "nan-shift-one-atom", "inf-shift"],
+    )
+    def test_non_finite_laws_are_rejected(self, make):
+        with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+            make()
+
     def test_arrays_read_only_and_levels_summed_once(self):
         atoms, probs = np.array([-1.0, 1.0]), np.array([0.25, 0.75])
         law = DistributionTable(atoms, probs)

@@ -126,6 +126,27 @@ class TestFileFormats:
         with pytest.raises(FormatError, match=re.escape(message)):
             io.load_kernel(path)
 
+    @pytest.mark.parametrize(
+        "which, record",
+        [
+            ("model", 5),
+            ("model", None),
+            ("model", [0.5, 0.5]),
+            ("kernel", 5),
+            ("kernel", None),
+            ("kernel", {"m": 1, "n": 2, "entries": 5}),
+            ("kernel", {"m": 1, "n": 2, "entries": None}),
+        ],
+    )
+    def test_malformed_file_is_a_file_error(self, tmp_path, capsys, which, record):
+        paths = {"kernel": tmp_path / "k.json", "model": tmp_path / "m.json"}
+        io.dump_json({"m": 1, "n": 2, "entries": [{"set": [0], "value": 1.0}]}, paths["kernel"])
+        io.dump_json({"homogeneous": 0.5, "n": 2}, paths["model"])
+        io.dump_json(record, paths[which])
+        code = cli.main(["distance", "--kernel", str(paths["kernel"]), "--model", str(paths["model"])])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("file error")
+
     def test_bad_json_has_line_info(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"m": 2,,}')
@@ -487,3 +508,45 @@ class TestCli:
         )
         assert report["term_influence"] > report["term_fourth_moment"]
 
+
+
+KERNEL_FILE_COMMANDS = ["bound", "moments", "distance", "dejong"]
+
+
+class TestKernelFileCommands:
+    """The front end the four commands that read a kernel and a model share."""
+
+    @pytest.fixture
+    def raw_pair(self, tmp_path, rng):
+        # unit variance only after --normalize
+        f = random_kernel(2, 6, rng).scale(3.0)
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        io.dump_json(io.kernel_to_dict(f), kpath)
+        io.dump_json(io.model_to_dict(random_model(rng, 6)), mpath)
+        return f, ["--kernel", str(kpath), "--model", str(mpath)]
+
+    @pytest.mark.parametrize("command", KERNEL_FILE_COMMANDS)
+    def test_common_flags_follow_the_subcommand(self, command, raw_pair, capsys):
+        _, files = raw_pair
+        flags = ["--json", "--seed", "3", "--cap-enum", "10"]
+        assert cli.main([*flags, command, "--normalize", *files]) == 0
+        before = capsys.readouterr().out
+        assert cli.main([command, "--normalize", *files, *flags]) == 0
+        assert capsys.readouterr().out == before
+        json.JSONDecoder().raw_decode(before)
+
+    @pytest.mark.parametrize("command", KERNEL_FILE_COMMANDS)
+    def test_a_low_enum_cap_refuses(self, command, raw_pair, capsys):
+        _, files = raw_pair
+        assert cli.main([command, "--normalize", "--cap-enum", "4", *files]) == 2
+        assert "enum_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", KERNEL_FILE_COMMANDS)
+    def test_normalize_is_normalizing_the_file_first(self, command, raw_pair, tmp_path, capsys):
+        f, files = raw_pair
+        assert cli.main([command, "--json", "--normalize", *files]) == 0
+        flagged = capsys.readouterr().out
+        npath = tmp_path / "normalized.json"
+        io.dump_json(io.kernel_to_dict(f.normalized()), npath)
+        assert cli.main([command, "--json", "--kernel", str(npath), *files[2:]]) == 0
+        assert capsys.readouterr().out == flagged

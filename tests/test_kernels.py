@@ -310,7 +310,8 @@ def float_arrays(draw, top: int = 1000):
     elif signs == "cancelling":  # each term and its negation, apart from a few
         half = x[: size // 2]
         x[size // 2 : size // 2 * 2] = -half
-        x[rng.random(size) < 0.01] *= 3.0
+        # tripled where that stays finite: below 2**1022 in magnitude
+        x[(rng.random(size) < 0.01) & (np.abs(x) < 2.0**1022)] *= 3.0
         rng.shuffle(x)
     special = rng.random(size)
     x[special < 0.02] = 0.0
