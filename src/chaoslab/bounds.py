@@ -30,7 +30,6 @@ from .chaos import (
     basis_synthesis,
     even_moments,
     expectation,
-    fold_coordinate,
     split_coordinate,
     subset_orders,
     to_table,
@@ -40,9 +39,9 @@ from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .distance import integral_law, normal_distances
 from .errors import CapacityError, DomainError
-from .malliavin import d_half, gamma0, minus_pseudo_inverse
+from .malliavin import gamma0, minus_pseudo_inverse
 from .model import RademacherModel
-from .moments import sup_flip_pairing
+from .moments import _book_flips, _sup_above_levels
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -177,39 +176,47 @@ def theorem_bound_kolmogorov(
     return theorem_bounds(F, model, caps)[1]
 
 
-def _gradient_sums(
-    table: ValueTable, linv_table: ValueTable, model: RademacherModel, caps: Caps
-) -> tuple[float, float, float, float, float]:
-    """The cubic remainder, the sums of E[(D_kF D_k L^-1 F)^2] and E[(D_kF)^4]
-    over p_k q_k, the middle Kolmogorov term and E[M^2]^(1/4), built one
-    coordinate at a time for ``abstract_bounds``.
-
-    M = sum_k (q_k on X_k = +1, p_k on X_k = -1) (D_kF)^2 / (p_k q_k) is the
-    one table kept whole; D_k is constant in coordinate k, so every other
-    sum runs on one half of each table.
+def _coordinate_sweep(
+    table: ValueTable, linv_table: ValueTable, model: RademacherModel, w: np.ndarray
+) -> tuple[float, float, float, float, np.ndarray, np.ndarray]:
+    """One pass over the coordinates for ``abstract_bounds``: the cubic
+    remainder, the sums of E[(D_kF D_k L^-1 F)^2] and E[(D_kF)^4] over
+    p_k q_k, the middle Kolmogorov term, the table M = sum_k (q_k on
+    X_k = +1, p_k on X_k = -1) (D_kF)^2 / (p_k q_k) and the indicator sup's
+    flip flow (``moments._flip_flow`` with G = -L^-1 F).  D_k is constant in
+    coordinate k, so each coordinate forms its two gradients once on one
+    half, into five half-size buffers; each term keeps its own rounding.
     """
-    w = model.weights(caps)
     lifted = w * (np.abs(table.values) + math.sqrt(2.0 * math.pi) / 4.0)
     remainder = inner_sq = quart = middle = 0.0
-    cs_table = np.zeros(2**model.n)
+    cs_table, flow = np.zeros(2**model.n), np.zeros(2**model.n)
+    halves = np.empty((5, 2 ** (model.n - 1)))
     for k in range(model.n):
-        p, q, pq = model.p[k], model.q[k], model.pq[k]
-        wk = fold_coordinate(w, k)
-        df = d_half(table, k, model)
-        dlinv = np.abs(d_half(linv_table, k, model))
-        square = df * df
-        cubic = square * dlinv
-        remainder += float(np.vdot(wk, cubic)) / model.sqrt_pq[k]
-        inner_sq += float(np.vdot(wk, cubic * dlinv)) / pq
-        quart += float(np.vdot(wk, square * square)) / pq
+        p, q, pq, s = model.p[k], model.q[k], model.pq[k], model.sqrt_pq[k]
+        lift, df, dlinv, square, cubic = halves.reshape(5, -1, 1 << k)
         lift_minus, lift_plus = split_coordinate(lifted, k)
-        middle += float(np.vdot(p * lift_minus + q * lift_plus, cubic)) / pq**1.5
+        np.multiply(p, lift_minus, out=lift)
+        lift += np.multiply(q, lift_plus, out=cubic)
+        for diff, values in ((df, table.values), (dlinv, linv_table.values)):
+            minus, plus = split_coordinate(values, k)
+            np.subtract(plus, minus, out=diff)
+            diff *= s
+        np.abs(dlinv, out=dlinv)
+        np.multiply(df, df, out=square)
+        np.multiply(square, dlinv, out=cubic)
+        middle += float(np.vdot(lift, cubic)) / pq**1.5
+        wk = np.add(*split_coordinate(w, k), out=lift)
+        remainder += float(np.vdot(wk, cubic)) / s
+        cubic *= dlinv
+        inner_sq += float(np.vdot(wk, cubic)) / pq
+        quart += float(np.vdot(wk, np.multiply(square, square, out=cubic))) / pq
         minus, plus = split_coordinate(cs_table, k)
-        minus += square / q  # p / pq
-        plus += square / p  # q / pq
-    quart_root = float(np.dot(w, cs_table**2)) ** 0.25
+        minus += np.divide(square, q, out=cubic)  # p / pq
+        plus += np.divide(square, p, out=cubic)  # q / pq
+        df *= dlinv
+        _book_flips(flow, df, square, w, k, model)
     # the sums picked up numpy scalars from the per-coordinate divisions
-    return float(remainder), float(inner_sq), float(quart), float(0.25 * middle), quart_root
+    return float(remainder), float(inner_sq), float(quart), float(0.25 * middle), cs_table, flow
 
 
 def abstract_bounds(
@@ -222,7 +229,8 @@ def abstract_bounds(
     of order m the single-order lines are included as well.  There
     -L^-1 F = F/m, so Gamma(F, -L^-1 F) = Gamma(F, F)/m and the indicator
     sup of (F, -L^-1 F) is that of (F, F) over m: those lines reuse the
-    general terms rather than computing them again.
+    general terms rather than computing them again.  One ``_coordinate_sweep``
+    gives the gradient terms and the flow that the indicator sup ranks.
     """
     if abs(F.mean()) > 1e-9 * (1.0 + math.sqrt(max(F.variance(), 0.0))):
         raise DomainError(f"abstract bounds need a centered input; mean is {F.mean()}")
@@ -237,17 +245,17 @@ def abstract_bounds(
     del g0  # the terms below keep a bounded number of tables alive
     var_f, fourth = even_moments(table, model, caps)
 
-    remainder, inner_sq, quart, term_mid, quart_root = _gradient_sums(
-        table, linv_table, model, caps
-    )
+    sums = _coordinate_sweep(table, linv_table, model, w)
+    remainder, inner_sq, quart, term_mid, cs_table, flow = sums
+    quart_root = float(np.dot(w, cs_table**2)) ** 0.25  # once the sweep's halves are freed
+    del linv_table, cs_table
 
     s2pi = math.sqrt(2.0 / math.pi)
     gb1 = s2pi * term_gamma_abs + remainder
     gb2 = s2pi * abs(1.0 - var_f) + s2pi * math.sqrt(term_gamma_var) + remainder
 
     # indicator pairing sup_x sum_k E[(pq)^{-1/2} D_kF D_k 1_{F>x} |D_k L^-1 F|]
-    sup_term = sup_flip_pairing(table, linv_table, model, caps)
-    del linv_table
+    sup_term = _sup_above_levels(table.values, flow)
     kb1 = term_gamma_abs + term_mid + sup_term
 
     term_mid2 = (

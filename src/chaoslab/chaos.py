@@ -180,12 +180,6 @@ def join_coordinate(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
     return np.stack([minus, plus], axis=1).reshape(-1)
 
 
-def fold_coordinate(values: np.ndarray, k: int) -> np.ndarray:
-    """Sum of the two ``split_coordinate`` halves of a table along coordinate k."""
-    minus, plus = split_coordinate(values, k)
-    return minus + plus
-
-
 def conditional_expectation(
     table: ValueTable, model: RademacherModel, keep: set[int] | frozenset[int]
 ) -> ValueTable:

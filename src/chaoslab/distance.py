@@ -173,7 +173,9 @@ def from_weighted_values(values: np.ndarray, weights: np.ndarray) -> Distributio
     del v
     probs = np.add.reduceat(w, starts)
     del w, starts  # freed before the table's checks allocate
-    probs /= probs.sum()
+    if not (total := probs.sum()) > 0.0:  # a zero or NaN total fails before the divide warns
+        raise DomainError(f"weights sum to {total}; a law needs positive mass")
+    probs /= total
     return DistributionTable._owning(atoms, probs)
 
 

@@ -197,11 +197,12 @@ class Kernel:
         return sum(v * v for key, v in self.coeffs.items() if k in key)
 
     def influence_vector(self) -> np.ndarray:
-        out = np.zeros(self.horizon)
+        # Python floats: the same additions as on array entries, without a numpy scalar each
+        out = [0.0] * self.horizon
         for key, v in self.coeffs.items():
             for i in key:
                 out[i] += v * v
-        return out
+        return np.array(out, dtype=float)
 
     def sup_influence(self) -> float:
         if not self.coeffs:

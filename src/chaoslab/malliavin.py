@@ -113,17 +113,20 @@ def pseudo_inverse(F: ChaosVector) -> ChaosVector:
     The order-0 part must vanish; a residue below rounding scale
     (1e-9 relative to the fluctuation size) is dropped silently.
     """
+    return _scale_orders_inverse(F, -1.0)
+
+
+def minus_pseudo_inverse(F: ChaosVector) -> ChaosVector:
+    # one pass; rounding is symmetric in sign, so these are the bits of pseudo_inverse(F) * -1
+    return _scale_orders_inverse(F, 1.0)
+
+
+def _scale_orders_inverse(F: ChaosVector, sign: float) -> ChaosVector:
     mean = F.kernel(0).value(())
     scale = 1.0 + float(np.sqrt(max(F.variance(), 0.0)))
     if abs(mean) > 1e-9 * scale:
         raise DomainError(f"pseudo-inverse needs a centered input; mean is {mean}")
-    return F.map_kernels(
-        lambda r, k: k.scale(-1.0 / r) if r else k.scale(0.0)
-    )
-
-
-def minus_pseudo_inverse(F: ChaosVector) -> ChaosVector:
-    return pseudo_inverse(F).scale(-1.0)
+    return F.map_kernels(lambda r, k: k.scale(sign / r) if r else k.scale(0.0))
 
 
 def gamma0(

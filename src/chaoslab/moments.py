@@ -45,7 +45,6 @@ from .chaos import (
     basis_coefficients,
     even_moments,
     expectation,
-    fold_coordinate,
     integral_table,
     split_coordinate,
     subset_orders,
@@ -184,7 +183,7 @@ def _quartic_gradient_sum(
     total = 0.0
     for k in range(model.n):
         square = d_half(table, k, model) ** 2
-        total += float(np.vdot(fold_coordinate(w, k), square * square)) / model.pq[k]
+        total += float(np.vdot(np.add(*split_coordinate(w, k)), square * square)) / model.pq[k]
     return float(total / (2.0 * m))
 
 
@@ -220,26 +219,31 @@ def quartic_gradient_bound(
     ) / (2.0 * m) * second * gamma_m(m) * f.sup_influence()
 
 
-def _flip_flow(
-    F: ValueTable, G: ValueTable, model: RademacherModel, w: np.ndarray
-) -> np.ndarray:
+def _flip_flow(F: ValueTable, G: ValueTable, model: RademacherModel, w: np.ndarray) -> np.ndarray:
     """Net mass the flips of each coordinate move onto each outcome; see
-    ``sup_flip_pairing``.  Its own frame, so the half tables are freed
-    before the levels are ranked."""
+    ``sup_flip_pairing``."""
     flow = np.zeros(2**model.n)
     for k in range(model.n):
         v = d_half(F, k, model)
-        v *= np.abs(v if G is F else d_half(G, k, model))
-        v /= model.sqrt_pq[k]
-        w_minus, w_plus = split_coordinate(w, k)
-        moved = w_minus * v
-        v *= w_plus
-        moved += v
-        moved *= model.sqrt_pq[k]
-        at_minus, at_plus = split_coordinate(flow, k)
-        at_minus -= moved
-        at_plus += moved
+        dg = np.abs(v if G is F else d_half(G, k, model))
+        v *= dg
+        _book_flips(flow, v, dg, w, k, model)
     return flow
+
+
+def _book_flips(flow: np.ndarray, v: np.ndarray, scratch: np.ndarray, w: np.ndarray,
+                k: int, model: RademacherModel) -> None:
+    """Coordinate k's part of ``_flip_flow``, from v = D_kF |D_kG| on one
+    ``split_coordinate`` half (overwritten) and a free half ``scratch``."""
+    v /= model.sqrt_pq[k]
+    w_minus, w_plus = split_coordinate(w, k)
+    moved = np.multiply(w_minus, v, out=scratch.reshape(v.shape))
+    v *= w_plus
+    moved += v
+    moved *= model.sqrt_pq[k]
+    at_minus, at_plus = split_coordinate(flow, k)
+    at_minus -= moved
+    at_plus += moved
 
 
 def sup_flip_pairing(
@@ -251,22 +255,24 @@ def sup_flip_pairing(
     so the pairing is sum_j a_j 1{F_j > x} over outcomes j, where
     coordinate k moves the mass c_- + c_+ of each pair of its halves
     (c = w D_kF |D_kG|, on the halves where D_k lives) off the outcome
-    with X_k = -1 and onto the one with X_k = +1.  A rank table of F's
-    levels (``distance._levels``, the atoms of the exact law) then gives
-    the mass of every level, and the sup is the largest mass strictly
-    above a level (0 above the top one).  The masses are summed outcome
-    by outcome and level by level rather than along a sort of all
-    2n 2**n flip thresholds, so the value differs from that order only in
-    the last digits.
+    with X_k = -1 and onto the one with X_k = +1: ``_flip_flow`` builds
+    that flow a and ``_sup_above_levels`` ranks it.
     """
-    flow = _flip_flow(F, G, model, model.weights(caps))
-    order, starts = _levels(F.values)[1:]
+    return _sup_above_levels(F.values, _flip_flow(F, G, model, model.weights(caps)))
+
+
+def _sup_above_levels(values: np.ndarray, flow: np.ndarray) -> float:
+    """The largest mass of ``flow`` strictly above a level of ``values`` (0
+    above the top one), summed outcome by outcome and level by level over a
+    rank table of the levels (``distance._levels``, the exact law's atoms): it
+    differs from a sort of all 2n 2**n flip thresholds in the last digits."""
+    order, starts = _levels(values)[1:]
     level = np.cumsum(np.bincount(starts[1:], minlength=len(order)))  # by sorted position
     rank = np.empty_like(level)
     rank[order] = level
     del order, level  # freed before the masses are summed
     mass = np.bincount(rank, weights=flow, minlength=len(starts))
-    del rank, flow
+    del rank
     above = np.cumsum(mass[:0:-1])  # mass strictly above each level but the top
     return max(float(above.max(initial=0.0)), 0.0)
 

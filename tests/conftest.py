@@ -49,11 +49,11 @@ from chaoslab import (
     variance,
     y_moment,
 )
-from chaoslab.bounds import _DEGENERACY_TOL
+from chaoslab.bounds import _DEGENERACY_TOL, _NORMALIZATION_TOL
 from chaoslab.construct import first_coordinate_point, uniform_sphere_point
-from chaoslab.chaos import join_coordinate, split_coordinate
-from chaoslab.distance import _MERGE_TOL, DistributionTable, normal_cdf
-from chaoslab.malliavin import d, gamma0, minus_pseudo_inverse
+from chaoslab.chaos import even_moments, join_coordinate, split_coordinate
+from chaoslab.distance import _MERGE_TOL, DistributionTable, _levels, normal_cdf
+from chaoslab.malliavin import d, d_half, gamma0, minus_pseudo_inverse
 from chaoslab.moments import fourth_moment_symmetric, moment
 
 
@@ -639,6 +639,144 @@ def oracle_abstract_bounds(F: ChaosVector, model: RademacherModel) -> dict[str, 
             math.sqrt(var_g_self)
             + math.sqrt(quart) * (fourth**0.25 + 1.0) * quart_root / (2.0 * math.sqrt(2.0) * m)
             + oracle_sup_flip_pairing(table, per_k_self, model) / m
+        )
+    return out
+
+
+# -- the loops that the fast paths replaced, kept for bit-equality tests --------
+#
+# Each is the library's code as it was before the change it names, so the
+# fast path must give the same bits, not only values within a tolerance.
+
+
+def loop_influence_vector(f: Kernel) -> np.ndarray:
+    """``Kernel.influence_vector`` adding into array entries one numpy
+    scalar at a time."""
+    out = np.zeros(f.horizon)
+    for key, v in f.coeffs.items():
+        for i in key:
+            out[i] += v * v
+    return out
+
+
+def loop_pseudo_inverse(F: ChaosVector) -> ChaosVector:
+    """L^-1 F for a centered F: order r scaled by -1/r, the order-0 residue
+    dropped (``pseudo_inverse`` without its input check)."""
+    return F.map_kernels(lambda r, k: k.scale(-1.0 / r) if r else k.scale(0.0))
+
+
+def loop_minus_pseudo_inverse(F: ChaosVector) -> ChaosVector:
+    """-L^-1 F in two passes: ``loop_pseudo_inverse``, then a scale by -1."""
+    return loop_pseudo_inverse(F).scale(-1.0)
+
+
+def loop_gradient_sums(table: ValueTable, linv_table: ValueTable, model: RademacherModel):
+    """The gradient terms of ``abstract_bounds`` in their own loop, two
+    ``d_half`` calls per coordinate: the cubic remainder, the sums of
+    E[(D_kF D_k L^-1 F)^2] and E[(D_kF)^4] over p_k q_k, the middle
+    Kolmogorov term and E[M^2]^(1/4)."""
+    w = model.weights()
+    lifted = w * (np.abs(table.values) + math.sqrt(2.0 * math.pi) / 4.0)
+    remainder = inner_sq = quart = middle = 0.0
+    cs_table = np.zeros(2**model.n)
+    for k in range(model.n):
+        p, q, pq = model.p[k], model.q[k], model.pq[k]
+        w_minus, w_plus = split_coordinate(w, k)
+        wk = w_minus + w_plus
+        df = d_half(table, k, model)
+        dlinv = np.abs(d_half(linv_table, k, model))
+        square = df * df
+        cubic = square * dlinv
+        remainder += float(np.vdot(wk, cubic)) / model.sqrt_pq[k]
+        inner_sq += float(np.vdot(wk, cubic * dlinv)) / pq
+        quart += float(np.vdot(wk, square * square)) / pq
+        lift_minus, lift_plus = split_coordinate(lifted, k)
+        middle += float(np.vdot(p * lift_minus + q * lift_plus, cubic)) / pq**1.5
+        minus, plus = split_coordinate(cs_table, k)
+        minus += square / q
+        plus += square / p
+    quart_root = float(np.dot(w, cs_table**2)) ** 0.25
+    return float(remainder), float(inner_sq), float(quart), float(0.25 * middle), quart_root
+
+
+def loop_flip_flow(F: ValueTable, G: ValueTable, model: RademacherModel) -> np.ndarray:
+    """The indicator sup's flip flow in its own loop, two ``d_half`` calls
+    per coordinate (one when G is F)."""
+    w = model.weights()
+    flow = np.zeros(2**model.n)
+    for k in range(model.n):
+        v = d_half(F, k, model)
+        v *= np.abs(v if G is F else d_half(G, k, model))
+        v /= model.sqrt_pq[k]
+        w_minus, w_plus = split_coordinate(w, k)
+        moved = w_minus * v
+        v *= w_plus
+        moved += v
+        moved *= model.sqrt_pq[k]
+        at_minus, at_plus = split_coordinate(flow, k)
+        at_minus -= moved
+        at_plus += moved
+    return flow
+
+
+def loop_sup_flip_pairing(F: ValueTable, G: ValueTable, model: RademacherModel) -> float:
+    """``sup_flip_pairing`` on ``loop_flip_flow``, ranked by one rank table
+    of F's levels."""
+    flow = loop_flip_flow(F, G, model)
+    order, starts = _levels(F.values)[1:]
+    level = np.cumsum(np.bincount(starts[1:], minlength=len(order)))
+    rank = np.empty_like(level)
+    rank[order] = level
+    mass = np.bincount(rank, weights=flow, minlength=len(starts))
+    above = np.cumsum(mass[:0:-1])
+    return max(float(above.max(initial=0.0)), 0.0)
+
+
+def loop_abstract_bounds(F: ChaosVector, model: RademacherModel) -> dict[str, float]:
+    """``abstract_bounds`` on ``loop_minus_pseudo_inverse``,
+    ``loop_gradient_sums`` and ``loop_sup_flip_pairing``."""
+    w = model.weights()
+    table = to_table(F, model)
+    linv_table = to_table(loop_minus_pseudo_inverse(F), model)
+    g0 = gamma0(table, linv_table, model)
+    term_gamma_abs = float(np.dot(w, np.abs(1.0 - g0.values)))
+    term_gamma_var = variance(g0, model)
+    var_f, fourth = even_moments(table, model)
+    remainder, inner_sq, quart, term_mid, quart_root = loop_gradient_sums(
+        table, linv_table, model
+    )
+    s2pi = math.sqrt(2.0 / math.pi)
+    sup_term = loop_sup_flip_pairing(table, linv_table, model)
+    term_mid2 = (
+        (1.0 / (2.0 * math.sqrt(2.0)))
+        * math.sqrt(inner_sq)
+        * (fourth**0.25 + 1.0)
+        * quart_root
+    )
+    out = {
+        "gamma_deviation_abs": term_gamma_abs,
+        "gamma_deviation_var": term_gamma_var,
+        "cubic_remainder": remainder,
+        "indicator_sup": sup_term,
+        "kolmogorov_middle": term_mid,
+        "kolmogorov_middle_cs": term_mid2,
+        "wasserstein_line1": s2pi * term_gamma_abs + remainder,
+        "wasserstein_line2": s2pi * abs(1.0 - var_f) + s2pi * math.sqrt(term_gamma_var)
+        + remainder,
+        "kolmogorov_line1": term_gamma_abs + term_mid + sup_term,
+        "kolmogorov_line2": abs(1.0 - var_f) + math.sqrt(term_gamma_var) + term_mid2
+        + sup_term,
+    }
+    m = F.pure_order()
+    if m and abs(var_f - 1.0) <= _NORMALIZATION_TOL:
+        out["wasserstein_single_order"] = s2pi * math.sqrt(term_gamma_var) + math.sqrt(quart / m)
+        out["kolmogorov_single_order"] = (
+            math.sqrt(term_gamma_var)
+            + (1.0 / (2.0 * math.sqrt(2.0) * m))
+            * math.sqrt(quart)
+            * (fourth**0.25 + 1.0)
+            * quart_root
+            + sup_term
         )
     return out
 

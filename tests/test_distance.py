@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 from statistics import NormalDist
 
@@ -123,6 +124,14 @@ class TestDistributionTable:
     def test_non_finite_laws_are_rejected(self, make):
         with pytest.raises(DomainError), np.errstate(invalid="ignore"):
             make()
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [0.0, -0.0], [math.nan, 0.5]])
+    def test_law_without_positive_mass_is_rejected_before_dividing(self, weights):
+        # no np.errstate here: a numpy warning before the DomainError fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="a law needs positive mass"):
+                from_weighted_values(np.array([0.0, 1.0]), np.array(weights))
 
     def test_arrays_read_only_and_levels_summed_once(self):
         atoms, probs = np.array([-1.0, 1.0]), np.array([0.25, 0.75])

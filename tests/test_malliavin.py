@@ -132,8 +132,9 @@ class TestPseudoInverse:
 
     def test_rejects_non_centered(self, rng):
         F = ChaosVector.constant(1.0, 4)
-        with pytest.raises(DomainError):
-            pseudo_inverse(F)
+        for inverse in (pseudo_inverse, minus_pseudo_inverse):
+            with pytest.raises(DomainError, match="needs a centered input; mean is 1.0"):
+                inverse(F)
 
     def test_sub_rounding_mean_is_dropped(self, rng):
         from chaoslab import Kernel, random_kernel as rk

@@ -66,8 +66,25 @@ def test_traced_dejong_route_records_spans_and_counts(spans):
     assert not tracer.errors
 
 
+@pytest.fixture
+def ranked(monkeypatch):
+    """The sizes of the tables whose levels were ranked for an indicator sup,
+    one entry per ranking, whichever module made it."""
+    calls, original = [], moments._sup_above_levels
+
+    def spy(values, flow):
+        calls.append(len(values))
+        return original(values, flow)
+
+    monkeypatch.setattr(moments, "_sup_above_levels", spy)
+    monkeypatch.setattr(bounds, "_sup_above_levels", spy)
+    return calls
+
+
 @pytest.mark.parametrize("call", ["abstract_bounds", "kolmogorov_term"])
-def test_traced_operator_terms_record_the_indicator_span(spans, call):
+def test_traced_operator_terms_rank_the_levels_once(spans, ranked, call):
+    # kolmogorov_term ranks through sup_flip_pairing; abstract_bounds ranks the
+    # flow of its own coordinate sweep, with no sup_flip_pairing span
     rng = np.random.default_rng(5)
     model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
     F = ChaosVector.from_kernel(random_kernel(2, 6, rng, normalized=True))
@@ -75,11 +92,13 @@ def test_traced_operator_terms_record_the_indicator_span(spans, call):
     with spans.Tracer() as tracer:
         getattr(owner, call)(F, model)
     names = set(tracer.summary())
-    assert {f"{owner.__name__.split('.')[-1]}.{call}", "moments.sup_flip_pairing"} <= names
+    assert f"{owner.__name__.split('.')[-1]}.{call}" in names
+    assert ("moments.sup_flip_pairing" in names) == (call == "kolmogorov_term")
+    assert ranked == [2**6]
     assert not tracer.errors
 
 
-def test_traced_single_order_lines_reuse_the_general_terms(spans):
+def test_traced_single_order_lines_reuse_the_general_terms(spans, ranked):
     # -L^-1 F = F/m for a pure integral, so the single-order lines need no
     # second indicator sup and no second squared field
     rng = np.random.default_rng(5)
@@ -89,7 +108,8 @@ def test_traced_single_order_lines_reuse_the_general_terms(spans):
         terms = bounds.abstract_bounds(F, model)
     summary = tracer.summary()
     assert "kolmogorov_single_order" in terms
-    assert summary["moments.sup_flip_pairing"]["calls"] == 1
+    assert ranked == [2**6]
+    assert "moments.sup_flip_pairing" not in summary
     assert summary["malliavin.gamma0"]["calls"] == 1
     assert not tracer.errors
 
