@@ -232,11 +232,9 @@ def abstract_bounds(
     general terms rather than computing them again.  One ``_coordinate_sweep``
     gives the gradient terms and the flow that the indicator sup ranks.
     """
-    if abs(F.mean()) > 1e-9 * (1.0 + math.sqrt(max(F.variance(), 0.0))):
-        raise DomainError(f"abstract bounds need a centered input; mean is {F.mean()}")
+    minus_linv = minus_pseudo_inverse(F)  # raises DomainError on a non-centered F, before any table
     w = model.weights(caps)
     table = to_table(F, model, caps)
-    minus_linv = minus_pseudo_inverse(F)
     linv_table = to_table(minus_linv, model, caps)
 
     g0 = gamma0(table, linv_table, model)

@@ -3,6 +3,13 @@
 Subcommands load JSON model/kernel files (0-based indices), run the exact
 engines and print flat key=value reports, or JSON with --json.  Exit
 status is 0 only if every assertion made by the invoked command passed.
+
+``bound``, ``distance`` and ``dejong`` take the exact law from the kernel's
+independent pieces (``distance.integral_law``), so they print one W1 per
+file, and the first two accept a horizon past ``enum_cap`` when every
+piece fits under it.  ``moments`` calls a model fair only when every p is
+exactly 0.5; then ``--engine both`` evaluates one plan for both
+product-formula engines.
 """
 
 from __future__ import annotations
@@ -132,7 +139,7 @@ def cmd_moments(args, caps: Caps) -> int:
     report: dict = {"order": kern.order, "horizon": kern.horizon}
     engines = {}
     want = args.engine
-    symmetric = all(abs(p - 0.5) <= 1e-15 for p in model.probs)
+    symmetric = all(p == 0.5 for p in model.probs)
     if want in ("enumerate", "both"):
         table = integral_table(kern, model, caps)
         report["second_moment"], engines["enumerate"] = moments.even_moments(table, model, caps)
@@ -142,10 +149,12 @@ def cmd_moments(args, caps: Caps) -> int:
     if want in ("factorized", "both"):
         plan, values = moments.factorized_plan(kern.to_subset_coeffs(), model, caps)
         engines["factorized"] = plan.fourth_moment(values)
-    if want == "symmetric-fast" or (want == "both" and symmetric):
+        if want == "both" and symmetric:
+            # fair coins have skew exactly 0, and a zero-skew plan gives the fair-coin plan's bits
+            engines["symmetric_fast"] = engines["factorized"]
+    if want == "symmetric-fast":
         if not symmetric:
-            print("error: symmetric-fast engine needs the fair-coin model", file=sys.stderr)
-            return 2
+            raise DomainError("symmetric-fast engine needs the fair-coin model")
         plan, values = support_plan(kern.to_subset_coeffs())
         engines["symmetric_fast"] = plan.fourth_moment(values)
     report.update({f"fourth_moment_{k}": v for k, v in engines.items()})
@@ -159,12 +168,6 @@ def cmd_moments(args, caps: Caps) -> int:
 
 
 def cmd_distance(args, caps: Caps) -> int:
-    """Atoms, variance and exact distances of a kernel's integral.
-
-    The law and the variance come from the kernel's independent pieces
-    (``distance.integral_law``), as in ``bound``, so the horizon may
-    exceed ``enum_cap`` when every piece fits under it.
-    """
     model, kern = _load_pair(args)
     route = distance.integral_law(kern, model, caps)
     law = route.law
@@ -185,14 +188,13 @@ def cmd_dejong(args, caps: Caps) -> int:
     model, kern = _load_pair(args)
     table = integral_table(kern, model, caps)
     rep = bounds.dejong_bound(table, model, kappa_m=args.kappa_m, caps=caps)
+    del table  # W1 below comes from bound's route, one 2**n table alive at a time
     data = rep.to_dict()
     ref = math.factorial(kern.order) ** 2 * kern.sup_influence()
     data["msq_sup_influence"] = ref
-    data["rho_sq_over_msq_sup_influence"] = (
-        rep.terms["rho_squared"] / ref if ref else float("nan")
-    )
-    law = distance.exact_distribution(table, model, caps)
-    data["exact_wasserstein"] = distance.wasserstein_to_normal(law)
+    data["rho_sq_over_msq_sup_influence"] = rep.terms["rho_squared"] / ref if ref else float("nan")
+    law = distance.integral_law(kern, model, caps).law
+    data["exact_wasserstein"] = distance.normal_distances(law)[0]
     _emit(data, args.json)
     return 0
 

@@ -625,8 +625,7 @@ def check_distance_sanity(rng, caps):
     t = to_table(F, model, caps)
     law = distance.exact_distribution(t, model, caps)
     yield abs(float(law.probs.sum()) - 1.0)
-    dk = distance.kolmogorov_to_normal(law)
-    dw = distance.wasserstein_to_normal(law)
+    dw, dk = distance.normal_distances(law)
     yield from (-dk, dk - 1.0, -dw)
     c = float(rng.uniform(-1, 1))
     yield distance.wasserstein_to_normal(law.shift(c)) - dw - abs(c)

@@ -21,6 +21,7 @@ from chaoslab.distance import (
 from chaoslab.moments import moment
 from chaoslab.errors import FormatError
 from chaoslab.kernels import SupportPlan
+from chaoslab.model import PROB_FLOOR
 from conftest import random_model
 
 
@@ -313,7 +314,8 @@ class TestCli:
         built = []
         init = SupportPlan.__init__
         monkeypatch.setattr(SupportPlan, "__init__", lambda self, *a: built.append(1) or init(self, *a))
-        for engine, plans, out in (("both", 2, outs[0]), ("factorized", 1, outs[2]), ("symmetric-fast", 1, outs[3])):
+        # on fair coins ``both`` evaluates the one capped factorized plan for both names
+        for engine, plans, out in (("both", 1, outs[0]), ("factorized", 1, outs[2]), ("symmetric-fast", 1, outs[3])):
             built.clear()
             assert cli.main(argv + ["--engine", engine]) == 0
             assert (len(built), capsys.readouterr().out) == (plans, out)
@@ -323,6 +325,20 @@ class TestCli:
             assert (report["support_size"], report["overlapping_pairs"]) == (4, 6)
         assert cli.main(argv + ["--engine", "enumerate"]) == 0
         assert "overlapping_pairs" not in json.loads(capsys.readouterr().out)
+
+    def test_moments_calls_a_model_fair_only_at_exactly_one_half(self, tmp_path, capsys):
+        # one ulp above 0.5 is a skewed model: symmetric-fast refuses it and
+        # ``both`` runs the factorized engine alone
+        f = Kernel(2, 3, {(0, 1): 0.5, (1, 2): -0.5})
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        io.dump_json(io.kernel_to_dict(f), kpath)
+        io.dump_json(io.model_to_dict(RademacherModel((0.5, math.nextafter(0.5, 1.0), 0.5))), mpath)
+        argv = ["moments", "--kernel", str(kpath), "--model", str(mpath), "--json", "--engine"]
+        assert cli.main(argv + ["symmetric-fast"]) == 2
+        assert capsys.readouterr().err == "error: symmetric-fast engine needs the fair-coin model\n"
+        assert cli.main(argv + ["both"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "fourth_moment_factorized" in report and "fourth_moment_symmetric_fast" not in report
 
     def test_distance_two_atom_value(self, tmp_path, capsys):
         f = Kernel(1, 1, {(0,): 1.0})
@@ -394,27 +410,38 @@ class TestCli:
             assert rc == 2 and err.startswith("error: ") and "kappa_m" in err
 
     def test_bound_and_distance_report_the_route_moments(self, tmp_path, rng, capsys):
-        # one kernel file through ``bound`` and ``distance``: both report
-        # E[F^2] and E[F^4] of ``integral_law`` bit for bit, whether the
-        # support splits into n order-1 pieces, into matched pairs, or not
+        # one kernel file through ``bound``, ``distance`` and ``dejong``: each
+        # reports E[F^2], E[F^4] and the distances of ``integral_law`` bit for
+        # bit, whether the support splits into n order-1 pieces, into matched
+        # pairs, or not, at n = 1 and with p at the floor
+        floor = RademacherModel((PROB_FLOOR, 0.3, 1.0 - PROB_FLOOR, 0.5, PROB_FLOOR))
         cases = [(random_kernel(1, n, rng, normalized=True), random_model(rng, n))
-                 for n in (3, 5, 7, 8, 9, 10, 11, 12)]
+                 for n in (1, 3, 5, 7, 8, 9, 10, 11, 12)]
         cases += [matched_pairs_kernel(n) for n in (4, 10, 20)]
         cases += [(random_kernel(m, n, rng, normalized=True), random_model(rng, n))
                   for m, n in ((2, 6), (2, 9), (3, 8))]
+        cases += [(random_kernel(m, 5, rng, normalized=True), floor) for m in (1, 2)]
         kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
         argv = ["--kernel", str(kpath), "--model", str(mpath), "--json"]
         for kern, model in cases:
             io.dump_json(io.kernel_to_dict(kern), kpath)
             io.dump_json(io.model_to_dict(model), mpath)
             route = integral_law(kern, model)
+            w1, dk = normal_distances(route.law)
             assert cli.main(["bound", *argv]) == 0
             text = capsys.readouterr().out
             first, end = json.JSONDecoder().raw_decode(text)
             for rep in (first, json.loads(text[end:])):
                 assert (rep["variance"], rep["fourth_moment"]) == (route.variance, route.fourth)
-            assert cli.main(["distance", *argv]) == 0
-            assert json.loads(capsys.readouterr().out)["variance"] == route.variance
+            want = {"both": (w1, dk), "wasserstein": (w1, None), "kolmogorov": (None, dk)}
+            for mode, (w, k) in want.items():
+                assert cli.main(["distance", *argv, "--distance", mode]) == 0
+                report = json.loads(capsys.readouterr().out)
+                assert report["variance"] == route.variance
+                got = (report.get("wasserstein_distance"), report.get("kolmogorov_distance"))
+                assert got == (w, k)
+            assert cli.main(["dejong", *argv]) == 0
+            assert json.loads(capsys.readouterr().out)["exact_wasserstein"] == w1
 
     def test_capacity_error_names_cap(self, tmp_path, rng, capsys):
         f = random_kernel(2, 8, rng, normalized=True)

@@ -1,13 +1,15 @@
-"""Bit-equality contracts: fast paths against the loops they replaced.
+"""Bit-equality contracts: fast paths against the code they replaced.
 
 ``abstract_bounds`` takes its gradient terms and the indicator sup's flip
 flow from one sweep over the coordinates, ``sup_flip_pairing`` ranks a flow
 built through the same per-coordinate helper, ``minus_pseudo_inverse``
 scales each order once and ``Kernel.influence_vector`` adds in Python
 floats.  Each keeps the rounding of the code it replaced, so every output
-must equal the ``loop_*`` oracles of ``conftest`` bit for bit, compared
-under ``view(np.int64)`` so that the sign of a zero counts too.  CI runs
-this file again with numpy's AVX-512 dispatch off.
+must equal the ``loop_*`` oracles of ``conftest`` bit for bit.  A support
+plan for a zero skew, which ``chaoslab moments`` builds for fair coins,
+must give the fair-coin plan's bits.  Bits are compared under
+``view(np.int64)`` so that the sign of a zero counts too.  CI runs this
+file again with numpy's AVX-512 dispatch off.
 """
 
 from itertools import combinations
@@ -26,6 +28,7 @@ from chaoslab import (
 )
 from chaoslab.bounds import _coordinate_sweep, abstract_bounds
 from chaoslab.chaos import _ROTATE_FROM
+from chaoslab.kernels import support_plan
 from chaoslab.malliavin import minus_pseudo_inverse, pseudo_inverse
 from chaoslab.moments import _flip_flow, kolmogorov_term, sup_flip_pairing
 from conftest import (
@@ -165,3 +168,28 @@ def test_influence_vector_keeps_the_bits_of_the_entry_loop(f):
     with np.errstate(over="ignore"):  # the entry loop warns where a sum overflows
         want = loop_influence_vector(f)
     assert_same_bits(got, want)
+
+
+@st.composite
+def supports(draw):
+    """(n, coefficients) on n < 14 coordinates: one order of 1..3 or a mix
+    of them, each order dense or thinned to a drawn share of its subsets."""
+    n = draw(st.integers(1, 13))
+    orders = draw(st.lists(st.integers(1, min(3, n)), min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    coeffs = {}
+    for m in orders:
+        coeffs.update((key, v) for key, v in random_kernel(m, n, rng).coeffs.items() if rng.random() < keep)
+    return n, coeffs
+
+
+@given(supports())
+@settings(max_examples=100, deadline=None)
+def test_zero_skew_plan_keeps_the_bits_of_the_fair_coin_plan(inst):
+    n, coeffs = inst
+    assert_same_bits(RademacherModel.symmetric(n).skew, np.zeros(n))  # +0.0, exactly
+    fair, values = support_plan(coeffs)
+    plan, same = support_plan(coeffs, np.zeros(n))
+    assert_same_bits(same, values)
+    assert_same_bits(plan.fourth_moment(same), fair.fourth_moment(values))
