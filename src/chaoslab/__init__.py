@@ -29,7 +29,6 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, ChaoslabError, DomainError, FormatError
 from .kernels import (
     Kernel,
-    SymmetrizedTensor,
     basis_kernel,
     constant_kernel,
     off_diagonal_defect,
@@ -55,7 +54,6 @@ __all__ = [
     "FormatError",
     "Kernel",
     "RademacherModel",
-    "SymmetrizedTensor",
     "ValueTable",
     "basis_coefficients",
     "basis_kernel",

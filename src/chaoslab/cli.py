@@ -9,7 +9,10 @@ independent pieces (``distance.integral_law``), so they print one W1 per
 file, and the first two accept a horizon past ``enum_cap`` when every
 piece fits under it.  ``moments`` calls a model fair only when every p is
 exactly 0.5; then ``--engine both`` evaluates one plan for both
-product-formula engines.
+product-formula engines.  Past ``factorized_support_cap``, ``--engine
+both`` reports the enumerate engine and names the refusal instead of
+failing.  Every refusal is printed by ``main``, which adds the
+``--normalize`` hint to a "not normalized" ``DomainError``.
 """
 
 from __future__ import annotations
@@ -69,16 +72,8 @@ def cmd_verify(args, caps: Caps) -> int:
 
 def cmd_bound(args, caps: Caps) -> int:
     model, kern = _load_pair(args)
-    F = ChaosVector.from_kernel(kern)
-    try:
-        pair = bounds.theorem_bounds(F, model, caps)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if "not normalized" in str(exc):
-            print("hint: pass --normalize to rescale the kernel", file=sys.stderr)
-        return 2
     ok = True
-    for rep in pair:
+    for rep in bounds.theorem_bounds(ChaosVector.from_kernel(kern), model, caps):
         if args.distance in (rep.kind, "both"):
             _emit(rep.to_dict(), args.json)
             if rep.slack < 0:
@@ -147,11 +142,19 @@ def cmd_moments(args, caps: Caps) -> int:
     # off the plan they evaluate: S subsets and the P pairs expanded
     plan = None
     if want in ("factorized", "both"):
-        plan, values = moments.factorized_plan(kern.to_subset_coeffs(), model, caps)
-        engines["factorized"] = plan.fourth_moment(values)
-        if want == "both" and symmetric:
-            # fair coins have skew exactly 0, and a zero-skew plan gives the fair-coin plan's bits
-            engines["symmetric_fast"] = engines["factorized"]
+        try:
+            plan, values = moments.factorized_plan(kern.to_subset_coeffs(), model, caps)
+        except CapacityError as exc:
+            if want == "factorized":
+                raise
+            # ``both`` answers with the enumerate engine and names the refusal
+            report["support_size"] = exc.requested
+            report["factorized_refused"] = f"{exc.cap_name}={exc.cap_value}"
+        else:
+            engines["factorized"] = plan.fourth_moment(values)
+            if want == "both" and symmetric:
+                # fair coins have skew exactly 0, and a zero-skew plan gives the fair-coin plan's bits
+                engines["symmetric_fast"] = engines["factorized"]
     if want == "symmetric-fast":
         if not symmetric:
             raise DomainError("symmetric-fast engine needs the fair-coin model")
@@ -170,16 +173,10 @@ def cmd_moments(args, caps: Caps) -> int:
 def cmd_distance(args, caps: Caps) -> int:
     model, kern = _load_pair(args)
     route = distance.integral_law(kern, model, caps)
-    law = route.law
-    report = {"atoms": len(law.atoms), "variance": route.variance}
-    if args.distance == "both":
-        report["wasserstein_distance"], report["kolmogorov_distance"] = (
-            distance.normal_distances(law)
-        )
-    elif args.distance == "kolmogorov":
-        report["kolmogorov_distance"] = distance.kolmogorov_to_normal(law)
-    else:
-        report["wasserstein_distance"] = distance.wasserstein_to_normal(law)
+    report = {"atoms": len(route.law.atoms), "variance": route.variance}
+    for kind, value in zip(("wasserstein", "kolmogorov"), distance.normal_distances(route.law)):
+        if args.distance in (kind, "both"):
+            report[f"{kind}_distance"] = value
     _emit(report, args.json)
     return 0
 
@@ -290,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ChaoslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, DomainError) and "not normalized" in str(exc):
+            print("hint: pass --normalize to rescale the kernel", file=sys.stderr)
         return 2
 
 

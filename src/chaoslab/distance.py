@@ -37,10 +37,9 @@ differential tests hold it to.  Phi^{-1} is evaluated only on the
 segments the CDF level crosses inside.  Each block's Wasserstein pieces
 are non-negative and are added by one numpy sum, and ``math.fsum`` adds
 the block sums.  ``normal_distances`` is the one walk of both distances,
-with Phi once per atom; ``wasserstein_to_normal`` is its first value, and
-``kolmogorov_to_normal`` walks the gaps alone, equal to its second bit for
-bit.  Blocks bound the temporaries of Phi, so the distances add no
-2^n-sized memory.
+with Phi once per atom; ``wasserstein_to_normal`` is its first value and
+``kolmogorov_to_normal`` its second.  Blocks bound the temporaries of
+Phi, so the distances add no 2^n-sized memory.
 """
 
 from __future__ import annotations
@@ -380,12 +379,6 @@ def _gap(atoms: np.ndarray, levels: np.ndarray, lo: int, phi: np.ndarray) -> flo
     return float(np.maximum.reduce(np.maximum(levels[near] - exact, exact - before)))
 
 
-def kolmogorov_to_normal(dist: DistributionTable) -> float:
-    """sup_x |P(F <= x) - Phi(x)|, attained at an atom from one side."""
-    atoms, levels = dist.atoms, dist.cdf_levels
-    return max(_gap(atoms, levels, lo, phi) for lo, phi in _phi_blocks(atoms))
-
-
 def _integral_cdf_below(a, phi):
     """integral_{-inf}^{a} Phi(x) dx = E[(a - N)^+], given phi = Phi(a)."""
     return normal_pdf(a) + a * phi
@@ -440,7 +433,7 @@ def normal_distances(dist: DistributionTable) -> tuple[float, float]:
     closed-form W1 segments (``_segment_sum``); ``math.fsum`` adds both
     exact tails and the segment sums, so W1 is limited only by the error of
     Phi (see the module docstring) and the rounding of each piece and of
-    the per-block sums.  dK equals ``kolmogorov_to_normal`` bit for bit.
+    the per-block sums.  dK is the exact largest atom gap (``_gap``).
     """
     atoms, levels = dist.atoms, dist.cdf_levels
     gaps, pieces, phi_before = [], [], None
@@ -458,6 +451,12 @@ def wasserstein_to_normal(dist: DistributionTable) -> float:
     """L1 distance between the law's CDF and Phi over the whole line, from
     the walk of ``normal_distances``."""
     return normal_distances(dist)[0]
+
+
+def kolmogorov_to_normal(dist: DistributionTable) -> float:
+    """sup_x |P(F <= x) - Phi(x)|, attained at an atom from one side, from
+    the walk of ``normal_distances``."""
+    return normal_distances(dist)[1]
 
 
 def empirical_distances(samples) -> tuple[float, float, float]:

@@ -32,13 +32,13 @@ their splits, multisets and symmetric differences.  An evaluation takes
 the coefficient values, gathers the pair products and sums each group;
 the disjoint pairs enter through closed sums.  ``support_plan`` builds
 the plan of a coefficient mapping under the same input rule.
-``symmetrized_tensor`` enumerates the multisets themselves and serves the
-top kernel of a product.  Every total an evaluation returns is the
-correctly rounded sum of its terms, ``math.fsum``'s value bit for bit
-(``_finite_sum``): an array of at least ``_BINNED_FROM`` terms is added
-exactly in exponent bins by a few numpy passes, anything shorter by
-``math.fsum``.  Finite coefficients whose fourth-order sums leave the
-float range raise ``DomainError``.
+``symmetrized_tensor`` enumerates the multisets themselves into a plain
+dict; its distinct-index part is the top kernel of a product.  Every
+total an evaluation returns is the correctly rounded sum of its terms,
+``math.fsum``'s value bit for bit (``_finite_sum``): an array of at
+least ``_BINNED_FROM`` terms is added exactly in exponent bins by a few
+numpy passes, anything shorter by ``math.fsum``.  Finite coefficients
+whose fourth-order sums leave the float range raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -304,30 +304,9 @@ def random_kernel(
 # -- symmetrized tensor products -----------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetrizedTensor:
-    """Canonical symmetrization of f (x) g as a map from sorted multisets.
-
-    Multisets may repeat indices.  Built on demand, never stored inside
-    kernels; ``diagonal_free`` gives the top kernel of a product.
-    """
-
-    order: int
-    horizon: int
-    values: Mapping[Subset, float]  # key: sorted tuple, repeats allowed
-
-    def diagonal_free(self) -> Kernel:
-        """Restriction to distinct tuples, as a kernel.
-
-        The tensor's constructor is public and takes any keys, so the
-        kernel goes through the validating constructor.
-        """
-        kept = {k: v for k, v in self.values.items() if len(set(k)) == len(k)}
-        return Kernel(self.order, self.horizon, kept)
-
-
-def symmetrized_tensor(f: Kernel, g: Kernel) -> SymmetrizedTensor:
-    """Canonical symmetrization of the tensor product of two kernels.
+def symmetrized_tensor(f: Kernel, g: Kernel) -> dict[Subset, float]:
+    """Canonical symmetrization of the tensor product of two kernels, as a
+    map from sorted multisets (repeats allowed) to its nonzero values.
 
     For a tuple t of length m+n the value is the average over all ways of
     routing m of its positions to f and the rest to g:
@@ -360,7 +339,7 @@ def symmetrized_tensor(f: Kernel, g: Kernel) -> SymmetrizedTensor:
                 acc += fa * gb
         if acc != 0.0:
             values[t] = norm * acc
-    return SymmetrizedTensor(order, f.horizon, values)
+    return values
 
 
 # -- the support plan -----------------------------------------------------------

@@ -96,9 +96,11 @@ def ou_generator_pathwise(table: ValueTable, model: RademacherModel) -> ValueTab
     acc = np.zeros(2**table.horizon)
     for k in range(model.n):
         minus, plus = split_coordinate(table.values, k)
+        diff = plus - minus
         acc_minus, acc_plus = split_coordinate(acc, k)
-        acc_minus += model.p[k] * (plus - minus)
-        acc_plus += model.q[k] * (minus - plus)
+        acc_minus += model.p[k] * diff
+        # the bits of += q (minus - plus): negation is exact, and acc never holds -0.0
+        acc_plus -= model.q[k] * diff
     return ValueTable._owning(table.horizon, acc)
 
 
@@ -146,7 +148,8 @@ def gamma0(
     for k in range(model.n):
         f_minus, f_plus = split_coordinate(F.values, k)
         g_minus, g_plus = split_coordinate(G.values, k)
-        prod = (f_plus - f_minus) * (g_plus - g_minus)
+        df = f_plus - f_minus
+        prod = df * (df if G is F else g_plus - g_minus)
         acc_minus, acc_plus = split_coordinate(acc, k)
         acc_minus += 0.5 * (model.p[k] * prod)
         acc_plus += 0.5 * (model.q[k] * prod)

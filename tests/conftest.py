@@ -39,12 +39,12 @@ from chaoslab import (
     ChaosVector,
     Kernel,
     RademacherModel,
-    SymmetrizedTensor,
     ValueTable,
     conditional_expectation,
     multiply,
     project,
     random_kernel,
+    symmetrized_tensor,
     to_table,
     variance,
     y_moment,
@@ -168,12 +168,13 @@ def oracle_tensor_square_norms(f: Kernel, horizon: int) -> tuple[float, float]:
     return full, diag
 
 
-def oracle_multiset_norms(t: SymmetrizedTensor) -> tuple[float, float]:
+def oracle_multiset_norms(t: dict[tuple[int, ...], float]) -> tuple[float, float]:
     """Full and diagonal-restricted squared norms of a symmetrized tensor
-    over all tuples, each multiset weighted by its number of orderings."""
+    (``symmetrized_tensor``'s map from sorted multisets) over all tuples,
+    each multiset weighted by its number of orderings."""
     full = 0.0
     diag = 0.0
-    for key, v in t.values.items():
+    for key, v in t.items():
         orderings = math.factorial(len(key))
         for run in Counter(key).values():
             orderings //= math.factorial(run)
@@ -181,6 +182,14 @@ def oracle_multiset_norms(t: SymmetrizedTensor) -> tuple[float, float]:
         if len(set(key)) != len(key):
             diag += orderings * v * v
     return full, diag
+
+
+def tensor_top_kernel(f: Kernel, g: Kernel) -> Kernel:
+    """The distinct-index part of ``symmetrized_tensor(f, g)`` as a kernel,
+    through the validating constructor: the top kernel of the product."""
+    t = symmetrized_tensor(f, g)
+    kept = {key: v for key, v in t.items() if len(set(key)) == len(key)}
+    return Kernel(f.order + g.order, f.horizon, kept)
 
 
 def oracle_contraction_residual(f: Kernel, horizon: int) -> float:
@@ -668,6 +677,32 @@ def loop_pseudo_inverse(F: ChaosVector) -> ChaosVector:
 def loop_minus_pseudo_inverse(F: ChaosVector) -> ChaosVector:
     """-L^-1 F in two passes: ``loop_pseudo_inverse``, then a scale by -1."""
     return loop_pseudo_inverse(F).scale(-1.0)
+
+
+def loop_ou_generator_pathwise(table: ValueTable, model: RademacherModel) -> np.ndarray:
+    """``ou_generator_pathwise`` forming both differences of each
+    coordinate, F+ - F- and F- - F+."""
+    acc = np.zeros(2**table.horizon)
+    for k in range(model.n):
+        minus, plus = split_coordinate(table.values, k)
+        acc_minus, acc_plus = split_coordinate(acc, k)
+        acc_minus += model.p[k] * (plus - minus)
+        acc_plus += model.q[k] * (minus - plus)
+    return acc
+
+
+def loop_gamma0(F: ValueTable, G: ValueTable, model: RademacherModel) -> np.ndarray:
+    """``gamma0`` forming both differences of each coordinate, F's twice
+    when G is F."""
+    acc = np.zeros(2**model.n)
+    for k in range(model.n):
+        f_minus, f_plus = split_coordinate(F.values, k)
+        g_minus, g_plus = split_coordinate(G.values, k)
+        prod = (f_plus - f_minus) * (g_plus - g_minus)
+        acc_minus, acc_plus = split_coordinate(acc, k)
+        acc_minus += 0.5 * (model.p[k] * prod)
+        acc_plus += 0.5 * (model.q[k] * prod)
+    return acc
 
 
 def loop_gradient_sums(table: ValueTable, linv_table: ValueTable, model: RademacherModel):

@@ -20,7 +20,6 @@ from chaoslab import (
     integral_table,
     multiply,
     random_kernel,
-    symmetrized_tensor,
     tensor_square_residual,
     off_diagonal_defect,
     to_table,
@@ -66,6 +65,7 @@ from chaoslab.moments import (
     var_projection_sum,
 )
 from chaoslab.verify import _worst
+from conftest import tensor_top_kernel
 
 # reference values confirmed against 40-digit evaluations
 C1_1 = 1.3989422804014326779
@@ -225,10 +225,7 @@ def test_criterion_4_identity_suite():
         prod = multiply(ChaosVector.from_kernel(fa), ChaosVector.from_kernel(fb), model)
         track(
             "product_top_kernel",
-            _kernel_gap(
-                prod.kernel(fa.order + fb.order),
-                symmetrized_tensor(fa, fb).diagonal_free(),
-            ),
+            _kernel_gap(prod.kernel(fa.order + fb.order), tensor_top_kernel(fa, fb)),
         )
 
         # quartic gradient identity and bound

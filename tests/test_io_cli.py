@@ -18,7 +18,7 @@ from chaoslab.distance import (
     normal_distances,
     wasserstein_to_normal,
 )
-from chaoslab.moments import moment
+from chaoslab.moments import even_moments, moment
 from chaoslab.errors import FormatError
 from chaoslab.kernels import SupportPlan
 from chaoslab.model import PROB_FLOOR
@@ -236,13 +236,16 @@ class TestCli:
         kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
         io.dump_json(io.kernel_to_dict(f), kpath)
         io.dump_json(io.model_to_dict(model), mpath)
-        rc = cli.main(["bound", "--kernel", str(kpath), "--model", str(mpath)])
-        assert rc == 2
-        assert "--normalize" in capsys.readouterr().err
-        rc = cli.main(
-            ["bound", "--kernel", str(kpath), "--model", str(mpath), "--normalize"]
-        )
-        assert rc == 0
+        for command in ("bound", "dejong"):  # one error path in ``main`` serves both
+            rc = cli.main([command, "--kernel", str(kpath), "--model", str(mpath)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: input is not normalized"), command
+            assert err.endswith("\nhint: pass --normalize to rescale the kernel\n"), command
+            rc = cli.main(
+                [command, "--kernel", str(kpath), "--model", str(mpath), "--normalize"]
+            )
+            assert rc == 0
 
     def test_counterexample_inhomogeneous_writes_model(self, tmp_path, capsys):
         out = tmp_path / "ex.json"
@@ -339,6 +342,29 @@ class TestCli:
         assert cli.main(argv + ["both"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "fourth_moment_factorized" in report and "fourth_moment_symmetric_fast" not in report
+
+    def test_moments_both_past_the_support_cap_answers_by_enumeration(self, tmp_path, rng, capsys):
+        # C(12, 2) = 66 support subsets, above factorized_support_cap = 60
+        f = random_kernel(2, 12, rng, normalized=True)
+        model = random_model(rng, 12)
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        io.dump_json(io.kernel_to_dict(f), kpath)
+        io.dump_json(io.model_to_dict(model), mpath)
+        argv = ["moments", "--kernel", str(kpath), "--model", str(mpath), "--json", "--engine"]
+        assert cli.main(argv + ["both"]) == 0
+        second, fourth = even_moments(integral_table(f, model), model)
+        assert json.loads(capsys.readouterr().out) == {
+            "factorized_refused": "factorized_support_cap=60",
+            "fourth_moment_enumerate": fourth,
+            "horizon": 12,
+            "order": 2,
+            "second_moment": second,
+            "support_size": 66,
+        }
+        assert cli.main(argv + ["factorized"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("capacity error (factorized_support_cap=60): support size 66")
 
     def test_distance_two_atom_value(self, tmp_path, capsys):
         f = Kernel(1, 1, {(0,): 1.0})

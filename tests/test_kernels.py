@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from chaoslab import (
     DomainError,
     Kernel,
-    SymmetrizedTensor,
     basis_kernel,
     gamma_m,
     off_diagonal_defect,
@@ -23,6 +22,7 @@ from conftest import (
     oracle_contraction_residual,
     oracle_multiset_norms,
     oracle_tensor_square_norms,
+    tensor_top_kernel,
 )
 
 
@@ -55,10 +55,6 @@ class TestValidation:
     def test_normalize_overflow_is_typed(self):
         with pytest.raises(DomainError):
             Kernel(2, 4, {(0, 1): 1e200}).normalized()
-
-    def test_hand_built_tensor_keys_are_checked(self):
-        with pytest.raises(DomainError):
-            SymmetrizedTensor(2, 4, {(3, 1): 1.0}).diagonal_free()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -209,18 +205,16 @@ class TestRandomKernel:
 class TestSymmetrizedTensor:
     def test_same_point_square_is_pure_diagonal(self):
         f = basis_kernel((0,), 2)
-        t = symmetrized_tensor(f, f)
-        assert t.diagonal_free().is_zero()
-        assert t.values == {(0, 0): 1.0}
+        assert symmetrized_tensor(f, f) == {(0, 0): 1.0}
+        assert tensor_top_kernel(f, f).is_zero()
 
     def test_disjoint_order_one_pair(self):
         # canonical symmetrization averages the two orderings; only one
         # survives on disjoint supports, hence the factor 1/2
         f = basis_kernel((0,), 3, 2.0)
         g = basis_kernel((1,), 3, 5.0)
-        t = symmetrized_tensor(f, g)
-        assert t.values[(0, 1)] == pytest.approx(5.0, rel=1e-15)
-        assert t.diagonal_free().value((0, 1)) == pytest.approx(5.0)
+        assert symmetrized_tensor(f, g)[(0, 1)] == pytest.approx(5.0, rel=1e-15)
+        assert tensor_top_kernel(f, g).value((0, 1)) == pytest.approx(5.0)
 
     def test_matches_tuple_enumeration_oracle(self, rng):
         f = random_kernel(2, 4, rng)

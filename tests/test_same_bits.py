@@ -3,13 +3,14 @@
 ``abstract_bounds`` takes its gradient terms and the indicator sup's flip
 flow from one sweep over the coordinates, ``sup_flip_pairing`` ranks a flow
 built through the same per-coordinate helper, ``minus_pseudo_inverse``
-scales each order once and ``Kernel.influence_vector`` adds in Python
-floats.  Each keeps the rounding of the code it replaced, so every output
-must equal the ``loop_*`` oracles of ``conftest`` bit for bit.  A support
-plan for a zero skew, which ``chaoslab moments`` builds for fair coins,
-must give the fair-coin plan's bits.  Bits are compared under
-``view(np.int64)`` so that the sign of a zero counts too.  CI runs this
-file again with numpy's AVX-512 dispatch off.
+scales each order once, ``Kernel.influence_vector`` adds in Python
+floats, and ``ou_generator_pathwise`` and ``gamma0`` form one difference
+per coordinate.  Each keeps the rounding of the code it replaced, so
+every output must equal the ``loop_*`` oracles of ``conftest`` bit for
+bit.  A support plan for a zero skew, which ``chaoslab moments`` builds
+for fair coins, must give the fair-coin plan's bits.  Bits are compared
+under ``view(np.int64)`` so that the sign of a zero counts too.  CI runs
+this file again with numpy's AVX-512 dispatch off.
 """
 
 from itertools import combinations
@@ -22,6 +23,7 @@ from chaoslab import (
     ChaosVector,
     Kernel,
     RademacherModel,
+    ValueTable,
     random_kernel,
     to_table,
     zero_kernel,
@@ -29,13 +31,16 @@ from chaoslab import (
 from chaoslab.bounds import _coordinate_sweep, abstract_bounds
 from chaoslab.chaos import _ROTATE_FROM
 from chaoslab.kernels import support_plan
-from chaoslab.malliavin import minus_pseudo_inverse, pseudo_inverse
+from chaoslab.malliavin import gamma0, minus_pseudo_inverse, ou_generator_pathwise, pseudo_inverse
+from chaoslab.model import split_coordinate
 from chaoslab.moments import _flip_flow, kolmogorov_term, sup_flip_pairing
 from conftest import (
     loop_abstract_bounds,
     loop_flip_flow,
+    loop_gamma0,
     loop_influence_vector,
     loop_minus_pseudo_inverse,
+    loop_ou_generator_pathwise,
     loop_pseudo_inverse,
     loop_sup_flip_pairing,
     random_chaos,
@@ -193,3 +198,45 @@ def test_zero_skew_plan_keeps_the_bits_of_the_fair_coin_plan(inst):
     plan, same = support_plan(coeffs, np.zeros(n))
     assert_same_bits(same, values)
     assert_same_bits(plan.fourth_moment(same), fair.fourth_moment(values))
+
+
+@st.composite
+def value_tables(draw, n: int):
+    """A table on n coordinates: normal values, signed zeros, small integers
+    whose halves agree along drawn coordinates, or normal values scaled to
+    1e-300, to 1e-157 (where products are subnormal) or to 1e150."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "zeros", "equal_halves", "scaled"]))
+    if kind == "normal":
+        v = rng.standard_normal(2**n)
+    elif kind == "zeros":
+        v = rng.choice([0.0, -0.0], 2**n)
+    elif kind == "equal_halves":
+        v = rng.choice([0.0, -0.0, 1.0, -2.0], 2**n)
+        for k in draw(st.lists(st.integers(0, n - 1), unique=True)):
+            minus, plus = split_coordinate(v, k)
+            plus[...] = minus
+    else:
+        scale = draw(st.sampled_from([1e-300, 1e-157, 1e150]))
+        v = rng.standard_normal(2**n) * 10.0 ** rng.uniform(-8.0, 0.0, 2**n) * scale
+    return ValueTable(n, v)
+
+
+@st.composite
+def pathwise_inputs(draw):
+    """(model, F, G) for n = 1..14 with p drawn up to the 1e-6 floor; G is
+    F itself or a second table."""
+    n = draw(st.integers(1, 14))
+    model = RademacherModel(tuple(draw(st.lists(probs, min_size=n, max_size=n))))
+    F = draw(value_tables(n))
+    return model, F, F if draw(st.booleans()) else draw(value_tables(n))
+
+
+@given(pathwise_inputs())
+@example((RademacherModel((FLOOR,)), ValueTable(1, [-0.0, -0.0]), ValueTable(1, [0.0, -0.0])))
+@settings(max_examples=200, deadline=None)
+def test_pathwise_operators_keep_the_bits_of_both_differences(inst):
+    model, F, G = inst
+    assert_same_bits(ou_generator_pathwise(F, model).values, loop_ou_generator_pathwise(F, model))
+    assert_same_bits(gamma0(F, G, model).values, loop_gamma0(F, G, model))
+    assert_same_bits(gamma0(F, F, model).values, loop_gamma0(F, F, model))
