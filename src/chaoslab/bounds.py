@@ -38,7 +38,7 @@ from .chaos import (
 from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .distance import integral_law, normal_distances
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .malliavin import gamma0, minus_pseudo_inverse
 from .model import RademacherModel
 from .moments import _book_flips, _sup_above_levels
@@ -324,14 +324,8 @@ class HoeffdingDecomposition:
     @cached_property
     def components(self) -> dict[tuple[int, ...], float]:
         d = len(self.dependent)
-        if d > self.caps.stroock_cap:
-            raise CapacityError(
-                f"{d} dependent coordinates exceed stroock_cap={self.caps.stroock_cap} "
-                "(the component dict holds all 2**d subsets)",
-                cap_name="stroock_cap",
-                cap_value=self.caps.stroock_cap,
-                requested=d,
-            )
+        self.caps.check("stroock_cap", d, "{requested} dependent coordinates exceed "
+                        "stroock_cap={value} (the component dict holds all 2**d subsets)")
         return {
             J: float(self.coeffs[sum(1 << i for i in J)])
             for size in range(d + 1)

@@ -57,7 +57,7 @@ from itertools import chain
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .kernels import Kernel, zero_kernel
 from .model import RademacherModel, split_coordinate
 
@@ -167,12 +167,17 @@ def even_moments(
     The fourth power squares the squares in place; numpy's generic power
     ``v**4`` costs several times as much.  ``v**2`` is the same product as
     ``v * v``, so E[F^2] equals ``moments.moment(table, 2)`` bit for bit.
+    An E[F^4] past the float range raises ``DomainError``.
     """
     w = model.weights(caps)
-    sq = table.values * table.values
-    second = float(np.dot(w, sq))
-    sq *= sq
-    return second, float(np.dot(w, sq))
+    with np.errstate(over="ignore"):
+        sq = table.values * table.values
+        second = float(np.dot(w, sq))
+        sq *= sq
+        fourth = float(np.dot(w, sq))
+    if not math.isfinite(fourth):
+        raise DomainError("the values overflow the fourth moment")
+    return second, fourth
 
 
 def join_coordinate(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
@@ -470,14 +475,8 @@ def stroock_decompose(
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
     n = model.n
-    if n > caps.stroock_cap:
-        raise CapacityError(
-            f"horizon {n} exceeds stroock_cap={caps.stroock_cap} "
-            "(decomposition touches all 2**n coefficients)",
-            cap_name="stroock_cap",
-            cap_value=caps.stroock_cap,
-            requested=n,
-        )
+    caps.check("stroock_cap", n, "horizon {requested} exceeds stroock_cap={value} "
+               "(decomposition touches all 2**n coefficients)")
     coeffs = basis_coefficients(table, model)
     per_order: list[dict] = [dict() for _ in range(n + 1)]
     for mask in np.nonzero(coeffs)[0]:

@@ -3,13 +3,16 @@
 Every cap guards an exact computation whose cost is exponential in the
 horizon (or polynomial in support size); the defaults keep the full identity
 suite at desk scale.  All functions that enforce a cap accept an explicit
-``Caps`` so callers can raise or lower limits per call.  The probability
-floor is not a cap: it is the constant ``model.PROB_FLOOR``.
+``Caps`` so callers can raise or lower limits per call, and refuse through
+``Caps.check``.  The probability floor is not a cap: it is the constant
+``model.PROB_FLOOR``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .errors import CapacityError
 
 
 @dataclass(frozen=True)
@@ -29,6 +32,15 @@ class Caps:
     # ``tensor_square_residual`` run the same pass unguarded), and the
     # benchmark derives its sparse workload sizes from this default
     factorized_support_cap: int = 60
+
+    def check(self, cap: str, requested: int, message: str, limit: int | None = None) -> None:
+        """Raise the ``CapacityError`` naming the field ``cap`` when ``requested``
+        exceeds its value (or the ``limit`` it sets); only then is ``message``
+        formatted, with ``requested`` and that ``value``."""
+        value = getattr(self, cap)
+        if requested > (value if limit is None else limit):
+            message = message.format(requested=requested, value=value)
+            raise CapacityError(message, cap, value, requested)
 
 
 DEFAULT_CAPS = Caps()

@@ -18,7 +18,8 @@ of independent integrals and no 2^n table is built: each piece's table,
 over its own coordinates, gives its E[P^2], E[P^4] (``chaos.even_moments``)
 and law, and the laws fold together one outer sum of atoms at a time,
 through ``from_weighted_values``.  A support that joins all n coordinates
-is one piece, on the model itself.
+is one piece, on the model itself.  An E[F^4] past the float range, on a
+piece or in the fold, raises ``DomainError``.
 
 Both distances walk the atoms in numpy blocks of ``_BLOCK``.  On a block
 of at least ``_PHI_NUMPY`` atoms Phi comes from the numpy ``erfc`` (the
@@ -54,8 +55,8 @@ import numpy as np
 from .chaos import ValueTable, even_moments, integral_table
 from .config import Caps, DEFAULT_CAPS
 from .erfc import erfc
-from .errors import CapacityError, DomainError
-from .kernels import Kernel, Subset
+from .errors import DomainError
+from .kernels import Kernel, Subset, _finite_sum
 from .model import RademacherModel
 
 # relative gap, in units of max(1, |F|), below which sorted values share a level
@@ -265,9 +266,10 @@ def integral_law(
     folded together in piece order: each outer sum of atoms goes through
     ``from_weighted_values``, so every partial sum has one atom per
     ``_levels`` level.  The odd cross moments vanish, so E[F^2] = sum v_i
-    and E[F^4] = sum e4_i + 3 ((sum v_i)^2 - sum v_i^2), summed by
-    ``math.fsum``.  A support that joins all n coordinates is one piece on
-    the model itself, which is plain enumeration.
+    and E[F^4] = sum e4_i + 3 ((sum v_i)^2 - sum v_i^2), summed by the
+    checked ``kernels._finite_sum`` (``math.fsum``'s value, and a
+    ``DomainError`` past the float range).  A support that joins all n
+    coordinates is one piece on the model itself, which is plain enumeration.
 
     ``enum_cap`` bounds each piece's number of coordinates and each outer
     sum, at most 2**enum_cap atom pairs before it is merged; the horizon n
@@ -278,14 +280,8 @@ def integral_law(
         raise DomainError("kernel and model horizons differ")
     pieces = independent_pieces(f)
     widest = max((len(coords) for coords, _ in pieces), default=0)
-    if widest > caps.enum_cap:
-        raise CapacityError(
-            f"a piece of the support spans {widest} coordinates, above "
-            f"enum_cap={caps.enum_cap} (2**{widest} outcomes)",
-            cap_name="enum_cap",
-            cap_value=caps.enum_cap,
-            requested=widest,
-        )
+    caps.check("enum_cap", widest, "a piece of the support spans {requested} coordinates, "
+               "above enum_cap={value} (2**{requested} outcomes)")
     law, parts, dropped, built = None, [], 0, {}
     for coords, subsets in pieces:
         # a piece is keyed by its probabilities and relabelled coefficients;
@@ -317,9 +313,9 @@ def integral_law(
             dropped += lost
     if law is None:  # no coordinate: F is the constant of an order-0 kernel, or 0
         law = DistributionTable._owning(np.array([f.coeffs.get((), 0.0)]), np.ones(1))
-    second = math.fsum(v for v, _ in parts)
-    cross = second * second - math.fsum(v * v for v, _ in parts)
-    fourth = math.fsum(e4 for _, e4 in parts) + 3.0 * cross
+    second = _finite_sum(v for v, _ in parts)
+    cross = second * second - _finite_sum(v * v for v, _ in parts)
+    fourth = _finite_sum((_finite_sum(e4 for _, e4 in parts), 3.0 * cross))
     return IntegralLaw(law, second, fourth, dropped)
 
 
@@ -332,14 +328,8 @@ def _convolve(
     a law, and what it stood for weighs less than 2**-1074.
     """
     size = len(a.atoms) * len(b.atoms)
-    if size > 1 << caps.enum_cap:
-        raise CapacityError(
-            f"a partial sum of the pieces has {size} atom pairs, above "
-            f"2**enum_cap with enum_cap={caps.enum_cap}",
-            cap_name="enum_cap",
-            cap_value=caps.enum_cap,
-            requested=size,
-        )
+    caps.check("enum_cap", size, "a partial sum of the pieces has {requested} atom pairs, "
+               "above 2**enum_cap with enum_cap={value}", limit=1 << caps.enum_cap)
     values = np.add.outer(a.atoms, b.atoms).ravel()
     mass = np.multiply.outer(a.probs, b.probs).ravel()
     lost = size - int(np.count_nonzero(mass))

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .kernels import real_value
 
 # success probabilities must lie in [PROB_FLOOR, 1 - PROB_FLOOR], so that
@@ -152,14 +152,8 @@ class RademacherModel:
         return (self.q - self.p) / self.sqrt_pq
 
     def check_enumerable(self, caps: Caps = DEFAULT_CAPS) -> None:
-        if self.n > caps.enum_cap:
-            raise CapacityError(
-                f"horizon {self.n} exceeds enum_cap={caps.enum_cap} "
-                "(2**n outcomes); use sampling instead",
-                cap_name="enum_cap",
-                cap_value=caps.enum_cap,
-                requested=self.n,
-            )
+        caps.check("enum_cap", self.n, "horizon {requested} exceeds enum_cap={value} "
+                   "(2**n outcomes); use sampling instead")
 
     @cached_property
     def _weights(self) -> np.ndarray:

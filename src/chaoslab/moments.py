@@ -54,7 +54,7 @@ from .chaos import (
 from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .distance import _levels
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .kernels import SupportPlan, support_plan
 from .malliavin import _gamma_tables, d_half, gamma, ou_generator_spectral
 from .model import RademacherModel
@@ -91,15 +91,9 @@ def factorized_plan(
     """The support plan and values ``fourth_moment_factorized`` evaluates,
     for a caller that also reads the plan's size and pair count."""
     S = sum(1 for v in coeffs.values() if v != 0.0)
-    if S > caps.factorized_support_cap:
-        raise CapacityError(
-            f"support size {S} exceeds factorized_support_cap="
-            f"{caps.factorized_support_cap} (expansion is O(P 2**m) for the "
-            f"P <= S**2/2 pairs of support subsets that share a coordinate)",
-            cap_name="factorized_support_cap",
-            cap_value=caps.factorized_support_cap,
-            requested=S,
-        )
+    caps.check("factorized_support_cap", S, "support size {requested} exceeds "
+               "factorized_support_cap={value} (expansion is O(P 2**m) for the "
+               "P <= S**2/2 pairs of support subsets that share a coordinate)")
     return support_plan(coeffs, model.skew)
 
 
@@ -256,16 +250,20 @@ def sup_flip_pairing(
     coordinate k moves the mass c_- + c_+ of each pair of its halves
     (c = w D_kF |D_kG|, on the halves where D_k lives) off the outcome
     with X_k = -1 and onto the one with X_k = +1: ``_flip_flow`` builds
-    that flow a and ``_sup_above_levels`` ranks it.
+    that flow a and ``_sup_above_levels`` ranks it, or refuses it with
+    ``DomainError`` past the float range.
     """
-    return _sup_above_levels(F.values, _flip_flow(F, G, model, model.weights(caps)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = _flip_flow(F, G, model, model.weights(caps))
+    return _sup_above_levels(F.values, flow)
 
 
 def _sup_above_levels(values: np.ndarray, flow: np.ndarray) -> float:
     """The largest mass of ``flow`` strictly above a level of ``values`` (0
     above the top one), summed outcome by outcome and level by level over a
     rank table of the levels (``distance._levels``, the exact law's atoms): it
-    differs from a sort of all 2n 2**n flip thresholds in the last digits."""
+    differs from a sort of all 2n 2**n flip thresholds in the last digits.
+    A sup that is not finite raises ``DomainError``."""
     order, starts = _levels(values)[1:]
     level = np.cumsum(np.bincount(starts[1:], minlength=len(order)))  # by sorted position
     rank = np.empty_like(level)
@@ -273,8 +271,12 @@ def _sup_above_levels(values: np.ndarray, flow: np.ndarray) -> float:
     del order, level  # freed before the masses are summed
     mass = np.bincount(rank, weights=flow, minlength=len(starts))
     del rank
-    above = np.cumsum(mass[:0:-1])  # mass strictly above each level but the top
-    return max(float(above.max(initial=0.0)), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the most mass strictly above a level but the top, and 0 above it
+        sup = float(np.cumsum(mass[:0:-1]).max(initial=0.0))
+    if not math.isfinite(sup):
+        raise DomainError("the values overflow the indicator sup")
+    return sup
 
 
 def kolmogorov_term(

@@ -1,17 +1,19 @@
 """The golden outputs under ``tests/golden/``: their cases, and the script
 that writes them.
 
-    PYTHONPATH=src python tests/regen_golden.py
+    PYTHONPATH=src python tests/regen_golden.py [CASE ...]
 
 Each case is one CLI invocation or one script under ``scripts/`` run with
 its defaults.  ``<case>.out`` holds its stdout; ``<case>.err`` holds
 ``exit <status>`` and its stderr, and exists only when the status is not
 0 or stderr is not empty.  The kernel and model files the CLI cases read
-live in ``tests/golden/inputs/``: they are written once, from a fixed
-seed, and kept, so that a change to ``random_kernel`` cannot move them.
+live in ``tests/golden/inputs/``: each is written once, when it is
+missing, and kept, so that a change to ``random_kernel`` cannot move
+them.  The random ones are drawn from one fixed seed in a fixed order.
 
-Rerun this script only for a change that moves output bits on purpose,
-and list in CHANGES.md every file that changed and by how much.
+Rerun the whole script only for a change that moves output bits on
+purpose; a change that adds cases names them, so that only their files
+are written.  List in CHANGES.md every file that changed and by how much.
 ``tests/test_golden.py`` compares the files.
 """
 
@@ -23,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,13 @@ _SHAPES = [
     ("dense_m1_n10", 1, 10),
 ]
 _INPUT_SEED = 20261019
+# inputs whose fourth moment leaves the float range, every support value
+# equal: (label, m, n, value, probs).  Each order-1 piece of the first is
+# finite and their fold is not; the one table of the second overflows.
+_OVERFLOWS = [
+    ("overflow_m1_n3", 1, 3, 1e77, (0.5, 0.5, 0.5)),
+    ("overflow_m2_n3", 2, 3, 1e154, (0.5, 0.3, 1e-6)),
+]
 
 
 def _file_args(label: str) -> list[str]:
@@ -63,6 +73,11 @@ def _cases() -> dict[str, list[str]]:
         "--json", "counterexample", "--kind", "symmetric", "-m", "2", "-n", "16"]
     cases["counterexample_product"] = [
         "--json", "counterexample", "--kind", "product", "-m", "2", "-n", "6"]
+    # a connected support past enum_cap: the refusal and its exit status
+    cases["counterexample_product_n30"] = [
+        "--json", "counterexample", "--kind", "product", "-m", "2", "-n", "30"]
+    for label, *_ in _OVERFLOWS:
+        cases[f"distance_{label}"] = ["distance", "--json", *_file_args(label)]
     for script in sorted((ROOT / "scripts").glob("*.py")):
         cases[f"script_{script.stem}"] = [script.name]
     return cases
@@ -98,27 +113,37 @@ def run_case(name: str) -> tuple[int, str, str]:
 
 
 def _write_inputs() -> None:
+    """Write each missing input pair; the ones on disk are kept."""
     from chaoslab import io
     from chaoslab.construct import matched_pairs_kernel
-    from chaoslab.kernels import random_kernel
+    from chaoslab.kernels import Kernel, random_kernel
     from chaoslab.model import RademacherModel
 
     INPUTS.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(_INPUT_SEED)
+    pairs = {}
     for label, m, n in _SHAPES:
         if m is None:
-            kern, model = matched_pairs_kernel(n)
+            pairs[label] = matched_pairs_kernel(n)
         else:
             kern = random_kernel(m, n, rng, normalized=True)
-            model = RademacherModel(tuple(float(p) for p in rng.uniform(0.2, 0.8, n)))
-        io.dump_json(io.kernel_to_dict(kern), INPUTS / f"{label}.kernel.json")
-        io.dump_json(io.model_to_dict(model), INPUTS / f"{label}.model.json")
+            pairs[label] = kern, RademacherModel(tuple(float(p) for p in rng.uniform(0.2, 0.8, n)))
+    for label, m, n, value, probs in _OVERFLOWS:
+        coeffs = {s: value for s in combinations(range(n), m)}
+        pairs[label] = Kernel(m, n, coeffs), RademacherModel(probs)
+    for label, (kern, model) in pairs.items():
+        kpath, mpath = INPUTS / f"{label}.kernel.json", INPUTS / f"{label}.model.json"
+        if not (kpath.exists() and mpath.exists()):
+            io.dump_json(io.kernel_to_dict(kern), kpath)
+            io.dump_json(io.model_to_dict(model), mpath)
 
 
-def main() -> None:
-    if not INPUTS.exists():
-        _write_inputs()
-    for name in CASES:
+def main(names: list[str]) -> None:
+    unknown = set(names) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(sorted(unknown))}")
+    _write_inputs()
+    for name in names or CASES:
         code, out, err = run_case(name)
         (GOLDEN / f"{name}.out").write_text(out)
         err_path = GOLDEN / f"{name}.err"
@@ -130,4 +155,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -593,6 +594,22 @@ class TestKernelFileCommands:
         _, files = raw_pair
         assert cli.main([command, "--normalize", "--cap-enum", "4", *files]) == 2
         assert "enum_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", KERNEL_FILE_COMMANDS)
+    @pytest.mark.parametrize("m, value, probs", [
+        (1, 1e77, (0.5, 0.5, 0.5)),  # each piece is finite, their fold is not
+        (2, 1e154, (0.5, 0.3, 1e-6)),  # the one table's fourth powers are not
+    ])
+    def test_an_overflowing_fourth_moment_refuses(self, command, m, value, probs, tmp_path,
+                                                  capsys):
+        f = Kernel(m, 3, {s: value for s in combinations(range(3), m)})
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        io.dump_json(io.kernel_to_dict(f), kpath)
+        io.dump_json(io.model_to_dict(RademacherModel(probs)), mpath)
+        assert cli.main([command, "--kernel", str(kpath), "--model", str(mpath)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: .* overflow the fourth moment\n", err)
 
     @pytest.mark.parametrize("command", KERNEL_FILE_COMMANDS)
     def test_normalize_is_normalizing_the_file_first(self, command, raw_pair, tmp_path, capsys):

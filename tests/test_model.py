@@ -218,3 +218,62 @@ def test_structure_identity_holds_on_tables(rng):
     for k in range(8):
         y = model.y_table(k)
         assert np.abs(y**2 - 1 - model.skew[k] * y).max() <= 1e-12
+
+
+def _refusal_cases():
+    """(call, message, (cap_name, cap_value, requested)) of each refusal
+    past a cap, on the smallest input that reaches it."""
+    from chaoslab import Kernel, integral_table, random_kernel, stroock_decompose
+    from chaoslab.bounds import hoeffding_decompose
+    from chaoslab.distance import integral_law
+    from chaoslab.moments import factorized_plan
+
+    small = Caps(enum_cap=6, stroock_cap=3)
+    fair7, fair4 = RademacherModel.symmetric(7), RademacherModel.symmetric(4)
+    # order 1, coefficients 2**i: the partial sums of the seven two-atom
+    # pieces keep every atom, so the seventh fold meets 64 * 2 pairs
+    spread = Kernel.from_subset_coeffs(1, 7, {(i,): 2.0**i for i in range(7)})
+    table4 = integral_table(random_kernel(2, 4, 0), fair4)
+    return {
+        "model": (
+            lambda: fair7.check_enumerable(small),
+            "horizon 7 exceeds enum_cap=6 (2**n outcomes); use sampling instead",
+            ("enum_cap", 6, 7),
+        ),
+        "widest_piece": (
+            lambda: integral_law(random_kernel(2, 7, 0), fair7, small),
+            "a piece of the support spans 7 coordinates, above enum_cap=6 (2**7 outcomes)",
+            ("enum_cap", 6, 7),
+        ),
+        "partial_sum": (
+            lambda: integral_law(spread, fair7, small),
+            "a partial sum of the pieces has 128 atom pairs, above 2**enum_cap with enum_cap=6",
+            ("enum_cap", 6, 128),
+        ),
+        "stroock_decompose": (
+            lambda: stroock_decompose(table4, fair4, small),
+            "horizon 4 exceeds stroock_cap=3 (decomposition touches all 2**n coefficients)",
+            ("stroock_cap", 3, 4),
+        ),
+        "components": (
+            lambda: hoeffding_decompose(table4, fair4, small).components,
+            "4 dependent coordinates exceed stroock_cap=3 "
+            "(the component dict holds all 2**d subsets)",
+            ("stroock_cap", 3, 4),
+        ),
+        "factorized_plan": (
+            lambda: factorized_plan({(i,): 1.0 for i in range(61)}, RademacherModel.symmetric(61)),
+            "support size 61 exceeds factorized_support_cap=60 (expansion is O(P 2**m) "
+            "for the P <= S**2/2 pairs of support subsets that share a coordinate)",
+            ("factorized_support_cap", 60, 61),
+        ),
+    }
+
+
+@pytest.mark.parametrize("site", list(_refusal_cases()))
+def test_each_refusal_names_its_cap_and_keeps_its_text(site):
+    call, message, named = _refusal_cases()[site]
+    with pytest.raises(CapacityError) as err:
+        call()
+    assert str(err.value) == message
+    assert (err.value.cap_name, err.value.cap_value, err.value.requested) == named

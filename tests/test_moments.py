@@ -39,6 +39,9 @@ from chaoslab.moments import (
     var_gamma_normalized,
     var_projection_sum,
 )
+from chaoslab.bounds import dejong_bound, theorem_bounds
+from chaoslab.chaos import even_moments
+from chaoslab.distance import integral_law
 from conftest import random_model
 
 
@@ -149,12 +152,26 @@ class TestSymmetricEngine:
 
     @pytest.mark.parametrize("big", [1e100, 1e80])
     def test_overflowing_coefficient_is_typed(self, big):
-        # finite coefficients whose fourth powers leave the float range
+        # finite coefficients whose fourth powers leave the float range:
+        # the support plan, the table route and the piece route refuse alike
         coeffs = {(0, 1): big, (1, 2): 1.0}
-        with pytest.raises(DomainError, match="overflow the fourth moment"):
-            fourth_moment_symmetric(coeffs)
-        with pytest.raises(DomainError, match="overflow the fourth moment"):
-            fourth_moment_factorized(coeffs, RademacherModel((0.3, 0.5, 0.7)))
+        model = RademacherModel((0.3, 0.5, 0.7))
+        f = Kernel.from_subset_coeffs(2, 3, coeffs)
+        F = ChaosVector.from_kernel(f)
+        table = integral_table(f, model)
+        for call in (
+            lambda: fourth_moment_symmetric(coeffs),
+            lambda: fourth_moment_factorized(coeffs, model),
+            lambda: even_moments(table, model),
+            lambda: moment(table, 4, model),
+            lambda: integral_law(f, model),
+            lambda: theorem_bounds(F, model),
+            lambda: dejong_bound(table, model),
+            lambda: quartic_gradient_bound(F, model),
+            lambda: kolmogorov_term_bound(F, model),
+        ):
+            with pytest.raises(DomainError, match="overflow the fourth moment"):
+                call()
 
     @pytest.mark.parametrize("n", [4, 6, 9])
     def test_first_coordinate_family(self, n):
@@ -385,6 +402,12 @@ class TestKolmogorovTerm:
             term = kolmogorov_term(F, model)
             assert term >= -1e-12
             assert term <= kolmogorov_term_bound(F, model) + 1e-10
+
+    def test_overflowing_flow_is_typed(self):
+        # finite values whose flips leave the float range: no NaN sup
+        F = ChaosVector.from_kernel(random_kernel(2, 4, 0).scale(1e154))
+        with pytest.raises(DomainError, match="overflow the indicator sup"):
+            kolmogorov_term(F, RademacherModel.symmetric(4))
 
 
 class TestSupFlipPairing:
