@@ -235,13 +235,13 @@ def abstract_bounds(
     minus_linv = minus_pseudo_inverse(F)  # raises DomainError on a non-centered F, before any table
     w = model.weights(caps)
     table = to_table(F, model, caps)
+    var_f, fourth = even_moments(table, model, caps)  # refuses an overflow before any square
     linv_table = to_table(minus_linv, model, caps)
 
     g0 = gamma0(table, linv_table, model)
     term_gamma_abs = float(np.dot(w, np.abs(1.0 - g0.values)))
     term_gamma_var = table_variance(g0, model, caps)
     del g0  # the terms below keep a bounded number of tables alive
-    var_f, fourth = even_moments(table, model, caps)
 
     sums = _coordinate_sweep(table, linv_table, model, w)
     remainder, inner_sq, quart, term_mid, cs_table, flow = sums

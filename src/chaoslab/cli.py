@@ -174,7 +174,8 @@ def cmd_distance(args, caps: Caps) -> int:
     model, kern = _load_pair(args)
     route = distance.integral_law(kern, model, caps)
     report = {"atoms": len(route.law.atoms), "variance": route.variance}
-    for kind, value in zip(("wasserstein", "kolmogorov"), distance.normal_distances(route.law)):
+    distances = distance.normal_distances(route.law, wasserstein=args.distance != "kolmogorov")
+    for kind, value in zip(("wasserstein", "kolmogorov"), distances):
         if args.distance in (kind, "both"):
             report[f"{kind}_distance"] = value
     _emit(report, args.json)

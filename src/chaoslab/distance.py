@@ -10,7 +10,10 @@ the levels of the indicator sup in ``moments``).  It is built by one
 unstable argsort of the values, which also gives them sorted; the sort
 order inside a level only changes the order in which its weights are
 added, and which of its equal values (0.0 or -0.0) is its atom, and the
-probabilities are renormalized by one numpy sum.
+probabilities are renormalized by one numpy sum.  When every level holds
+one value, as on a dense table, the sorted values and weights are the
+atoms and masses, with the bits ``np.add.reduceat`` gives; only a level
+that merges values is summed.
 
 ``integral_law`` is the one route from a kernel to its law and moments.
 When the support splits into pieces that share no coordinate, F is a sum
@@ -35,12 +38,15 @@ The Wasserstein distance uses the block's Phi as it is: each closed-form
 piece moves by the error of Phi at its two ends, so W1 is no longer bit
 for bit the value with ``math.erfc`` but stays inside the tolerance the
 differential tests hold it to.  Phi^{-1} is evaluated only on the
-segments the CDF level crosses inside.  Each block's Wasserstein pieces
-are non-negative and are added by one numpy sum, and ``math.fsum`` adds
-the block sums.  ``normal_distances`` is the one walk of both distances,
-with Phi once per atom; ``wasserstein_to_normal`` is its first value and
-``kolmogorov_to_normal`` its second.  Blocks bound the temporaries of
-Phi, so the distances add no 2^n-sized memory.
+segments the CDF level crosses inside; every other segment is one signed
+difference of the closed form, with the general formula's bits
+(``_segment_sum``).  Each block's Wasserstein pieces are non-negative
+and are added by one numpy sum, and ``math.fsum`` adds the block sums.
+``normal_distances`` is the one walk of both distances, with Phi once
+per atom; ``wasserstein_to_normal`` is its first value, and
+``kolmogorov_to_normal`` takes the same walk without the W1 segments.
+Blocks bound the temporaries of Phi, so the distances add no 2^n-sized
+memory.
 """
 
 from __future__ import annotations
@@ -97,7 +103,10 @@ def _normal_cdf_array(x: np.ndarray) -> np.ndarray:
     above (any order is correct; ascending is fastest)."""
     if len(x) < _PHI_NUMPY:
         return _exact_cdf_array(x)
-    return 0.5 * erfc((-x / math.sqrt(2.0))[::-1])[::-1]
+    # x / -sqrt 2 is -x / sqrt 2 bit for bit, and the halving is in place
+    phi = erfc(np.divide(x[::-1], -math.sqrt(2.0)))
+    phi *= 0.5
+    return phi[::-1]
 
 
 @dataclass(frozen=True)
@@ -122,7 +131,7 @@ class DistributionTable:
         if a.ndim != 1 or a.shape != p.shape or len(a) == 0:
             raise DomainError("atoms and probs must be equal-length 1-d arrays")
         # each check is written so that a NaN fails it
-        if not (np.diff(a) > 0).all():
+        if not (a[1:] > a[:-1]).all():
             raise DomainError("atoms must be strictly increasing")
         if not (math.isfinite(a[0]) and math.isfinite(a[-1])):
             raise DomainError("atoms must be finite")
@@ -160,19 +169,26 @@ def _levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not (len(v) and np.isfinite(v[0]) and np.isfinite(v[-1])):  # NaN sorts last
         raise DomainError("values must be finite and non-empty")
     tol = _MERGE_TOL * max(1.0, abs(float(v[0])), abs(float(v[-1])))
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(v) > tol)))
-    return v, order, starts
+    opens = np.empty(len(v), dtype=bool)
+    opens[0] = True
+    np.greater(np.diff(v), tol, out=opens[1:])
+    return v, order, np.flatnonzero(opens)
 
 
 def from_weighted_values(values: np.ndarray, weights: np.ndarray) -> DistributionTable:
-    """Aggregate weighted values into a law with one atom per ``_levels`` level."""
-    v, order, starts = _levels(np.asarray(values, dtype=float))
-    w = np.asarray(weights, dtype=float)[order]
+    """Aggregate weighted values into a law with one atom per ``_levels`` level.
+
+    When no two values share a level, the sorted values are the atoms and
+    the sorted weights their masses, with the bits ``np.add.reduceat`` gives
+    on one-value levels.
+    """
+    atoms, order, starts = _levels(np.asarray(values, dtype=float))
+    probs = np.asarray(weights, dtype=float)[order]
     del order
-    atoms = v[starts]
-    del v
-    probs = np.add.reduceat(w, starts)
-    del w, starts  # freed before the table's checks allocate
+    if len(starts) < len(atoms):  # some level holds several values
+        atoms = atoms[starts]
+        probs = np.add.reduceat(probs, starts)
+    del starts  # freed before the table's checks allocate
     if not (total := probs.sum()) > 0.0:  # a zero or NaN total fails before the divide warns
         raise DomainError(f"weights sum to {total}; a law needs positive mass")
     probs /= total
@@ -387,9 +403,14 @@ def _segment_sum(
 
     ``phi`` is Phi on the block and ``phi_before`` is Phi of the atom before
     it (unused at lo = 0).  Phi - level changes sign once, at the crossing
-    c = Phi^{-1}(level) clipped to [a, b]; the quantile is evaluated only
-    where level lies strictly between Phi(a) and Phi(b).  A level that
-    rounds to 1 uses the survival form, which has no cancellation far in the
+    c = Phi^{-1}(level) clipped to [a, b], and with G = ``_integral_cdf_below``
+    the segment is level (c - a) - (G(c) - G(a)) + (G(b) - G(c)) - level (b - c).
+    Where c clips to a or b this is the signed difference
+    d = (G(b) - G(a)) - level (b - a), negated where level > Phi(a), bit for
+    bit, so each segment forms d once; the quantile is evaluated only on the
+    segments where level lies strictly between Phi(a) and Phi(b), which take
+    the general form.  The levels that round to 1, a suffix of the sorted
+    levels, use the survival form, which has no cancellation far in the
     right tail.  Every piece is non-negative, so one numpy sum adds them.
     """
     if lo:
@@ -401,38 +422,52 @@ def _segment_sum(
     phi_a, phi_b = phi[:-1], phi[1:]
     g_a, g_b = g[:-1], g[1:]
     level = levels[lo:lo + len(a)]
-    below = level <= phi_a
-    cross = np.where(below, a, b)
-    g_cross = np.where(below, g_a, g_b)
-    inside = np.flatnonzero(~below & (level < phi_b))
+    seg = np.subtract(g_b, g_a)
+    width = np.subtract(b, a)
+    width *= level
+    seg -= width
+    above = level > phi_a
+    sign = np.multiply(above, -2.0, out=width)
+    sign += 1.0
+    seg *= sign  # -(x - y) is y - x, and a zero's sign does not reach the sum
+    del width, sign
+    above &= level < phi_b
+    inside = np.flatnonzero(above)
     if len(inside):
-        c = np.clip(_INV_CDF(level[inside]).astype(float), a[inside], b[inside])
-        cross[inside] = c
-        g_cross[inside] = _integral_cdf_below(c, _normal_cdf_array(c))
-    seg = (level * (cross - a) - (g_cross - g_a)) + ((g_b - g_cross) - level * (b - cross))
-    top = np.flatnonzero(level >= 1.0)
-    if len(top):
-        seg[top] = _integral_sf_above(a[top], phi_a[top]) - _integral_sf_above(b[top], phi_b[top])
+        a_in, b_in, l_in, g_a_in = a[inside], b[inside], level[inside], g_a[inside]
+        c = np.clip(_INV_CDF(l_in).astype(float), a_in, b_in)
+        g_c = _integral_cdf_below(c, _normal_cdf_array(c))
+        seg[inside] = (l_in * (c - a_in) - (g_c - g_a_in)) + ((g_b[inside] - g_c) - l_in * (b_in - c))
+    top = int(np.searchsorted(level, 1.0))
+    if top < len(level):
+        seg[top:] = _integral_sf_above(a[top:], phi_a[top:]) - _integral_sf_above(b[top:], phi_b[top:])
     return float(seg.sum())
 
 
-def normal_distances(dist: DistributionTable) -> tuple[float, float]:
+def normal_distances(
+    dist: DistributionTable, *, wasserstein: bool = True
+) -> tuple[float | None, float]:
     """(Wasserstein, Kolmogorov) distances to the normal from one block walk.
 
     Each block gives its largest CDF gap (``_gap``) and the sum of its
     closed-form W1 segments (``_segment_sum``); ``math.fsum`` adds both
     exact tails and the segment sums, so W1 is limited only by the error of
     Phi (see the module docstring) and the rounding of each piece and of
-    the per-block sums.  dK is the exact largest atom gap (``_gap``).
+    the per-block sums.  dK is the exact largest atom gap (``_gap``).  With
+    ``wasserstein`` false the walk forms no segment and W1 is None.
     """
     atoms, levels = dist.atoms, dist.cdf_levels
     gaps, pieces, phi_before = [], [], None
     for lo, phi in _phi_blocks(atoms):
+        gaps.append(_gap(atoms, levels, lo, phi))
+        if not wasserstein:
+            continue
         if not lo:
             pieces.append(_integral_cdf_below(float(atoms[0]), float(phi[0])))
-        gaps.append(_gap(atoms, levels, lo, phi))
         pieces.append(_segment_sum(atoms, levels, lo, phi, phi_before))
         phi_before = phi[-1]
+    if not wasserstein:
+        return None, max(gaps)
     pieces.append(_integral_sf_above(float(atoms[-1]), float(phi_before)))
     return math.fsum(pieces), max(gaps)
 
@@ -445,8 +480,8 @@ def wasserstein_to_normal(dist: DistributionTable) -> float:
 
 def kolmogorov_to_normal(dist: DistributionTable) -> float:
     """sup_x |P(F <= x) - Phi(x)|, attained at an atom from one side, from
-    the walk of ``normal_distances``."""
-    return normal_distances(dist)[1]
+    the walk of ``normal_distances`` without its W1 segments."""
+    return normal_distances(dist, wasserstein=False)[1]
 
 
 def empirical_distances(samples) -> tuple[float, float, float]:

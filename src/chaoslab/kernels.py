@@ -21,7 +21,8 @@ derived from valid ones (``scale``, ``add``, ``truncate``,
 are valid by construction and skips that check
 (``Kernel._from_valid_keys``).  Every path still stores float values,
 drops zeros and rejects a non-finite value with ``DomainError``, so an
-overflowing ``scale`` fails typed.
+overflowing ``scale`` fails typed; so do ``norm_sq`` and ``sup_influence``
+when finite coefficients square past the float range.
 
 The norms of the symmetrized tensor square and the product-formula fourth
 moment in ``moments`` come from one numpy pass over the pairs of support
@@ -171,8 +172,12 @@ class Kernel:
         return sorted(self.coeffs)
 
     def norm_sq(self) -> float:
-        """Full-tuple squared norm, m! * sum_J f_J**2."""
-        return math.factorial(self.order) * sum(v * v for v in self.coeffs.values())
+        """Full-tuple squared norm, m! * sum_J f_J**2; past the float range
+        it raises ``DomainError``."""
+        norm = math.factorial(self.order) * sum(v * v for v in self.coeffs.values())
+        if not math.isfinite(norm):
+            raise DomainError("the coefficients overflow the squared norm")
+        return norm
 
     def second_moment(self) -> float:
         """E of the squared multiple integral, m! * norm_sq = (m!)^2 sum f_J^2."""
@@ -205,9 +210,13 @@ class Kernel:
         return np.array(out, dtype=float)
 
     def sup_influence(self) -> float:
+        """The largest ``influence``; past the float range it raises ``DomainError``."""
         if not self.coeffs:
             return 0.0
-        return float(self.influence_vector().max())
+        sup = float(self.influence_vector().max())
+        if not math.isfinite(sup):
+            raise DomainError("the coefficients overflow the sup-influence")
+        return sup
 
     # -- algebra ---------------------------------------------------------
 

@@ -129,10 +129,10 @@ def var_projection_sum(
     m = _pure_integral(F)
     f = F.kernel(m)
     f_table = integral_table(f, model, caps)
+    second, fourth = even_moments(f_table, model, caps)  # refuses an overflow before squaring
     c = basis_coefficients(f_table * f_table, model)
     energy = np.bincount(subset_orders(model.n), weights=c * c, minlength=2 * m)
     variances = tuple(float(v) for v in energy[1 : 2 * m])
-    second, fourth = even_moments(f_table, model, caps)
     bound = fourth - 3.0 * second**2 + second * gamma_m(m) * f.sup_influence()
     return ProjectionVariances(variances, float(sum(variances)), bound)
 
@@ -150,9 +150,9 @@ def var_gamma_normalized(
     F: ChaosVector, model: RademacherModel, caps: Caps = DEFAULT_CAPS
 ) -> SquaredFieldVariance:
     m = _pure_integral(F)
+    proj = var_projection_sum(F, model, caps)  # first: it refuses an overflow before any square
     g = gamma(F, F, model, caps)
     value = table_variance(ValueTable._owning(g.horizon, g.values / m), model, caps)
-    proj = var_projection_sum(F, model, caps)
     spectral = sum(
         (1.0 - r / (2.0 * m)) ** 2 * v
         for r, v in zip(range(1, 2 * m), proj.variances)
@@ -190,13 +190,12 @@ def quartic_gradient_identity(
     The tables of F and LF are synthesized once and serve both sides."""
     m = _pure_integral(F)
     table = to_table(F, model, caps)
+    fourth = even_moments(table, model, caps)[1]  # refuses an overflow before any square
     lf = to_table(ou_generator_spectral(F), model, caps)
     g = _gamma_tables(table, lf, table, lf, model)
     del lf
     lhs = _quartic_gradient_sum(table, m, model, caps)
-    rhs = (3.0 / m) * expectation(table * table * g, model, caps) - moment(
-        table, 4, model, caps
-    )
+    rhs = (3.0 / m) * expectation(table * table * g, model, caps) - fourth
     return lhs, rhs
 
 

@@ -15,12 +15,14 @@ pairs of subsets, the sphere-path bisection on dictionary points with a
 fresh fourth moment at each step, the contraction sum of the
 tensor-square residual over explicit tuples, the sparse multiply-and-project
 route to the projection variances of F**2,
-the law by a stable sort with an fsum renormalization,
-the atom-by-atom Kolmogorov loop, the segment-by-segment Wasserstein
-integral, the sort of all 2n 2**n flip thresholds for the indicator sup
-(both grouped into levels by ``oracle_level_starts``, which restates the
-library's one merge rule), and the abstract-bound terms on one full
-gradient table per coordinate), so agreement with the fast engines is meaningful.
+the law by a stable sort with an fsum renormalization (and by
+``np.add.reduceat`` on every level, one-value levels too), the
+atom-by-atom Kolmogorov loop, the segment-by-segment Wasserstein integral
+(and the general segment formula on every segment of a block), the sort
+of all 2n 2**n flip thresholds for the indicator sup (both grouped into
+levels by ``oracle_level_starts``, which restates the library's one merge
+rule), and the abstract-bound terms on one full gradient table per
+coordinate), so agreement with the fast engines is meaningful.
 """
 
 from __future__ import annotations
@@ -52,7 +54,16 @@ from chaoslab import (
 from chaoslab.bounds import _DEGENERACY_TOL, _NORMALIZATION_TOL
 from chaoslab.construct import first_coordinate_point, uniform_sphere_point
 from chaoslab.chaos import even_moments, join_coordinate, split_coordinate
-from chaoslab.distance import _MERGE_TOL, DistributionTable, _levels, normal_cdf
+from chaoslab.distance import (
+    _INV_CDF,
+    _MERGE_TOL,
+    DistributionTable,
+    _integral_cdf_below,
+    _integral_sf_above,
+    _levels,
+    _normal_cdf_array,
+    normal_cdf,
+)
 from chaoslab.malliavin import d, d_half, gamma0, minus_pseudo_inverse
 from chaoslab.moments import fourth_moment_symmetric, moment
 
@@ -814,6 +825,48 @@ def loop_abstract_bounds(F: ChaosVector, model: RademacherModel) -> dict[str, fl
             + sup_term
         )
     return out
+
+
+def loop_from_weighted_values(values: np.ndarray, weights: np.ndarray) -> DistributionTable:
+    """``distance.from_weighted_values`` summing every level by
+    ``np.add.reduceat``, one-value levels too, over the same unstable
+    argsort and with the same renormalization."""
+    order = np.argsort(values)
+    v = np.asarray(values, dtype=float)[order]
+    w = np.asarray(weights, dtype=float)[order]
+    starts = oracle_level_starts(v)
+    probs = np.add.reduceat(w, starts)
+    probs /= probs.sum()
+    return DistributionTable(v[starts], probs)
+
+
+def loop_segment_sum(atoms: np.ndarray, levels: np.ndarray, lo: int, phi: np.ndarray,
+                     phi_before) -> float:
+    """``distance._segment_sum`` by the general formula on every segment:
+    the crossing c clipped to a or b by ``np.where`` and each segment
+    level (c - a) - (G(c) - G(a)) + (G(b) - G(c)) - level (b - c)."""
+    if lo:
+        lo -= 1
+        phi = np.concatenate(([phi_before], phi))
+    ends = atoms[lo:lo + len(phi)]
+    g = _integral_cdf_below(ends, phi)
+    a, b = ends[:-1], ends[1:]
+    phi_a, phi_b = phi[:-1], phi[1:]
+    g_a, g_b = g[:-1], g[1:]
+    level = levels[lo:lo + len(a)]
+    below = level <= phi_a
+    cross = np.where(below, a, b)
+    g_cross = np.where(below, g_a, g_b)
+    inside = np.flatnonzero(~below & (level < phi_b))
+    if len(inside):
+        c = np.clip(_INV_CDF(level[inside]).astype(float), a[inside], b[inside])
+        cross[inside] = c
+        g_cross[inside] = _integral_cdf_below(c, _normal_cdf_array(c))
+    seg = (level * (cross - a) - (g_cross - g_a)) + ((g_b - g_cross) - level * (b - cross))
+    top = np.flatnonzero(level >= 1.0)
+    if len(top):
+        seg[top] = _integral_sf_above(a[top], phi_a[top]) - _integral_sf_above(b[top], phi_b[top])
+    return float(seg.sum())
 
 
 def assert_kernels_close(a: Kernel, b: Kernel, tol: float):

@@ -67,6 +67,9 @@ def _cases() -> dict[str, list[str]]:
         cases[f"distance_{label}"] = ["distance", "--json", *files]
         cases[f"moments_{label}"] = ["moments", "--json", "--engine", "both", *files]
         cases[f"dejong_{label}"] = ["dejong", "--json", *files]
+    # dK alone, from the walk that forms no W1 segment
+    cases["distance_kolmogorov_dense_m2_n17"] = [
+        "distance", "--json", "--distance", "kolmogorov", *_file_args("dense_m2_n17")]
     cases["counterexample_inhomogeneous"] = [
         "--json", "counterexample", "--kind", "inhomogeneous", "-m", "3", "--sign", "-"]
     cases["counterexample_symmetric"] = [

@@ -10,16 +10,21 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaoslab import DomainError, RademacherModel, integral_table
+from chaoslab import DomainError, RademacherModel, integral_table, random_kernel
+from chaoslab.config import DEFAULT_CAPS
 from chaoslab.construct import inhomogeneous_counterexample
 from chaoslab import distance
 from chaoslab.distance import (
+    _MERGE_TOL,
     _PHI_ERR,
     _PHI_NUMPY,
     DistributionTable,
+    _convolve,
+    _normal_cdf_array,
+    _segment_sum,
     empirical_distances,
     exact_distribution,
     from_weighted_values,
@@ -31,7 +36,13 @@ from chaoslab.distance import (
 from chaoslab.erfc import ERFC_ULPS, erfc
 from chaoslab.kernels import basis_kernel
 from chaoslab.model import sample_y_matrix
-from conftest import oracle_kolmogorov, random_chaos, random_model
+from conftest import (
+    loop_from_weighted_values,
+    loop_segment_sum,
+    oracle_kolmogorov,
+    random_chaos,
+    random_model,
+)
 
 # frozen oracle values (quadrature / high-precision references)
 DW_FAIR_SIGN = 0.5353773215478796  # adaptive quadrature of |CDF - Phi|
@@ -144,6 +155,153 @@ class TestDistributionTable:
             assert list(table.cdf_levels) == [0.25, 1.0]
             for a in (table.atoms, table.probs, table.cdf_levels):
                 assert not a.flags.writeable
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_same_law(got: DistributionTable, want: DistributionTable):
+    assert_same_bits(got.atoms, want.atoms)
+    assert_same_bits(got.probs, want.probs)
+
+
+@st.composite
+def weighted_values(draw):
+    """Values and positive weights: the table of an exact law (every level
+    one value, as on the dense benchmark laws), distinct drawn values, exact
+    ties among a pool that holds 0.0 and -0.0, or chains of steps below the
+    merge tolerance."""
+    kind = draw(st.sampled_from(["table", "distinct", "ties", "chains"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "table":
+        n = draw(st.integers(1, 10))
+        model = random_model(rng, n, lo=1e-3, hi=1.0 - 1e-3)
+        m = int(rng.integers(1, min(3, n) + 1))
+        values = integral_table(random_kernel(m, n, rng, normalized=True), model).values
+        return values, model.weights()
+    size = draw(st.integers(1, 300))
+    scale = draw(st.sampled_from([1.0, 1e5]))
+    if kind == "distinct":
+        values = rng.standard_normal(size) * scale
+    elif kind == "ties":
+        pool = np.concatenate([rng.standard_normal(int(rng.integers(1, 6))) * scale, [0.0, -0.0]])
+        values = rng.choice(pool, size)
+    else:
+        base = rng.choice(rng.standard_normal(4) * scale, size)
+        step = 0.4 * _MERGE_TOL * max(1.0, float(np.abs(base).max()))
+        values = base + rng.integers(0, 6, size) * step
+    weights = np.where(rng.random(size) < 0.3, 1e-200, rng.random(size) + 1e-3)
+    return values, weights
+
+
+class TestLawBuilder:
+    """``from_weighted_values`` skips ``np.add.reduceat`` when every level
+    holds one value; it must keep the bits of the ``reduceat`` body."""
+
+    @given(weighted_values())
+    @example((np.array([0.5, -0.0, -2.0, 1e5]), np.array([0.125, 0.5, 0.25, 0.125])))
+    @settings(max_examples=80, deadline=None)
+    def test_keeps_the_bits_of_the_reduceat_body(self, drawn):
+        values, weights = drawn
+        assert_same_law(from_weighted_values(values, weights),
+                        loop_from_weighted_values(values, weights))
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [-0.0, -0.0, 1.0]])
+    def test_signed_zeros_share_one_atom(self, values):
+        values = np.array(values)
+        weights = np.array([0.25, 0.25, 0.5])
+        law = from_weighted_values(values, weights)
+        assert len(law.atoms) == 2 and law.atoms[0] == 0.0
+        assert_same_law(law, loop_from_weighted_values(values, weights))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_a_fold_that_drops_products_keeps_the_bits(self, seed, size_a, size_b):
+        # masses of 1e-200 multiply to 0: those products leave the fold
+        rng = np.random.default_rng(seed)
+
+        def law(size):
+            masses = np.where(rng.random(size) < 0.5, 1e-200, rng.random(size) + 1e-3)
+            return from_weighted_values(rng.standard_normal(size), masses)
+
+        a, b = law(size_a), law(size_b)
+        values = np.add.outer(a.atoms, b.atoms).ravel()
+        mass = np.multiply.outer(a.probs, b.probs).ravel()
+        kept = mass > 0.0
+        got, lost = _convolve(a, b, DEFAULT_CAPS)
+        assert lost == len(mass) - np.count_nonzero(kept)
+        assert_same_law(got, loop_from_weighted_values(values[kept], mass[kept]))
+
+
+@st.composite
+def segment_laws(draw):
+    """(law, lo): sorted atoms on a normal or a wide scale, masses that make
+    the CDF cross Phi inside some segments, and, when drawn, a tail of
+    masses so small that the levels round to 1; ``lo`` splits the law into
+    two blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2, 200))
+    atoms = np.unique(rng.standard_normal(size) * draw(st.sampled_from([0.5, 1.0, 3.0])))
+    masses = rng.random(len(atoms)) + 1e-3
+    if draw(st.booleans()):
+        far = np.sort(rng.uniform(atoms[-1] + 1.0, atoms[-1] + draw(st.sampled_from([5.0, 1e5])),
+                                  draw(st.integers(1, 8))))
+        atoms = np.concatenate([atoms, np.unique(far)])
+        masses = np.concatenate([masses / masses.sum(), np.full(len(atoms) - len(masses), 1e-30)])
+    law = from_weighted_values(atoms, masses)
+    return law, draw(st.integers(0, len(law.atoms) - 1))
+
+
+def assert_segments_keep_the_bits(law: DistributionTable, lo: int):
+    atoms, levels = law.atoms, law.cdf_levels
+    phi = _normal_cdf_array(atoms)
+    for start, stop in ((0, len(atoms)), (0, lo), (lo, len(atoms))):
+        if stop - start < (1 if start else 2):  # a block that ends no segment
+            continue
+        block, before = phi[start:stop], phi[start - 1] if start else None
+        assert_same_bits(_segment_sum(atoms, levels, start, block, before),
+                         loop_segment_sum(atoms, levels, start, block, before))
+
+
+class TestSegmentSum:
+    """``_segment_sum`` forms one signed difference per segment where the
+    crossing clips to an end; it must keep the bits of the general formula."""
+
+    @given(segment_laws())
+    @settings(max_examples=80, deadline=None)
+    def test_keeps_the_bits_of_the_general_formula(self, drawn):
+        assert_segments_keep_the_bits(*drawn)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_keeps_the_bits_above_the_phi_crossover(self, seed):
+        law = fair_sign_sum_law(seed, 12)
+        levels, phi = law.cdf_levels[:-1], _normal_cdf_array(law.atoms)
+        crossing = (phi[:-1] < levels) & (levels < phi[1:])
+        assert crossing.any() and not crossing.all()
+        assert_segments_keep_the_bits(law, len(law.atoms) // 3)
+
+    def test_keeps_the_bits_where_the_levels_round_to_one(self):
+        law = DistributionTable(np.array([-1.0, 0.3, 1.0, 9.0, 1e5, 2e5]),
+                                np.array([0.25, 0.25, 0.5, 1e-30, 1e-30, 1e-30]))
+        assert list(law.cdf_levels[2:]) == [1.0] * 4
+        for lo in range(len(law.atoms)):
+            assert_segments_keep_the_bits(law, lo)
+
+
+class TestKolmogorovWalk:
+    def test_dk_alone_forms_no_segment(self, monkeypatch):
+        law = fair_sign_sum_law(1, 11)
+        dk = normal_distances(law)[1]
+
+        def no_segments(*args):
+            raise AssertionError("dK alone formed a W1 segment")
+
+        monkeypatch.setattr(distance, "_segment_sum", no_segments)
+        assert normal_distances(law, wasserstein=False) == (None, dk)
+        assert kolmogorov_to_normal(law) == dk == oracle_kolmogorov(law)
 
 
 class TestKolmogorov:

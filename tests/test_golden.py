@@ -72,6 +72,13 @@ def test_every_golden_file_has_a_case():
     assert names == set(CASES)
 
 
+def test_dk_alone_prints_the_dk_of_both_distances():
+    alone, both = (_documents((GOLDEN / f"{name}.out").read_text())[0]
+                   for name in ("distance_kolmogorov_dense_m2_n17", "distance_dense_m2_n17"))
+    assert "wasserstein_distance" in both
+    assert alone == {k: v for k, v in both.items() if k != "wasserstein_distance"}
+
+
 def test_w1_fields_hold_without_avx512():
     # numpy's AVX-512 exp rounds differently from its AVX2 one; on a host
     # without AVX-512 the variable changes nothing

@@ -11,16 +11,26 @@ bit.  A support plan for a zero skew, which ``chaoslab moments`` builds
 for fair coins, must give the fair-coin plan's bits.  Bits are compared
 under ``view(np.int64)`` so that the sign of a zero counts too.  CI runs
 this file again with numpy's AVX-512 dispatch off.
+
+The operator chain takes its checked fourth moment before it squares a
+table, so a table whose fourth moment leaves the float range is refused
+with ``DomainError`` before any numpy overflow warning; the kernel's own
+sums of squares refuse likewise.  Whether numpy warns depends on the
+floating-point flags its SIMD loops raise, so these run in both passes.
 """
+
+import warnings
 
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
     ChaosVector,
+    DomainError,
     Kernel,
     RademacherModel,
     ValueTable,
@@ -33,7 +43,14 @@ from chaoslab.chaos import _ROTATE_FROM
 from chaoslab.kernels import support_plan
 from chaoslab.malliavin import gamma0, minus_pseudo_inverse, ou_generator_pathwise, pseudo_inverse
 from chaoslab.model import split_coordinate
-from chaoslab.moments import _flip_flow, kolmogorov_term, sup_flip_pairing
+from chaoslab.moments import (
+    _flip_flow,
+    kolmogorov_term,
+    quartic_gradient_identity,
+    sup_flip_pairing,
+    var_gamma_normalized,
+    var_projection_sum,
+)
 from conftest import (
     loop_abstract_bounds,
     loop_flip_flow,
@@ -240,3 +257,36 @@ def test_pathwise_operators_keep_the_bits_of_both_differences(inst):
     assert_same_bits(ou_generator_pathwise(F, model).values, loop_ou_generator_pathwise(F, model))
     assert_same_bits(gamma0(F, G, model).values, loop_gamma0(F, G, model))
     assert_same_bits(gamma0(F, F, model).values, loop_gamma0(F, F, model))
+
+
+@pytest.mark.parametrize("big", [1e80, 1e100])
+@pytest.mark.parametrize("operator", [
+    var_projection_sum, var_gamma_normalized, quartic_gradient_identity, abstract_bounds,
+])
+def test_an_overflowing_fourth_moment_is_refused_before_any_square(operator, big):
+    F = ChaosVector.from_kernel(Kernel.from_subset_coeffs(2, 3, {(0, 1): big, (1, 2): 1.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the values overflow the fourth moment"):
+            operator(F, RademacherModel((0.3, 0.5, 0.7)))
+
+
+def test_abstract_bounds_refuses_before_the_squared_field():
+    F = ChaosVector.from_kernel(random_kernel(2, 4, 0).scale(1e154))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the values overflow the fourth moment"):
+            abstract_bounds(F, RademacherModel.symmetric(4))
+
+
+def test_overflowing_sums_of_squares_are_refused():
+    f = Kernel(1, 2, {(0,): 1e155})
+    with pytest.raises(DomainError, match="overflow the squared norm"):
+        f.norm_sq()
+    with pytest.raises(DomainError, match="overflow the sup-influence"):
+        f.sup_influence()
+    # 1e154 squares to 1e308, inside the float range; times 2! it is not
+    edge = Kernel(1, 2, {(0,): 1e154})
+    assert edge.norm_sq() == edge.sup_influence() == 1e154 * 1e154
+    with pytest.raises(DomainError, match="overflow the squared norm"):
+        Kernel(2, 3, {(0, 1): 1e154}).norm_sq()
