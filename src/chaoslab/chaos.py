@@ -182,7 +182,9 @@ def even_moments(
 
 def join_coordinate(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
     """Flat table whose ``X_k = -1`` half is ``minus`` and ``+1`` half is ``plus``."""
-    return np.stack([minus, plus], axis=1).reshape(-1)
+    out = np.empty((minus.shape[0], 2, minus.shape[1]), dtype=np.result_type(minus, plus))
+    out[:, 0], out[:, 1] = minus, plus
+    return out.reshape(-1)
 
 
 def conditional_expectation(

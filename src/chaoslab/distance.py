@@ -10,10 +10,12 @@ the levels of the indicator sup in ``moments``).  It is built by one
 unstable argsort of the values, which also gives them sorted; the sort
 order inside a level only changes the order in which its weights are
 added, and which of its equal values (0.0 or -0.0) is its atom, and the
-probabilities are renormalized by one numpy sum.  When every level holds
-one value, as on a dense table, the sorted values and weights are the
-atoms and masses, with the bits ``np.add.reduceat`` gives; only a level
-that merges values is summed.
+probabilities are renormalized by one numpy sum.  When every value has
+the same weight, as on a fair-coin model or a sample, ``np.sort`` replaces
+the argsort and the weights need no gather.  When every level holds one
+value, as on a dense table, the sorted values and weights are the atoms
+and masses, with the bits ``np.add.reduceat`` gives; only a law with a
+level that merges values finds the level starts and sums them.
 
 ``integral_law`` is the one route from a kernel to its law and moments.
 When the support splits into pieces that share no coordinate, F is a sum
@@ -155,40 +157,50 @@ class DistributionTable:
         return DistributionTable._owning(self.atoms + c, self.probs)
 
 
-def _levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted values, an argsort of ``values``, the start of each level in
-    the sorted order): the one rule for what a level of F is.
+def _levels(values: np.ndarray, argsort: bool = True) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(sorted values, an argsort of ``values``, a mask that is True where a
+    level opens in the sorted order): the one rule for what a level of F is.
 
     Consecutive sorted values share a level, chained, when their gap is at
     most ``_MERGE_TOL * max(1, |v_min|, |v_max|)``: a table's rounding
     scales with its largest entries, and at the probability floor, where |F|
     reaches 1e5, one ulp (1.5e-11) already exceeds an absolute 1e-12.
+    Without ``argsort`` the values are sorted by ``np.sort`` and the argsort
+    is None; the sorted values are the same but for the order of 0.0 and
+    -0.0 within a level.
     """
-    order = np.argsort(values)
-    v = values[order]
+    order = np.argsort(values) if argsort else None
+    v = np.sort(values) if order is None else values[order]
     if not (len(v) and np.isfinite(v[0]) and np.isfinite(v[-1])):  # NaN sorts last
         raise DomainError("values must be finite and non-empty")
     tol = _MERGE_TOL * max(1.0, abs(float(v[0])), abs(float(v[-1])))
     opens = np.empty(len(v), dtype=bool)
     opens[0] = True
     np.greater(np.diff(v), tol, out=opens[1:])
-    return v, order, np.flatnonzero(opens)
+    return v, order, opens
 
 
-def from_weighted_values(values: np.ndarray, weights: np.ndarray) -> DistributionTable:
+def from_weighted_values(values: np.ndarray, weights: np.ndarray | float) -> DistributionTable:
     """Aggregate weighted values into a law with one atom per ``_levels`` level.
 
-    When no two values share a level, the sorted values are the atoms and
-    the sorted weights their masses, with the bits ``np.add.reduceat`` gives
-    on one-value levels.
+    ``weights`` is an array with one weight per value, or one float that
+    every value shares: then the values are sorted without an argsort, and
+    the masses before the sum are ``np.full`` of that float, the array a
+    gather of equal weights gives, so the law has the same bits.  When no
+    two values share a level, the sorted values are the atoms and the sorted
+    weights their masses, with the bits ``np.add.reduceat`` gives on
+    one-value levels.
     """
-    atoms, order, starts = _levels(np.asarray(values, dtype=float))
-    probs = np.asarray(weights, dtype=float)[order]
+    shared = np.ndim(weights) == 0
+    atoms, order, opens = _levels(np.asarray(values, dtype=float), argsort=not shared)
+    probs = np.full(len(atoms), float(weights)) if shared else np.asarray(weights, dtype=float)[order]
     del order
-    if len(starts) < len(atoms):  # some level holds several values
+    if not opens.all():  # some level holds several values
+        starts = np.flatnonzero(opens)
         atoms = atoms[starts]
         probs = np.add.reduceat(probs, starts)
-    del starts  # freed before the table's checks allocate
+        del starts
+    del opens  # freed before the table's checks allocate
     if not (total := probs.sum()) > 0.0:  # a zero or NaN total fails before the divide warns
         raise DomainError(f"weights sum to {total}; a law needs positive mass")
     probs /= total
@@ -198,9 +210,13 @@ def from_weighted_values(values: np.ndarray, weights: np.ndarray) -> Distributio
 def exact_distribution(
     table: ValueTable, model: RademacherModel, caps: Caps = DEFAULT_CAPS
 ) -> DistributionTable:
-    """Exact law of a functional from its value table."""
+    """Exact law of a functional from its value table; on fair coins every
+    outcome weighs 2**-n exactly, and that one weight is passed."""
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
+    if all(p == 0.5 for p in model.probs):
+        model.check_enumerable(caps)
+        return from_weighted_values(table.values, 0.5**model.n)
     return from_weighted_values(table.values, model.weights(caps))
 
 
@@ -495,7 +511,7 @@ def empirical_distances(samples) -> tuple[float, float, float]:
     N = len(x)
     if N < 1000:
         raise DomainError(f"need at least 1000 samples, got {N}")
-    law = from_weighted_values(x, np.full(N, 1.0 / N))
+    law = from_weighted_values(x, 1.0 / N)
     dw, dk = normal_distances(law)
     delta = 1.0 - _DKW_CONFIDENCE
     half_width = math.sqrt(math.log(2.0 / delta) / (2.0 * N))

@@ -12,7 +12,8 @@ have mean 0 and variance 1; they take the value ``sqrt(q_k/p_k)`` on
 Outcomes of the whole sequence are indexed by bitmask: bit ``k`` of the
 index is set iff ``X_k = +1``.  A model gives the exact weights of all
 2**n outcomes and the tables of ``X_k`` and ``Y_k`` in that order;
-``sample_y_matrix`` draws rows of ``Y`` for the empirical checks.  Every
+``sample_signs`` draws i.i.d. rows of signs for the empirical checks, and
+``sample_y_matrix`` maps the same draws to ``Y``.  Every
 ``p_k`` must be a real number under the kernels' input rule
 (``kernels.real_value``), stored as a Python float, and lie in
 ``[PROB_FLOOR, 1 - PROB_FLOOR]``.  All coordinate indices are 0-based.
@@ -196,10 +197,20 @@ class RademacherModel:
         return out
 
 
-def sample_y_matrix(model: RademacherModel, seed: int, count: int) -> np.ndarray:
-    """Matrix of normalized coordinates for `count` i.i.d. draws."""
+def sample_signs(model: RademacherModel, seed: int, count: int) -> np.ndarray:
+    """Boolean matrix of `count` i.i.d. draws, True where X_k = +1: the
+    uniforms ``default_rng(seed).random((count, n))`` compared with p."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    plus = rng.random((count, model.n)) < model.p
-    return np.where(plus, model.y_plus, model.y_minus)
+    return rng.random((count, model.n)) < model.p
+
+
+def outcome_index(plus: np.ndarray) -> np.ndarray:
+    """Bitmask index of each row of a sign matrix that is True where X_k = +1."""
+    return plus @ (1 << np.arange(plus.shape[1]))
+
+
+def sample_y_matrix(model: RademacherModel, seed: int, count: int) -> np.ndarray:
+    """Matrix of normalized coordinates for the draws of ``sample_signs``."""
+    return np.where(sample_signs(model, seed, count), model.y_plus, model.y_minus)

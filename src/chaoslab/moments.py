@@ -263,12 +263,13 @@ def _sup_above_levels(values: np.ndarray, flow: np.ndarray) -> float:
     rank table of the levels (``distance._levels``, the exact law's atoms): it
     differs from a sort of all 2n 2**n flip thresholds in the last digits.
     A sup that is not finite raises ``DomainError``."""
-    order, starts = _levels(values)[1:]
-    level = np.cumsum(np.bincount(starts[1:], minlength=len(order)))  # by sorted position
+    order, opens = _levels(values)[1:]
+    level = np.cumsum(opens)
+    level -= 1  # the level of each sorted position
     rank = np.empty_like(level)
     rank[order] = level
-    del order, level  # freed before the masses are summed
-    mass = np.bincount(rank, weights=flow, minlength=len(starts))
+    del order, opens, level  # freed before the masses are summed
+    mass = np.bincount(rank, weights=flow)
     del rank
     with np.errstate(over="ignore", invalid="ignore"):
         # the most mass strictly above a level but the top, and 0 above it

@@ -49,7 +49,7 @@ from .kernels import (
     tensor_square_residual,
     zero_kernel,
 )
-from .model import RademacherModel, normalized_value, sample_y_matrix, y_moment
+from .model import RademacherModel, normalized_value, outcome_index, sample_signs, y_moment
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,25 @@ def check_sampling_consistency(rng, caps):
     p = float(rng.uniform(0.2, 0.8))
     model = RademacherModel((p, p, p))
     count = 200_000
-    ys = sample_y_matrix(model, int(rng.integers(2**31)), count)
+    mean4, mean1 = _sampled_means(model, int(rng.integers(2**31)), count)
     q = 1 - p
     lam = y_moment(p, 4)
     e8 = p * (q / p) ** 4 + q * (p / q) ** 4
     se4 = math.sqrt((e8 - lam * lam) / count)
-    yield abs(float((ys[:, 0] ** 4).mean()) - lam) / (5 * se4)
-    yield abs(float(ys[:, 1].mean())) / (5.0 / math.sqrt(count))
+    yield abs(mean4 - lam) / (5 * se4)
+    yield abs(mean1) / (5.0 / math.sqrt(count))
+
+
+def _sampled_means(model: RademacherModel, seed: int, count: int) -> tuple[float, float]:
+    """(mean of Y_0^4, mean of Y_1) over the draws of ``sample_signs``.
+
+    These are the column means of ``sample_y_matrix`` bit for bit, without
+    its matrix: Y_0^4 is numpy's pow of Y_0's two values, picked by sign.
+    """
+    plus = sample_signs(model, seed, count)
+    y4 = np.power([model.y_minus[0], model.y_plus[0]], 4)
+    y1 = np.where(plus[:, 1], model.y_plus[1], model.y_minus[1])
+    return float(np.where(plus[:, 0], y4[1], y4[0]).mean()), float(y1.mean())
 
 
 # -- kernels ----------------------------------------------------------------
@@ -640,13 +652,9 @@ def check_empirical_distance(rng, caps):
     law = distance.exact_distribution(t, model, caps)
     dk = distance.kolmogorov_to_normal(law)
     N = 100_000
-    draws = sample_y_matrix(model, int(rng.integers(2**31)), N)
-    # evaluate F at sampled outcomes via the table
-    plus = draws > 0
-    idx = np.zeros(N, dtype=np.int64)
-    for k in range(n):
-        idx |= plus[:, k].astype(np.int64) << k
-    samples = t.values[idx]
+    plus = sample_signs(model, int(rng.integers(2**31)), N)
+    # F at the sampled outcomes, read from the table
+    samples = t.values[outcome_index(plus)]
     dk_hat, _, half = distance.empirical_distances(samples)
     yield abs(dk_hat - dk) - 3.0 * half
 

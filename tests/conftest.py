@@ -46,6 +46,7 @@ from chaoslab import (
     multiply,
     project,
     random_kernel,
+    sample_y_matrix,
     symmetrized_tensor,
     to_table,
     variance,
@@ -769,7 +770,8 @@ def loop_sup_flip_pairing(F: ValueTable, G: ValueTable, model: RademacherModel) 
     """``sup_flip_pairing`` on ``loop_flip_flow``, ranked by one rank table
     of F's levels."""
     flow = loop_flip_flow(F, G, model)
-    order, starts = _levels(F.values)[1:]
+    order, opens = _levels(F.values)[1:]
+    starts = np.flatnonzero(opens)
     level = np.cumsum(np.bincount(starts[1:], minlength=len(order)))
     rank = np.empty_like(level)
     rank[order] = level
@@ -838,6 +840,26 @@ def loop_from_weighted_values(values: np.ndarray, weights: np.ndarray) -> Distri
     probs = np.add.reduceat(w, starts)
     probs /= probs.sum()
     return DistributionTable(v[starts], probs)
+
+
+def loop_outcome_index(plus: np.ndarray) -> np.ndarray:
+    """``model.outcome_index`` by one shift per coordinate."""
+    idx = np.zeros(len(plus), dtype=np.int64)
+    for k in range(plus.shape[1]):
+        idx |= plus[:, k].astype(np.int64) << k
+    return idx
+
+
+def matrix_sampled_means(model: RademacherModel, seed: int, count: int) -> tuple[float, float]:
+    """``verify._sampled_means`` from the matrix: the means of the column
+    Y_0 ** 4 and of the column Y_1 of ``sample_y_matrix``."""
+    ys = sample_y_matrix(model, seed, count)
+    return float((ys[:, 0] ** 4).mean()), float(ys[:, 1].mean())
+
+
+def stack_join_coordinate(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """``chaos.join_coordinate`` by ``np.stack``."""
+    return np.stack([minus, plus], axis=1).reshape(-1)
 
 
 def loop_segment_sum(atoms: np.ndarray, levels: np.ndarray, lo: int, phi: np.ndarray,

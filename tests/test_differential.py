@@ -1228,7 +1228,8 @@ def test_law_by_pieces_matches_enumeration(drawn):
     value_tol = tolerance(n + 1, scale)
     spread = 1.0 + float(max(np.abs(want.atoms).max(), np.abs(route.law.atoms).max()))
     mass_tol = tolerance(2 * (n + 1), 1.0)
-    v, _, starts = _levels(table.values)
+    v, _, opens = _levels(table.values)
+    starts = np.flatnonzero(opens)
     chain = float(np.max(v[np.append(starts[1:], len(v)) - 1] - v[starts]))
     shift = 2 * len(pieces) * (chain + value_tol) + 2.0 * value_tol
     width = assert_laws_match(route.law, want, shift, mass_tol)

@@ -15,6 +15,7 @@ from chaoslab import (
     sample_y_matrix,
     y_moment,
 )
+from chaoslab.model import sample_signs
 from conftest import oracle_outcomes, oracle_weights
 
 probs = st.floats(min_value=0.01, max_value=0.99)
@@ -194,8 +195,17 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_count_validation(self):
-        with pytest.raises(DomainError):
-            sample_y_matrix(RademacherModel((0.5,)), seed=0, count=0)
+        for sample in (sample_signs, sample_y_matrix):
+            with pytest.raises(DomainError):
+                sample(RademacherModel((0.5,)), seed=0, count=0)
+
+    def test_y_matrix_maps_the_signs(self):
+        model = RademacherModel((0.2, 0.5, 0.9))
+        plus = sample_signs(model, seed=4, count=1000)
+        assert plus.dtype == bool and plus.shape == (1000, 3)
+        ys = sample_y_matrix(model, seed=4, count=1000)
+        assert np.array_equal(ys > 0, plus)
+        assert np.array_equal(ys, np.where(plus, model.y_plus, model.y_minus))
 
     def test_law_of_large_numbers(self):
         model = RademacherModel((0.37,))

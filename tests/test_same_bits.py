@@ -8,7 +8,11 @@ floats, and ``ou_generator_pathwise`` and ``gamma0`` form one difference
 per coordinate.  Each keeps the rounding of the code it replaced, so
 every output must equal the ``loop_*`` oracles of ``conftest`` bit for
 bit.  A support plan for a zero skew, which ``chaoslab moments`` builds
-for fair coins, must give the fair-coin plan's bits.  Bits are compared
+for fair coins, must give the fair-coin plan's bits.  The identity suite's
+Monte Carlo checks draw signs, not a ``Y`` matrix, and must read the same
+means and outcomes from them; a law of equally weighted values, built
+without an argsort, must equal the law of the gathered weights; and
+``join_coordinate`` must equal its ``np.stack`` form.  Bits are compared
 under ``view(np.int64)`` so that the sign of a zero counts too.  CI runs
 this file again with numpy's AVX-512 dispatch off.
 
@@ -39,10 +43,11 @@ from chaoslab import (
     zero_kernel,
 )
 from chaoslab.bounds import _coordinate_sweep, abstract_bounds
-from chaoslab.chaos import _ROTATE_FROM
+from chaoslab.chaos import _ROTATE_FROM, integral_table, join_coordinate
+from chaoslab.distance import _MERGE_TOL, exact_distribution, from_weighted_values
 from chaoslab.kernels import support_plan
 from chaoslab.malliavin import gamma0, minus_pseudo_inverse, ou_generator_pathwise, pseudo_inverse
-from chaoslab.model import split_coordinate
+from chaoslab.model import outcome_index, split_coordinate
 from chaoslab.moments import (
     _flip_flow,
     kolmogorov_term,
@@ -51,16 +56,21 @@ from chaoslab.moments import (
     var_gamma_normalized,
     var_projection_sum,
 )
+from chaoslab.verify import _sampled_means
 from conftest import (
     loop_abstract_bounds,
     loop_flip_flow,
+    loop_from_weighted_values,
     loop_gamma0,
     loop_influence_vector,
     loop_minus_pseudo_inverse,
     loop_ou_generator_pathwise,
+    loop_outcome_index,
     loop_pseudo_inverse,
     loop_sup_flip_pairing,
+    matrix_sampled_means,
     random_chaos,
+    stack_join_coordinate,
 )
 
 FLOOR = 1e-6
@@ -290,3 +300,85 @@ def test_overflowing_sums_of_squares_are_refused():
     assert edge.norm_sq() == edge.sup_influence() == 1e154 * 1e154
     with pytest.raises(DomainError, match="overflow the squared norm"):
         Kernel(2, 3, {(0, 1): 1e154}).norm_sq()
+
+
+def test_sampled_means_keep_the_bits_of_the_y_matrix():
+    # the suite's count on every fourth draw, else a count that leaves a
+    # short tail in numpy's pow and pairwise sum
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        p = float(rng.uniform(0.2, 0.8))
+        model, seed = RademacherModel((p, p, p)), int(rng.integers(2**31))
+        count = 200_000 if i % 4 == 0 else int(rng.integers(1, 20_000))
+        got = _sampled_means(model, seed, count)
+        assert_same_bits(got, matrix_sampled_means(model, seed, count), (p, seed, count))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 24])
+def test_outcome_index_is_the_shift_loop(n):
+    plus = np.random.default_rng(n).random((1000, n)) < 0.4
+    got = outcome_index(plus)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, loop_outcome_index(plus))
+
+
+@st.composite
+def shared_weights(draw):
+    """(values, one shared weight): distinct values, exact ties among a pool
+    that holds 0.0 and -0.0, chains of steps within ``_MERGE_TOL``, or a
+    fair-coin table with its weight 2**-n."""
+    kind = draw(st.sampled_from(["distinct", "ties", "chains", "fair_table"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "fair_table":
+        n = draw(st.integers(1, 10))
+        f = random_kernel(int(rng.integers(1, min(3, n) + 1)), n, rng, normalized=True)
+        return integral_table(f, RademacherModel.symmetric(n)).values, 0.5**n
+    size = draw(st.integers(1, 300))
+    scale = draw(st.sampled_from([1.0, 1e5]))
+    if kind == "distinct":
+        values = rng.standard_normal(size) * scale
+    elif kind == "ties":
+        pool = np.concatenate([rng.standard_normal(int(rng.integers(1, 6))) * scale, [0.0, -0.0]])
+        values = rng.choice(pool, size)
+    else:
+        base = rng.choice(rng.standard_normal(4) * scale, size)
+        step = 0.4 * _MERGE_TOL * max(1.0, float(np.abs(base).max()))
+        values = base + rng.integers(0, 6, size) * step
+    return values, draw(st.sampled_from([1.0 / size, 1.0, 3e-7]))
+
+
+def assert_same_law_but_zero_signs(got, want):
+    """Same masses bit for bit; same atoms, bit for bit but for the sign of a
+    zero atom, which an ``np.sort`` may take from another value of its level."""
+    assert_same_bits(got.probs, want.probs)
+    assert np.array_equal(got.atoms, want.atoms)
+    nonzero = want.atoms != 0.0
+    assert_same_bits(got.atoms[nonzero], want.atoms[nonzero])
+
+
+@given(shared_weights())
+@example((np.array([0.0, -0.0, 1.0, -0.0]), 0.25))
+@settings(max_examples=100, deadline=None)
+def test_a_shared_weight_gives_the_law_of_the_gathered_weights(drawn):
+    values, weight = drawn
+    full = np.full(len(values), weight)
+    got = from_weighted_values(values, weight)
+    assert_same_law_but_zero_signs(got, from_weighted_values(values, full))
+    assert_same_law_but_zero_signs(got, loop_from_weighted_values(values, full))
+
+
+@pytest.mark.parametrize("n", [1, 6, 13])
+def test_a_fair_coin_law_keeps_the_bits_of_its_weights(n):
+    model = RademacherModel.symmetric(n)
+    table = integral_table(random_kernel(2 if n > 1 else 1, n, n, normalized=True), model)
+    got = exact_distribution(table, model)
+    assert_same_law_but_zero_signs(got, from_weighted_values(table.values, model.weights()))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_join_coordinate_is_the_stack(n):
+    values = np.random.default_rng(n).choice([0.0, -0.0, 1.5, -2.0, np.nan], 2**n)
+    for k in range(n):
+        minus, plus = split_coordinate(values, k)
+        for a, b in ((minus, plus), (plus, plus), (minus, minus)):
+            assert_same_bits(join_coordinate(a, b), stack_join_coordinate(a, b), k)
