@@ -19,7 +19,6 @@ from .chaos import (
     integral_table,
     multiply,
     ou_semigroup,
-    project,
     stroock_decompose,
     to_table,
     variance,
@@ -68,7 +67,6 @@ __all__ = [
     "normalized_value",
     "off_diagonal_defect",
     "ou_semigroup",
-    "project",
     "random_kernel",
     "sample_y_matrix",
     "stroock_decompose",

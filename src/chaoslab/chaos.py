@@ -237,9 +237,6 @@ class ChaosVector:
             return self.kernels[r]
         return zero_kernel(r, self.horizon)
 
-    def mean(self) -> float:
-        return self.kernel(0).value(())
-
     def variance(self) -> float:
         return sum(k.second_moment() for k in self.kernels[1:])
 
@@ -500,15 +497,6 @@ def multiply(
         raise DomainError("chaos vectors live on different horizons")
     table = to_table(F, model, caps) * to_table(G, model, caps)
     return stroock_decompose(table, model, caps)
-
-
-def project(F: ChaosVector, r: int) -> ChaosVector:
-    """Keep only the order-r component."""
-    if r < 0:
-        raise DomainError(f"order must be >= 0, got {r}")
-    parts = [zero_kernel(s, F.horizon) for s in range(r)]
-    parts.append(F.kernel(r))
-    return ChaosVector(F.horizon, tuple(parts))
 
 
 def ou_semigroup(F: ChaosVector, t: float) -> ChaosVector:

@@ -44,13 +44,13 @@ from chaoslab import (
     ValueTable,
     conditional_expectation,
     multiply,
-    project,
     random_kernel,
     sample_y_matrix,
     symmetrized_tensor,
     to_table,
     variance,
     y_moment,
+    zero_kernel,
 )
 from chaoslab.bounds import _DEGENERACY_TOL, _NORMALIZATION_TOL
 from chaoslab.construct import first_coordinate_point, uniform_sphere_point
@@ -65,6 +65,7 @@ from chaoslab.distance import (
     _normal_cdf_array,
     normal_cdf,
 )
+from chaoslab.errors import DomainError
 from chaoslab.malliavin import d, d_half, gamma0, minus_pseudo_inverse
 from chaoslab.moments import fourth_moment_symmetric, moment
 
@@ -320,6 +321,15 @@ def oracle_rho_squared(components: dict, m: int) -> float:
             for j in J:
                 per_coord[j] = per_coord.get(j, 0.0) + c * c
     return max(per_coord.values()) if per_coord else 0.0
+
+
+def project(F: ChaosVector, r: int) -> ChaosVector:
+    """Keep only the order-r component."""
+    if r < 0:
+        raise DomainError(f"order must be >= 0, got {r}")
+    parts = [zero_kernel(s, F.horizon) for s in range(r)]
+    parts.append(F.kernel(r))
+    return ChaosVector(F.horizon, tuple(parts))
 
 
 def oracle_projection_variances(F: ChaosVector, model: RademacherModel) -> list[float]:
@@ -852,9 +862,11 @@ def loop_outcome_index(plus: np.ndarray) -> np.ndarray:
 
 def matrix_sampled_means(model: RademacherModel, seed: int, count: int) -> tuple[float, float]:
     """``verify._sampled_means`` from the matrix: the means of the column
-    Y_0 ** 4 and of the column Y_1 of ``sample_y_matrix``."""
+    Y_0^4, as the square of the squared column, and of the column Y_1 of
+    ``sample_y_matrix``."""
     ys = sample_y_matrix(model, seed, count)
-    return float((ys[:, 0] ** 4).mean()), float(ys[:, 1].mean())
+    y2 = ys[:, 0] * ys[:, 0]
+    return float((y2 * y2).mean()), float(ys[:, 1].mean())
 
 
 def stack_join_coordinate(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from chaoslab import (
     integral_table,
     multiply,
     ou_semigroup,
-    project,
     random_kernel,
     stroock_decompose,
     to_table,
@@ -230,17 +229,6 @@ class TestMultiply:
 
 
 class TestProjectAndSemigroup:
-    def test_projection_identities(self, rng):
-        F = random_chaos(rng, 5, top=3, centered=False)
-        pure = project(F, 2)
-        assert pure.kernel(2).coeffs == F.kernel(2).coeffs
-        assert project(F, 7).kernel(7).is_zero()
-        total = project(F, 0)
-        for r in range(1, F.top_order + 1):
-            total = total + project(F, r)
-        for r in range(F.top_order + 1):
-            assert_kernels_close(total.kernel(r), F.kernel(r), 0.0)
-
     def test_time_zero_is_identity(self, rng):
         F = random_chaos(rng, 5)
         G = ou_semigroup(F, 0.0)

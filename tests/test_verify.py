@@ -98,3 +98,32 @@ def test_verify_report_is_the_same_bytes_in_every_process():
         outs.append(done.stdout)
     assert outs[0] == outs[1]
     assert '"seed": 3' in outs[0]
+
+
+_DISPATCH_SEEDS = (28, 36, 39)
+_RESIDUAL_LINES = (
+    "from chaoslab.verify import run_suite\n"
+    f"for seed in {_DISPATCH_SEEDS!r}:\n"
+    "    for r in run_suite(seed):\n"
+    "        print(seed, r.name, r.residual.hex())\n"
+)
+
+
+def test_suite_residuals_do_not_follow_simd_dispatch():
+    # numpy's pow rounds differently with AVX-512 off; at these seeds a
+    # residual formed by pow moved by an ulp, so each must hold in hex
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path,
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    done = subprocess.run(
+        [sys.executable, "-c", _RESIDUAL_LINES],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    here = [
+        f"{seed} {r.name} {r.residual.hex()}"
+        for seed in _DISPATCH_SEEDS
+        for r in verify.run_suite(seed)
+    ]
+    assert done.stdout.splitlines() == here
