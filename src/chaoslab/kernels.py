@@ -28,18 +28,19 @@ The norms of the symmetrized tensor square and the product-formula fourth
 moment in ``moments`` come from one numpy pass over the pairs of support
 subsets that share a coordinate, split into a plan and an evaluation
 (``SupportPlan``).  The plan is built from the support alone: the index
-arrays of the overlapping pairs and, from one sort each, the groups of
-their splits, multisets and symmetric differences.  An evaluation takes
-the coefficient values, gathers the pair products and sums each group;
-the disjoint pairs enter through closed sums.  ``support_plan`` builds
-the plan of a coefficient mapping under the same input rule.
-``symmetrized_tensor`` enumerates the multisets themselves into a plain
-dict; its distinct-index part is the top kernel of a product.  Every
-total an evaluation returns is the correctly rounded sum of its terms,
-``math.fsum``'s value bit for bit (``_finite_sum``): an array of at
-least ``_BINNED_FROM`` terms is added exactly in exponent bins by a few
-numpy passes, anything shorter by ``math.fsum``.  Finite coefficients
-whose fourth-order sums leave the float range raise ``DomainError``.
+arrays of the overlapping pairs, the groups of their multisets from one
+sort, and from one more those of their splits and, in its runs, of their
+symmetric differences.  An evaluation takes the coefficient values,
+gathers the pair products and sums each group; the disjoint pairs enter
+through closed sums.  ``support_plan`` builds the plan of a coefficient
+mapping under the same input rule.  ``symmetrized_tensor`` enumerates
+the multisets themselves into a plain dict; its distinct-index part is
+the top kernel of a product.  Every total an evaluation returns is the
+correctly rounded sum of its terms, ``math.fsum``'s value bit for bit
+(``_finite_sum``): an array of at least ``_BINNED_FROM`` terms is added
+exactly in exponent bins by a few numpy passes, anything shorter by
+``math.fsum``.  Finite coefficients whose fourth-order sums leave the
+float range raise ``DomainError``.
 """
 
 from __future__ import annotations
@@ -462,14 +463,16 @@ def _subset_rows(keys: Sequence, horizon: int | None = None) -> tuple[np.ndarray
 
 
 def _sort_columns(rows: np.ndarray) -> np.ndarray:
-    """Sort each column of ``rows`` in place.
-
-    An odd-even transposition network: each of its len(rows) steps
-    compares every other pair of adjacent rows across all columns at once,
-    so the cost is a few numpy calls per row however many columns there
-    are.  ``np.sort`` along the first axis sorts one column at a time.
+    """Sort each column of ``rows`` in place: below 64 columns a row by
+    ``np.sort``, which sorts one column at a time, and from there by an
+    odd-even transposition network.  Each of its len(rows) steps compares
+    every other pair of adjacent rows across all columns at once, so the
+    cost is a few numpy calls per row however many columns there are.
     """
     height = len(rows)
+    if rows.shape[1] < 64 * height:
+        rows.sort(axis=0)
+        return rows
     for step in range(height):
         upper, lower = rows[step % 2 : height - 1 : 2], rows[step % 2 + 1 : height : 2]
         low = np.minimum(upper, lower)
@@ -483,112 +486,120 @@ def _index_type(count: int) -> type:
     return np.int32 if count < 2**31 else np.intp
 
 
+def _packed(rows: np.ndarray, bits: int) -> np.ndarray:
+    """Each column of ``rows`` as one int64 of ``bits`` per id, first row highest."""
+    word = rows[0].astype(np.int64) if len(rows) else np.zeros(rows.shape[1], np.int64)
+    for row in rows[1:]:
+        word <<= bits
+        word |= row
+    return word
+
+
+def _sorted_runs(rows: np.ndarray, top: int, prefix: int | None = None):
+    """The order that sorts the columns of ``rows`` (entries in [0, top])
+    lexicographically, equal columns in index order, and which sorted
+    columns differ from the one before: in any row, and in the first
+    ``prefix`` rows (all of them when None).
+
+    From 256 columns, when the ids and the bits of a column index fit in
+    63, a value sort of the distinct keys ``key << index_bits | index``
+    gives the order in its low bits, whichever algorithm runs (on a 2-CPU
+    host 0.32 ms for 27 000 keys against 2.3 ms by lexsort; they tie near
+    200).  Otherwise words of whole rows, the prefix apart, take a lexsort.
+    """
+    height, count = rows.shape
+    if count < 2:
+        return np.arange(count), *np.ones((2, count), bool)
+    bits, index_bits = max(int(top).bit_length(), 1), (count - 1).bit_length()
+    cut = height if prefix is None else prefix
+    if count >= 256 and height * bits + index_bits <= 63:
+        key = _packed(rows, bits)
+        key <<= index_bits
+        key |= np.arange(count)
+        key.sort()
+        order = key & ((1 << index_bits) - 1)
+        key >>= index_bits
+        words, heads = [key >> (height - cut) * bits, key] if cut < height else [key], 1
+    else:
+        per = 63 // bits
+        words = [_packed(rows[lo : min(lo + per, end)], bits) for start, end in ((0, cut), (cut, height))
+                 for lo in range(start, end, per)]
+        order = np.lexsort(words[::-1]) if words else np.arange(count)
+        words, heads = [word[order] for word in words], -(-cut // per)
+    new = np.zeros((2, count), bool)  # runs of the prefix, then of all rows
+    new[:, :1] = True
+    for at, word in enumerate(words):
+        new[int(at >= heads) :, 1:] |= word[1:] != word[:-1]
+    return order, new[1], new[0]
+
+
+def _run_ids(order: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The number of the run of ``new`` flags each sorted entry lies in."""
+    ids = np.empty(len(order), _index_type(len(order)))
+    ids[order] = new.cumsum(dtype=ids.dtype) - 1
+    return ids
+
+
 def _group(rows: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     """Group ids of the equal columns of ``rows`` (entries in [0, top]),
-    numbered in lexicographic order of the columns, and one column per group.
-
-    The rows are packed into as few int64 words as hold them, first row
-    highest, so keys of up to 63 // bits(top) ids take one argsort and
-    longer ones a lexsort of their words.
-    """
-    count, bits = rows.shape[1], max(int(top).bit_length(), 1)
-    if count < 2:
-        return np.zeros(count, _index_type(count)), np.arange(count)
-    per = 63 // bits
-    words = []
-    for lo in range(0, len(rows), per):
-        word = rows[lo].astype(np.int64)
-        for row in rows[lo + 1 : lo + per]:
-            word <<= bits
-            word |= row
-        words.append(word)
-    words = words or [np.zeros(count, np.int64)]  # keys of no ids are all equal
-    order = words[0].argsort() if len(words) == 1 else np.lexsort(words[::-1])
-    new = np.empty(count, bool)
-    new[0] = True
-    word = words[0][order]
-    np.not_equal(word[1:], word[:-1], out=new[1:])
-    for word in words[1:]:
-        word = word[order]
-        new[1:] |= word[1:] != word[:-1]
-    del words, word
-    ids = np.empty(count, _index_type(count))
-    ids[order] = new.cumsum()
-    ids -= 1
-    return ids, order[new]
+    numbered in lexicographic order of the columns, and the first column
+    of each group."""
+    if rows.shape[1] < 2:
+        return np.zeros(rows.shape[1], _index_type(rows.shape[1])), np.arange(rows.shape[1])
+    order, new, _ = _sorted_runs(rows, top)
+    return _run_ids(order, new), order[new]
 
 
 def _lookup(subsets: np.ndarray, rows: np.ndarray, top: int) -> np.ndarray:
-    """The index of each column of ``rows`` among the columns of
-    ``subsets`` (distinct), -1 if absent."""
+    """The index of each column of ``rows`` (padded to the height of
+    ``subsets``) among the columns of ``subsets`` (distinct), -1 if absent."""
+    rows = np.concatenate([rows, np.full((len(subsets) - len(rows), rows.shape[1]), top, rows.dtype)])
     ids, _ = _group(np.concatenate([subsets, rows], 1), top)
     at = np.full(len(ids) and int(ids.max()) + 1, -1)
     at[ids[: subsets.shape[1]]] = np.arange(subsets.shape[1])
     return at[ids[subsets.shape[1] :]]
 
 
-def _padded(rows: np.ndarray, height: int, top: int) -> np.ndarray:
-    pad = np.full((height - len(rows), rows.shape[1]), top, rows.dtype)
-    return np.concatenate([rows, pad])
-
-
-def _shared(a: np.ndarray, b: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which ids of each column of ``a`` are coordinates in the same column
-    of ``b``, and the same for ``b``."""
-    equal = a[:, None] == b[None]
-    return equal.any(1) & (a < top), equal.any(0) & (b < top)
-
-
-def _overlapping_pairs(subsets: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """(I, J) with I < J for every pair of subsets that share a coordinate.
-
-    Each coordinate's bucket lists its subsets in order; every two members
-    of a bucket make a candidate, kept at the lowest coordinate the two
-    share, so each pair comes once and the cost is O(P) for P pairs.
+def _overlapping_pairs(subsets: np.ndarray, top: int):
+    """(I, J) with I < J for every pair of subsets that share a coordinate,
+    and the split {B, C} = {I - J, J - I} of each as columns (B, C) with
+    B's first id the lower (the two are disjoint, not both empty, and
+    each at most one id narrower than the widest subset), its I xor J and
+    its I & J.  Each coordinate's bucket lists its subsets in order; every
+    two members of a bucket make a candidate, kept at the lowest
+    coordinate the two share, so each pair comes once in O(P) for P pairs.
     """
-    empty = np.zeros(0, np.int32)
-    if len(subsets) < 2:  # subsets of one coordinate share it only with themselves
-        return empty, empty
-    row, col = np.nonzero(subsets.T < top)
-    coord = subsets[col, row]
-    order = np.argsort(coord, kind="stable")
-    coord, row = coord[order], row[order].astype(_index_type(subsets.shape[1]))
-    start = np.searchsorted(coord, coord)
-    rank = np.arange(len(coord)) - start  # members before each one in its bucket
-    candidates = int(rank.sum())
+    (width, size), pad = subsets.shape, subsets.dtype.type(top)
+    side, candidates = max(width - 1, 0), 0
+    if width > 1:  # subsets of one coordinate share it only with themselves
+        index_bits = max(size - 1, 0).bit_length()
+        key = subsets.astype(np.int64) << index_bits | np.arange(size)  # (coordinate, subset)
+        key = np.sort(key, axis=None)[: np.count_nonzero(subsets < top)]  # the buckets, the padding last
+        coord, row = (key >> index_bits).astype(subsets.dtype), (key & ((1 << index_bits) - 1)).astype(_index_type(size))
+        start = np.searchsorted(coord, coord)
+        rank = np.arange(len(coord)) - start  # members before each one in its bucket
+        candidates = int(rank.sum())
     if not candidates:
-        return empty, empty
+        return (np.zeros(0, np.int32),) * 2 + tuple(np.full((h, 0), top, subsets.dtype) for h in (side, side, 2 * side, width))
     index = _index_type(candidates)
-    late = np.repeat(np.arange(len(coord), dtype=index), rank)
     early = np.repeat((start - np.cumsum(rank) + rank).astype(index), rank)
-    early += np.arange(len(late), dtype=index)
-    first, second, at = row[early], row[late], coord[late]
-    del early, late
-    a = subsets.take(first, axis=1)
-    keep = np.where(_shared(a, subsets.take(second, axis=1), top)[0], a, top).min(0) == at
-    return first[keep], second[keep]
-
-
-def _pair_keys(subsets: np.ndarray, first: np.ndarray, second: np.ndarray, top: int):
-    """The split {B, C} = {I - J, J - I} of each pair (I, J) as columns
-    (B, C) with B's first id the lower, and its I xor J and I & J.
-
-    B and C are disjoint and not both empty, so their first ids differ;
-    I - J leaves out at least one coordinate of I, so each side has at
-    most one id fewer than the widest subset.
-    """
-    side = max(len(subsets) - 1, 0)
-    if not len(first):
-        return tuple(np.full((rows, 0), top, subsets.dtype) for rows in (side, side, 2 * side, len(subsets)))
+    early += np.arange(candidates, dtype=index)
+    first, second, at = row[early], np.repeat(row, rank), np.repeat(coord, rank)
+    del early
     a, b = subsets.take(first, axis=1), subsets.take(second, axis=1)
-    in_a, in_b = _shared(a, b, top)
-    only_a = _sort_columns(np.where(in_a, top, a))[:side]
-    only_b = _sort_columns(np.where(in_b, top, b))[:side]
-    both = _sort_columns(np.where(in_a, a, top))
-    del a, b, in_a, in_b
+    equal = a[:, None] == b[None]
+    in_a, in_b = equal.any(1) & (a < top), equal.any(0) & (b < top)
+    keep = np.flatnonzero(~(in_a & (a < at)).any(0))  # no shared coordinate below the bucket's
+    a, b, in_a, in_b = (x.take(keep, axis=1) for x in (a, b, in_a, in_b))
+    # every id is at most top, so a maximum with top or 0 keeps or drops it
+    only_a = _sort_columns(np.maximum(a, in_a * pad))[:side]
+    only_b = _sort_columns(np.maximum(b, in_b * pad))[:side]
+    both = _sort_columns(np.maximum(a, ~in_a * pad))
     xor = _sort_columns(np.concatenate([only_a, only_b]))
-    swap = only_b[:1] < only_a[:1]
-    return np.where(swap, only_b, only_a), np.where(swap, only_a, only_b), xor, both
+    # unsigned differences wrap, so adding the masked one swaps columns exactly
+    step = only_b - only_a
+    step *= only_b[:1] < only_a[:1]
+    return first[keep], second[keep], only_a + step, only_b - step, xor, both
 
 
 def _sub_columns(keys: np.ndarray, grow: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -613,14 +624,16 @@ class SupportPlan:
     for fair coins); ``fourth_moment`` and ``tensor_terms`` evaluate it on
     any coefficient vector aligned with ``keys``.  Equal keys are merged
     into one subset.  The plan holds the ``pairs`` overlapping pairs
-    (I, J), I < J, of the ``size`` subsets and, from one sort each, the
-    group of every pair's split (I - J, J - I), of its multiset
-    (I xor J, I & J) and of its I xor J, and for a skewed model the
-    skewed coordinates of each I & J.  An evaluation gathers c_I c_J and
-    sums each group with ``np.bincount``, which adds in pair order, so a
-    zero coefficient adds exact zeros and a plan evaluated on values that
-    contain zeros gives a fresh plan's result on the nonzero ones bit for
-    bit.  A subset, split or multiset is a sorted column of coordinate
+    (I, J), I < J, of the ``size`` subsets, the group of every pair's
+    multiset (I xor J, I & J) from one sort, from one sort by
+    (I xor J, I - J) the group of its split (I - J, J - I) and, in runs of
+    I xor J, its g1 group, and for a skewed model the skewed coordinates
+    of each I & J.  Within one I xor J the splits come in the order of
+    I - J, as they would by (I - J, J - I).  An evaluation gathers c_I c_J
+    and sums each group with ``np.bincount``, which adds in pair order, so
+    a zero coefficient adds exact zeros and a plan evaluated on values
+    that contain zeros gives a fresh plan's result on the nonzero ones bit
+    for bit.  A subset, split or multiset is a sorted column of coordinate
     ids, so nothing depends on how wide the universe is.
 
     Over the ordered overlapping pairs the groups carry
@@ -651,44 +664,45 @@ class SupportPlan:
         subsets = rows.take(rep, axis=1)
         width, self.size = subsets.shape
         orders = (subsets < top).sum(0)
-        self.nonempty = orders > 0
-        self.first, self.second = _overlapping_pairs(subsets, top)
-        self.pairs = len(self.first)
-
-        low, high, xor, both = _pair_keys(subsets, self.first, self.second, top)
-        side = len(low)
-        self.split, split_rep = _group(np.concatenate([low, high]), top)
+        self.nonempty = int(np.count_nonzero(orders))  # subsets; the empty one, if any, sorts last
+        self.first, self.second, low, high, xor, both = _overlapping_pairs(subsets, top)
+        self.pairs, side = len(self.first), len(low)
         self.multiset, multiset_rep = _group(np.concatenate([xor, both]), top)
-        self.split_count, self.multiset_count = len(split_rep), len(multiset_rep)
+        self.multiset_count = len(multiset_rep)
+        # 2**(2 + |I & J|) over the multisets of the overlapping pairs, then the diagonal pairs (I, I)
+        both = both.take(multiset_rep, axis=1)
+        self.weight = np.ldexp(4.0, np.concatenate([(both < top).sum(0), orders[: self.nonempty]]))
 
-        # multisets of the overlapping pairs, then the diagonal pairs (I, I)
-        diagonal = int(self.nonempty.sum())
-        m_xor = np.concatenate([xor.take(multiset_rep, axis=1), np.full((2 * side, diagonal), top, xor.dtype)], 1)
-        m_both = np.concatenate([both.take(multiset_rep, axis=1), subsets.compress(self.nonempty, axis=1)], 1)
-        self.weight = np.ldexp(4.0, (m_both < top).sum(0))  # 2**(2 + |I & J|)
-
-        # g1 on I xor J: the diagonal on the empty set, each split's H, and
-        # with skew the expansion of each multiset over T inside its I & J
+        # g1 on I xor J: each split's H, the diagonal on the empty set and,
+        # with skew, the expansion of each multiset over T inside its I & J.
+        # One sort by (key, I - J) numbers the splits and, in runs of the key, g1
         key_height = max(2 * width - 1, 0)
-        g1_rows = [np.full((key_height, 1), top, xor.dtype), _padded(xor.take(split_rep, axis=1), key_height, top)]
-        self.source, self.factors = np.zeros(0, np.intp), np.ones((width, 0))
+        self.source, self.factors, expansion = np.zeros(0, np.intp), (), np.zeros((key_height, 0), xor.dtype)
         if skew is not None:
+            m_both = np.concatenate([both, subsets[:, : self.nonempty]], 1)
             skew_u = np.append(np.asarray(skew, dtype=float)[universe], 1.0)
             skewed = np.append(skew_u[:-1] != 0.0, False)[m_both]
             source, part = _sub_columns(m_both, skewed, top)
             self.source, part = source[m_both.shape[1] :], part[:, m_both.shape[1] :]  # T nonempty
             self.factors = skew_u[part]
-            g1_rows.append(_sort_columns(np.concatenate([m_xor.take(self.source, axis=1), part]))[:key_height])
-        g1_rows = np.concatenate(g1_rows, 1)
-        self.g1, g1_rep = _group(g1_rows, top)
-        self.g1_count = len(g1_rep)
+            m_xor = np.concatenate([xor.take(multiset_rep, axis=1), np.full((2 * side, self.nonempty), top, xor.dtype)], 1)
+            expansion = _sort_columns(np.concatenate([m_xor.take(self.source, axis=1), part]))[:key_height]
+        entries = np.full((key_height + side, self.pairs + 1 + expansion.shape[1]), top, xor.dtype)
+        entries[: 2 * side, : self.pairs], entries[key_height:, : self.pairs] = xor, low
+        entries[:key_height, self.pairs + 1 :] = expansion  # after the diagonal's empty key
+        order, new, new_g1 = _sorted_runs(entries, top, key_height)
+        split_new = new & (order < self.pairs)  # low sides are nonempty: no other entry ends a split's run
+        self.split, split_rep = _run_ids(order, split_new)[: self.pairs], order[split_new]
+        g1, g1_rep = _run_ids(order, new_g1), order[new_g1]
+        self.g1 = np.concatenate([g1[self.pairs : self.pairs + 1], g1[split_rep], g1[self.pairs + 1 :]])
+        self.split_count, self.g1_count = len(split_rep), len(g1_rep)
 
         present = set(orders.tolist())
         self.mixed = len(present) > 1
         if self.mixed:
-            self.low = _lookup(subsets, _padded(low.take(split_rep, axis=1), width, top), top)
-            self.high = _lookup(subsets, _padded(high.take(split_rep, axis=1), width, top), top)
-            self._plan_disjoint(subsets, g1_rows.take(g1_rep, axis=1), present, top)
+            self.low = _lookup(subsets, low.take(split_rep, axis=1), top)
+            self.high = _lookup(subsets, high.take(split_rep, axis=1), top)
+            self._plan_disjoint(subsets, entries[:key_height].take(g1_rep, axis=1), present, top)
 
     def _plan_disjoint(self, subsets, keys, present, top) -> None:
         """The disjoint pairs (K, L) of the support with K | L = U for each
@@ -714,15 +728,15 @@ class SupportPlan:
             raise DomainError("kernel coefficients must be finite")
         c = np.bincount(self.index, values, minlength=self.size)
         square = c * c
-        inner = square[self.nonempty]
-        pair = c[self.first] * c[self.second]
+        inner = square[: self.nonempty]
+        pair = c.take(self.first) * c.take(self.second)
         h = np.bincount(self.split, pair, minlength=self.split_count)
         half = np.concatenate([np.bincount(self.multiset, pair, minlength=self.multiset_count), 0.5 * inner])
         diagonal = _finite_sum(inner)
-        const = float(c[~self.nonempty].sum())
+        const = float(c[self.nonempty :].sum())
         square_sum = _finite_sum((diagonal, const * const))
         # c_I**2 times the sum of c_J**2 over the pairs (I, J)
-        rows = square * np.bincount(self.first, square[self.second], minlength=self.size)
+        rows = square * np.bincount(self.first, square.take(self.second), minlength=self.size)
         terms = [
             square_sum * square_sum,
             -2.0 * _finite_sum(rows),
@@ -752,12 +766,11 @@ class SupportPlan:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             c, h, half, d0, diagonal, _ = self._sums(values)
-            skewed = 2.0 * half[self.source]
+            terms = np.concatenate([[diagonal], h, half.take(self.source)])
+            terms[1:] *= 2.0
             for factor in self.factors:
-                skewed *= factor
-            g1 = np.bincount(
-                self.g1, np.concatenate([[diagonal], 2.0 * h, skewed]), minlength=self.g1_count
-            )
+                terms[1 + self.split_count :] *= factor
+            g1 = np.bincount(self.g1, terms, minlength=self.g1_count)
             cross = 0.0
             if self.mixed:
                 key, part, rest = self.disjoint

@@ -10,8 +10,8 @@ Two engines compute fourth moments:
   pairs of support subsets that share a coordinate are expanded, in one
   numpy pass planned from the support (``kernels.SupportPlan``); the
   disjoint pairs enter through a closed sum.  The cost is O(P 2**m) for P
-  overlapping pairs of subsets of order at most m, P <= S**2 / 2, in a
-  few sorts of P keys and no Python loop over pairs, independent of the
+  overlapping pairs of subsets of order at most m, P <= S**2 / 2, in two
+  value sorts of P keys and no Python loop over pairs, independent of the
   horizon; fair coins have skew 0 and need no expansion of the overlaps
   at all.  A coordinate must be an integer and a coefficient a finite
   real number; anything else raises ``DomainError`` naming its key.

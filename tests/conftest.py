@@ -903,6 +903,90 @@ def loop_segment_sum(atoms: np.ndarray, levels: np.ndarray, lo: int, phi: np.nda
     return float(seg.sum())
 
 
+def argsort_group(rows: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``kernels._group`` by an argsort of the packed rows (a lexsort of
+    their words when they take more than one int64), as it was before the
+    value sort: group ids in lexicographic order and one column per group."""
+    count, bits = rows.shape[1], max(int(top).bit_length(), 1)
+    if count < 2:
+        return np.zeros(count, np.int32), np.arange(count)
+    per = 63 // bits
+    words = []
+    for lo in range(0, len(rows), per):
+        word = rows[lo].astype(np.int64)
+        for row in rows[lo + 1 : lo + per]:
+            word <<= bits
+            word |= row
+        words.append(word)
+    words = words or [np.zeros(count, np.int64)]  # keys of no ids are all equal
+    order = words[0].argsort() if len(words) == 1 else np.lexsort(words[::-1])
+    new = np.empty(count, bool)
+    new[0] = True
+    word = words[0][order]
+    np.not_equal(word[1:], word[:-1], out=new[1:])
+    for word in words[1:]:
+        word = word[order]
+        new[1:] |= word[1:] != word[:-1]
+    ids = np.empty(count, np.int32)
+    ids[order] = new.cumsum()
+    ids -= 1
+    return ids, order[new]
+
+
+@dataclass
+class PlanGroups:
+    """What a support plan groups, keyed by Python tuples of coordinates."""
+
+    pairs: list[tuple[int, int]]  # (I, J) by subset index, in plan order
+    low: list[tuple]  # the split side with the lower first coordinate
+    xor: list[tuple]  # I xor J
+    both: list[tuple]  # I & J
+    expansion: list[tuple[int, tuple]]  # (multiset, I xor J | T) with skew
+
+
+def _padded_key(subset: tuple, width: int) -> tuple:
+    """A subset as the plan orders it: padded at its end past every coordinate."""
+    return subset + (math.inf,) * (width - len(subset))
+
+
+def oracle_plan_groups(keys, skew=None) -> PlanGroups:
+    """The overlapping pairs of ``kernels.SupportPlan(keys, skew)`` and the
+    keys of their groups, from Python sets.
+
+    Subsets are numbered in lexicographic order; the pairs come by
+    coordinate, each later member of a coordinate's bucket after the
+    earlier ones, and each pair at the lowest coordinate it shares.  With
+    skew, each multiset (in the order of its key (I xor J, I & J), then
+    the diagonal pairs (I, I) in subset order) expands over the nonempty
+    T inside I & J of skewed coordinates, grown one coordinate at a time
+    as ``kernels._sub_columns`` grows them.
+    """
+    width = max(map(len, keys), default=0)
+    subsets = sorted({tuple(sorted(k)) for k in keys}, key=lambda s: _padded_key(s, width))
+    pairs = []
+    for c in sorted({i for s in subsets for i in s}):
+        members = [k for k, s in enumerate(subsets) if c in s]
+        for at, late in enumerate(members):
+            pairs += [(early, late) for early in members[:at] if min(set(subsets[early]) & set(subsets[late])) == c]
+    low, xor, both = [], [], []
+    for i, j in pairs:
+        a, b = set(subsets[i]) - set(subsets[j]), set(subsets[j]) - set(subsets[i])
+        a, b = tuple(sorted(a)), tuple(sorted(b))
+        low.append(a if _padded_key(a, width) < _padded_key(b, width) else b)
+        xor.append(tuple(sorted(set(a) | set(b))))
+        both.append(tuple(sorted(set(subsets[i]) & set(subsets[j]))))
+    expansion = []
+    if skew is not None:
+        multisets = sorted(set(zip(xor, both)), key=lambda m: _padded_key(m[0], 2 * width) + _padded_key(m[1], width))
+        multisets += [((), s) for s in subsets if s]
+        grown = [(k, ()) for k in range(len(multisets))]
+        for row in range(width):
+            grown += [(k, t + (multisets[k][1][row],)) for k, t in grown
+                      if row < len(multisets[k][1]) and skew[multisets[k][1][row]] != 0.0]
+        expansion = [(k, tuple(sorted(multisets[k][0] + t))) for k, t in grown[len(multisets):]]
+    return PlanGroups(pairs, low, xor, both, expansion)
+
+
 def assert_kernels_close(a: Kernel, b: Kernel, tol: float):
     keys = set(a.coeffs) | set(b.coeffs)
     gap = max((abs(a.value(k) - b.value(k)) for k in keys), default=0.0)

@@ -31,7 +31,11 @@ from chaoslab.distance import integral_law, normal_distances  # noqa: E402
 
 ENUM_CAP = 24
 RSS_LIMIT_MB = 0.8 * 1024  # 0.8 GB, the target for theorem_bounds at enum_cap
-ULPS = 16  # W1's rounding allowance per closed-form piece, as in test_differential
+# W1's allowance from the oracle, in ulps of 1 + the largest |atom|: the walk's
+# blocked sums and the oracle's fsum measured 8.0e-16 and 2.2e-16 apart at
+# n = 22 and 24, under 4 such ulps; it does not grow with the atom count, so
+# an error of 1e-12 fails it
+ULPS = 16
 
 
 def _peak_mb() -> float:
@@ -66,7 +70,7 @@ def main() -> int:
         dk_oracle, w1_oracle = float(oracle_kolmogorov(law)), oracle_wasserstein(law)
         oracles = time.perf_counter() - start
         atoms = len(law.atoms)
-        allowed = ULPS * atoms * np.finfo(float).eps * (1.0 + float(np.abs(law.atoms).max()))
+        allowed = ULPS * np.finfo(float).eps * (1.0 + float(np.abs(law.atoms).max()))
         gap = abs(w1 - w1_oracle)
         print(f"distances n={n}: {atoms} atoms, walk {walk:.2f} s, oracles {oracles:.1f} s, "
               f"dK {dk!r} (oracle {dk_oracle!r}), W1 gap {gap:.1e} of {allowed:.1e} allowed")

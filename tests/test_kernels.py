@@ -17,8 +17,10 @@ from chaoslab import (
     tensor_square_residual,
     zero_kernel,
 )
-from chaoslab.kernels import _BINNED_FROM, _binned_sum, _finite_sum, support_plan
+from chaoslab.kernels import SupportPlan, _BINNED_FROM, _binned_sum, _finite_sum, _group, _sorted_runs, support_plan
 from conftest import (
+    argsort_group,
+    oracle_plan_groups,
     oracle_contraction_residual,
     oracle_multiset_norms,
     oracle_tensor_square_norms,
@@ -384,3 +386,94 @@ class TestExactSum:
         x[rng.random(size) < 0.5] *= -1.0
         x[0] = np.ldexp(mantissa, 1024)
         assert finite_sum_outcome(x) == fsum_outcome(x)
+
+
+# -- the plan's groupings -------------------------------------------------------
+# ``_group`` and ``_sorted_runs`` sort packed keys by value from 256 columns
+# when a key and its column index fit in 63 bits, and by a lexsort of words
+# otherwise; both must number the groups as the argsort they replaced did.
+
+
+@st.composite
+def grouped_rows(draw):
+    """Columns of ids in [0, top] with ties, in keys of one int64 word or
+    of two (a height past 63 // bits(top) rows), and 0, 1, 2 or up to 700
+    columns, so that both sorts run."""
+    top = draw(st.sampled_from([1, 2, 7, 60, 255, 256, 1000]))
+    bits = top.bit_length()
+    height = draw(st.sampled_from([0, 1, 63 // bits, 63 // bits + 1, min(2 * (63 // bits) + 1, 12)]))
+    count = draw(st.sampled_from([0, 1, 2, 3, 40, 255, 256, 700]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, top + 1, (height, draw(st.integers(1, 50))), endpoint=False)
+    rows = pool[:, rng.integers(0, pool.shape[1], count)].astype(np.min_scalar_type(top))
+    return rows, top, draw(st.integers(0, height))
+
+
+class TestGrouping:
+    @given(grouped_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_group_numbers_as_the_argsort_did(self, drawn):
+        rows, top, _ = drawn
+        ids, rep = _group(rows, top)
+        want_ids, want_rep = argsort_group(rows, top)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(rows.take(rep, axis=1), rows.take(want_rep, axis=1))
+
+    @given(grouped_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_runs_is_a_stable_lexicographic_sort(self, drawn):
+        rows, top, prefix = drawn
+        order, new, new_prefix = _sorted_runs(rows, top, prefix)
+        count = rows.shape[1]
+        want = np.lexsort(rows[::-1]) if len(rows) else np.arange(count)  # lexsort is stable
+        assert np.array_equal(order, want)
+        cols = rows.take(want, axis=1)
+        assert np.array_equal(new, np.r_[count > 0, (cols[:, 1:] != cols[:, :-1]).any(0)][:count])
+        head = cols[:prefix]
+        assert np.array_equal(new_prefix, np.r_[count > 0, (head[:, 1:] != head[:, :-1]).any(0)][:count])
+
+
+@st.composite
+def plan_supports(draw):
+    """(keys, skew): subsets of orders 0..4 on up to 12 coordinates, some
+    repeated or in unsorted order, and no skew, a drawn one with zeros, or
+    a zero one."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = [tuple(rng.permutation(rng.choice(n, int(m), replace=False)).tolist())
+            for m in rng.integers(0, min(4, n) + 1, draw(st.integers(1, 40)))]
+    kind = draw(st.sampled_from(["fair", "skewed", "zero"]))
+    skew = {"fair": None, "zero": np.zeros(n), "skewed": rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.7)}[kind]
+    return keys, skew
+
+
+def assert_partition(ids, keys):
+    """``ids`` number exactly the classes of equal ``keys``."""
+    ids = np.asarray(ids).tolist()
+    assert len(ids) == len(keys)
+    assert len(set(ids)) == len(set(keys)) == len(set(zip(ids, keys)))
+
+
+class TestPlanGroups:
+    @given(plan_supports())
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_and_groups_match_the_set_oracle(self, drawn):
+        keys, skew = drawn
+        plan = SupportPlan(keys, skew)
+        want = oracle_plan_groups(keys, skew)
+        assert list(zip(plan.first.tolist(), plan.second.tolist())) == want.pairs
+        assert_partition(plan.split, list(zip(want.xor, want.low)))
+        assert_partition(plan.multiset, list(zip(want.xor, want.both)))
+        # g1 adds the diagonal, then each split's H, then the skew expansion
+        split_xor, split_low = [None] * plan.split_count, [None] * plan.split_count
+        for s, x, lo in zip(plan.split.tolist(), want.xor, want.low):
+            split_xor[s], split_low[s] = x, lo
+        assert plan.source.tolist() == [k for k, _ in want.expansion]
+        assert_partition(plan.g1, [()] + split_xor + [u for _, u in want.expansion])
+        # inside one g1 group the splits come in the order of I - J, as
+        # when they were numbered by (I - J, J - I)
+        width = max(map(len, keys), default=0)
+        g1 = plan.g1[1 : 1 + plan.split_count].tolist()
+        for group in set(g1):
+            lows = [split_low[s] + (math.inf,) * (width - len(split_low[s])) for s in range(plan.split_count) if g1[s] == group]
+            assert lows == sorted(lows)

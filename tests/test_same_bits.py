@@ -12,7 +12,9 @@ for fair coins, must give the fair-coin plan's bits.  The identity suite's
 Monte Carlo checks draw signs, not a ``Y`` matrix, and must read the same
 means and outcomes from them; a law of equally weighted values, built
 without an argsort, must equal the law of the gathered weights; and
-``join_coordinate`` must equal its ``np.stack`` form.  Bits are compared
+``join_coordinate`` must equal its ``np.stack`` form.  The support plan's
+outputs at the benchmark's sizes keep the bits recorded before its sorts
+became value sorts of packed keys.  Bits are compared
 under ``view(np.int64)`` so that the sign of a zero counts too.  CI runs
 this file again with numpy's AVX-512 dispatch off.
 
@@ -44,12 +46,15 @@ from chaoslab import (
 )
 from chaoslab.bounds import _coordinate_sweep, abstract_bounds
 from chaoslab.chaos import _ROTATE_FROM, integral_table, join_coordinate
+from chaoslab.construct import symmetric_counterexample
 from chaoslab.distance import _MERGE_TOL, exact_distribution, from_weighted_values
-from chaoslab.kernels import support_plan
+from chaoslab.kernels import off_diagonal_defect, support_plan, tensor_square_residual
 from chaoslab.malliavin import gamma0, minus_pseudo_inverse, ou_generator_pathwise, pseudo_inverse
 from chaoslab.model import outcome_index, split_coordinate
 from chaoslab.moments import (
     _flip_flow,
+    fourth_moment_factorized,
+    fourth_moment_symmetric,
     kolmogorov_term,
     quartic_gradient_identity,
     sup_flip_pairing,
@@ -382,3 +387,51 @@ def test_join_coordinate_is_the_stack(n):
         minus, plus = split_coordinate(values, k)
         for a, b in ((minus, plus), (plus, plus), (minus, minus)):
             assert_same_bits(join_coordinate(a, b), stack_join_coordinate(a, b), k)
+
+
+# -- the support plan's bits ----------------------------------------------------
+# float.hex of each output, recorded before the plan grouped its splits and
+# g1 keys from one value sort; every np.bincount must still add the same
+# terms in the same order, and every exact sum see the same terms.
+
+
+def drawn_support(m: int, n: int, size: int, seed: int) -> dict:
+    """``size`` distinct subsets of order m on n coordinates with normal values."""
+    rng = np.random.default_rng(seed)
+    pool = list(combinations(range(n), m))
+    return {pool[i]: float(rng.standard_normal()) for i in np.sort(rng.choice(len(pool), size, replace=False)).tolist()}
+
+
+@pytest.mark.parametrize("m, n, fourth, defect, residual", [
+    (3, 40, "0x1.48023b27ab1cep+19", "0x1.0a3670105599ap+28", "0x1.1c6b6876f1ff0p+27"),
+    (2, 60, "0x1.47b4adfdd7757p+19", "0x1.02f1099fe81a0p+20", "0x1.00125b914c278p+19"),
+])
+def test_fair_plan_outputs_keep_their_bits(m, n, fourth, defect, residual):
+    coeffs = drawn_support(m, n, 500, 30)
+    f = Kernel(m, n, coeffs)
+    assert fourth_moment_symmetric(coeffs).hex() == fourth
+    assert off_diagonal_defect(f).hex() == defect
+    assert tensor_square_residual(f).hex() == residual
+
+
+@pytest.mark.parametrize("m, n, fourth", [
+    (1, 60, "0x1.a988c74e47dacp+11"), (2, 40, "0x1.d7e2a30777c02p+11"), (3, 30, "0x1.1f9c7c533f8fep+12"),
+])
+def test_skewed_plan_outputs_keep_their_bits(m, n, fourth):
+    probs = tuple(np.random.default_rng(32 + m).uniform(0.2, 0.8, n).tolist())
+    assert fourth_moment_factorized(drawn_support(m, n, 40, 31), RademacherModel(probs)).hex() == fourth
+
+
+def test_mixed_skewed_plan_keeps_its_bits():
+    rng = np.random.default_rng(33)
+    coeffs = {}
+    for m in (1, 2, 3):
+        pool = list(combinations(range(20), m))
+        coeffs.update((pool[i], float(rng.standard_normal())) for i in np.sort(rng.choice(len(pool), 15, replace=False)).tolist())
+    probs = tuple(rng.uniform(0.2, 0.8, 20).tolist())
+    assert fourth_moment_factorized(coeffs, RademacherModel(probs)).hex() == "0x1.1c87a27f620f5p+12"
+
+
+def test_counterexample_keeps_its_bits():
+    _, trace = symmetric_counterexample(2, 16)
+    assert (float(trace.theta).hex(), float(trace.residual).hex()) == ("0x1.4bc6522760000p-4", "-0x1.9580000000000p-41")
