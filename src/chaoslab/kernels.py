@@ -463,16 +463,14 @@ def _subset_rows(keys: Sequence, horizon: int | None = None) -> tuple[np.ndarray
 
 
 def _sort_columns(rows: np.ndarray) -> np.ndarray:
-    """Sort each column of ``rows`` in place: below 64 columns a row by
-    ``np.sort``, which sorts one column at a time, and from there by an
-    odd-even transposition network.  Each of its len(rows) steps compares
-    every other pair of adjacent rows across all columns at once, so the
-    cost is a few numpy calls per row however many columns there are.
+    """Sort each column of ``rows`` in place.
+
+    An odd-even transposition network: each of its len(rows) steps
+    compares every other pair of adjacent rows across all columns at once,
+    so the cost is a few numpy calls per row however many columns there
+    are.  ``np.sort`` along the first axis sorts one column at a time.
     """
     height = len(rows)
-    if rows.shape[1] < 64 * height:
-        rows.sort(axis=0)
-        return rows
     for step in range(height):
         upper, lower = rows[step % 2 : height - 1 : 2], rows[step % 2 + 1 : height : 2]
         low = np.minimum(upper, lower)
@@ -536,7 +534,7 @@ def _sorted_runs(rows: np.ndarray, top: int, prefix: int | None = None):
 def _run_ids(order: np.ndarray, new: np.ndarray) -> np.ndarray:
     """The number of the run of ``new`` flags each sorted entry lies in."""
     ids = np.empty(len(order), _index_type(len(order)))
-    ids[order] = new.cumsum(dtype=ids.dtype) - 1
+    ids[order] = np.add.accumulate(new, dtype=ids.dtype) - 1
     return ids
 
 
@@ -544,8 +542,6 @@ def _group(rows: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     """Group ids of the equal columns of ``rows`` (entries in [0, top]),
     numbered in lexicographic order of the columns, and the first column
     of each group."""
-    if rows.shape[1] < 2:
-        return np.zeros(rows.shape[1], _index_type(rows.shape[1])), np.arange(rows.shape[1])
     order, new, _ = _sorted_runs(rows, top)
     return _run_ids(order, new), order[new]
 
@@ -580,7 +576,7 @@ def _overlapping_pairs(subsets: np.ndarray, top: int):
         rank = np.arange(len(coord)) - start  # members before each one in its bucket
         candidates = int(rank.sum())
     if not candidates:
-        return (np.zeros(0, np.int32),) * 2 + tuple(np.full((h, 0), top, subsets.dtype) for h in (side, side, 2 * side, width))
+        return (np.zeros(0, np.int32),) * 2 + tuple(np.empty((h, 0), subsets.dtype) for h in (side, side, 2 * side, width))
     index = _index_type(candidates)
     early = np.repeat((start - np.cumsum(rank) + rank).astype(index), rank)
     early += np.arange(candidates, dtype=index)
@@ -690,11 +686,14 @@ class SupportPlan:
         entries = np.full((key_height + side, self.pairs + 1 + expansion.shape[1]), top, xor.dtype)
         entries[: 2 * side, : self.pairs], entries[key_height:, : self.pairs] = xor, low
         entries[:key_height, self.pairs + 1 :] = expansion  # after the diagonal's empty key
-        order, new, new_g1 = _sorted_runs(entries, top, key_height)
-        split_new = new & (order < self.pairs)  # low sides are nonempty: no other entry ends a split's run
-        self.split, split_rep = _run_ids(order, split_new)[: self.pairs], order[split_new]
-        g1, g1_rep = _run_ids(order, new_g1), order[new_g1]
-        self.g1 = np.concatenate([g1[self.pairs : self.pairs + 1], g1[split_rep], g1[self.pairs + 1 :]])
+        if entries.shape[1] == 1:  # the diagonal's empty key alone: no split, one g1 group
+            self.split, split_rep, self.g1, g1_rep = (np.zeros(n, np.int32) for n in (0, 0, 1, 1))
+        else:
+            order, new, new_g1 = _sorted_runs(entries, top, key_height)
+            split_new = new & (order < self.pairs)  # low sides are nonempty: no other entry ends a split's run
+            self.split, split_rep = _run_ids(order, split_new)[: self.pairs], order[split_new]
+            g1, g1_rep = _run_ids(order, new_g1), order[new_g1]
+            self.g1 = np.concatenate([g1[self.pairs : self.pairs + 1], g1[split_rep], g1[self.pairs + 1 :]])
         self.split_count, self.g1_count = len(split_rep), len(g1_rep)
 
         present = set(orders.tolist())

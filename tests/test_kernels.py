@@ -456,6 +456,9 @@ def assert_partition(ids, keys):
 
 class TestPlanGroups:
     @given(plan_supports())
+    @example(([(0,), (1,), (2,)], None))  # no pair and no expansion: the diagonal alone
+    @example(([(0,), (2, 1)], None))  # the same, mixed orders
+    @example(([(0,), (1,)], np.array([0.5, 0.0])))  # no pair, one expansion entry
     @settings(max_examples=150, deadline=None)
     def test_pairs_and_groups_match_the_set_oracle(self, drawn):
         keys, skew = drawn
