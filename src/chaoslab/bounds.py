@@ -31,6 +31,7 @@ from .chaos import (
     even_moments,
     expectation,
     split_coordinate,
+    subset_coordinates,
     subset_orders,
     to_table,
     variance as table_variance,
@@ -412,12 +413,7 @@ def rho_squared(H: HoeffdingDecomposition) -> float:
     masks = np.flatnonzero((H.orders == m) & (c != 0.0))
     # the coordinates of each order-m subset in increasing order, one row
     # per subset, and the rows in combinations (lexicographic) order
-    owners = np.empty((masks.size, m), dtype=np.intp)
-    rest = masks.copy()
-    for t in range(m):
-        lowest = rest & -rest
-        owners[:, t] = np.frexp(lowest)[1] - 1
-        rest ^= lowest
+    owners = subset_coordinates(masks, n)[1].reshape(-1, m)
     order = np.lexsort(owners.T[::-1])
     per_coord = np.zeros(n)
     np.add.at(per_coord, owners[order].ravel(), np.repeat(np.square(c[masks[order]]), m))

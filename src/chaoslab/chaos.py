@@ -13,7 +13,8 @@ to that array (``basis_coefficients``) and back (``basis_synthesis``):
 * ``to_table`` and ``integral_table`` place ``r! f_r(J)`` at bitmask J
   with one scatter and synthesize once;
 * ``stroock_decompose`` analyzes once and reads ``f_r(J) = E[F Y_J] / r!``
-  off the array.
+  off the array, each J from ``subset_coordinates``, the one decoder of
+  bitmasks into subsets (``bounds.rho_squared`` reads its owners there).
 
 One pass driver, ``_butterfly``, runs both directions: one step per
 coordinate k = 0..n-1, each an elementwise operation on the pairs of
@@ -89,6 +90,8 @@ _LONG_RUN = 12
 # in cache: rotating a table by 3 bits took 52 ms at n = 24 (105 ms in one
 # copy, 81 ms in blocks of 2**19) and 7.8 ms at n = 22 (16.4 ms)
 _ROTATE_BLOCK = 1 << 17
+# the one text of a ``stroock_cap`` refusal, in ``stroock_decompose`` and ``multiply``
+_STROOCK_REFUSAL = "horizon {requested} exceeds stroock_cap={value} (decomposition touches all 2**n coefficients)"
 
 
 def _frozen(horizon: int, v: np.ndarray) -> np.ndarray:
@@ -451,15 +454,13 @@ def subset_orders(n: int) -> np.ndarray:
     return r
 
 
-def _mask_to_subset(mask: int) -> tuple[int, ...]:
-    out = []
-    k = 0
-    while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
-    return tuple(out)
+def subset_coordinates(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size of each subset of n coordinates in ``masks``, by bitmask, and
+    their coordinates, increasing within each subset, one after another."""
+    bits = np.unpackbits(np.asarray(masks, "<i8").view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little")
+    coordinates = np.flatnonzero(bits)  # not ``np.nonzero(bits)[1]``, a view that keeps the rows
+    coordinates %= n
+    return bits.sum(axis=1), coordinates
 
 
 def stroock_decompose(
@@ -468,20 +469,21 @@ def stroock_decompose(
     """Exact chaos decomposition of a table.
 
     Kernel coefficients are f_r(J) = E[F * prod_{i in J} Y_i] / r! for
-    strictly increasing J; reconstruction via ``to_table`` is exact up to
-    rounding.
+    strictly increasing J, each order's keys in increasing bitmask order;
+    reconstruction via ``to_table`` is exact up to rounding.
     """
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
     n = model.n
-    caps.check("stroock_cap", n, "horizon {requested} exceeds stroock_cap={value} "
-               "(decomposition touches all 2**n coefficients)")
+    caps.check("stroock_cap", n, _STROOCK_REFUSAL)
     coeffs = basis_coefficients(table, model)
+    masks = np.flatnonzero(coeffs)
+    sizes, coords = subset_coordinates(masks, n)
+    values = coeffs[masks] / np.array([float(math.factorial(r)) for r in range(n + 1)])[sizes]
+    coords = coords.astype(np.uint8).tobytes()  # one byte a coordinate, not a list's eight
     per_order: list[dict] = [dict() for _ in range(n + 1)]
-    for mask in np.nonzero(coeffs)[0]:
-        subset = _mask_to_subset(int(mask))
-        r = len(subset)
-        per_order[r][subset] = float(coeffs[mask]) / math.factorial(r)
+    for r, end, v in zip(sizes.tolist(), np.cumsum(sizes).tolist(), values.tolist()):
+        per_order[r][tuple(coords[end - r : end])] = v
     kernels = tuple(Kernel._from_valid_keys(r, n, per_order[r]) for r in range(n + 1))
     return ChaosVector(n, kernels).trimmed()
 
@@ -495,6 +497,7 @@ def multiply(
     """Chaos decomposition of the pointwise product F * G."""
     if F.horizon != G.horizon:
         raise DomainError("chaos vectors live on different horizons")
+    caps.check("stroock_cap", F.horizon, _STROOCK_REFUSAL)  # before any table
     table = to_table(F, model, caps) * to_table(G, model, caps)
     return stroock_decompose(table, model, caps)
 

@@ -11,8 +11,9 @@ piece fits under it.  ``moments`` calls a model fair only when every p is
 exactly 0.5; then ``--engine both`` evaluates one plan for both
 product-formula engines.  Past ``factorized_support_cap``, ``--engine
 both`` reports the enumerate engine and names the refusal instead of
-failing.  Every refusal is printed by ``main``, which adds the
-``--normalize`` hint to a "not normalized" ``DomainError``.
+failing, and on fair coins adds the uncapped plan of ``symmetric-fast``.
+Every refusal is printed by ``main``, which adds the ``--normalize``
+hint to a "not normalized" ``DomainError``.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def cmd_moments(args, caps: Caps) -> int:
             if want == "both" and symmetric:
                 # fair coins have skew exactly 0, and a zero-skew plan gives the fair-coin plan's bits
                 engines["symmetric_fast"] = engines["factorized"]
-    if want == "symmetric-fast":
+    if want == "symmetric-fast" or (symmetric and "factorized_refused" in report):  # fair coins past the cap too
         if not symmetric:
             raise DomainError("symmetric-fast engine needs the fair-coin model")
         plan, values = support_plan(kern.to_subset_coeffs())

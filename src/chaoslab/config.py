@@ -22,8 +22,9 @@ class Caps:
     # each piece's number of coordinates and against the log2 size of each
     # outer sum of atoms, so its horizon may exceed it
     enum_cap: int = 24
-    # chaos extraction touches all 2**n coefficient slots; kept lower
-    # because downstream consumers iterate the resulting kernels
+    # dicts of one Python tuple per subset (``stroock_decompose``, ``multiply``,
+    # ``HoeffdingDecomposition.components``): a dense decomposition at n = 14
+    # keeps 11 tables (8 * 2**n bytes) of them, with a peak of 22.4 tables
     stroock_cap: int = 14
     # the product-formula fourth moment is O(P 2**m) in the number P of
     # pairs of support subsets of order <= m that share a coordinate, at

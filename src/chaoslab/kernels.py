@@ -710,7 +710,7 @@ class SupportPlan:
         groups = np.nonzero(np.isin((keys < top).sum(0), paired))[0]
         keys = keys.take(groups, axis=1)
         owner, part = _sub_columns(keys, keys < top, top)  # K, and L = U - K
-        rest = np.where(part < top, top, keys.take(owner, axis=1))
+        rest = np.maximum(keys.take(owner, axis=1), (part < top) * keys.dtype.type(top))  # ids are at most top
         orders = list(present)
         fits = np.isin((part < top).sum(0), orders) & np.isin((rest < top).sum(0), orders)
         width = len(subsets)

@@ -7,7 +7,8 @@ squared norms of a symmetrized tensor weighted by multiset orderings,
 one product table per subset, inclusion-exclusion over
 conditional expectations, the outcome weights by one concatenation per
 coordinate, the Walsh butterfly as a plain per-coordinate
-loop, the Hoeffding read-out as a dict over every subset, the alternative
+loop, the chaos decomposition one mask at a time with its subset decoded
+bit by bit, the Hoeffding read-out as a dict over every subset, the alternative
 pathwise forms of the generator and the squared field, the quadruple
 expansion of the fourth moment and the expansion of F**2 over all pairs
 of subsets, the tensor square as a dictionary over the multisets of all
@@ -288,6 +289,28 @@ def oracle_coefficient_array(F: ChaosVector) -> np.ndarray:
         for key, v in kern.coeffs.items():
             c[sum(1 << i for i in key)] = math.factorial(r) * v
     return c
+
+
+def _mask_to_subset(mask: int) -> tuple[int, ...]:
+    out = []
+    k = 0
+    while mask:
+        if mask & 1:
+            out.append(k)
+        mask >>= 1
+        k += 1
+    return tuple(out)
+
+
+def oracle_stroock_decompose(coeffs: np.ndarray, n: int) -> ChaosVector:
+    """f_r(J) = c_J / r! read off a coefficient array one nonzero mask at a
+    time, its subset decoded bit by bit, through the public constructor."""
+    per_order: list[dict] = [dict() for _ in range(n + 1)]
+    for mask in np.nonzero(coeffs)[0]:
+        subset = _mask_to_subset(int(mask))
+        r = len(subset)
+        per_order[r][subset] = float(coeffs[mask]) / math.factorial(r)
+    return ChaosVector(n, tuple(Kernel(r, n, per_order[r]) for r in range(n + 1))).trimmed()
 
 
 def oracle_walsh_components(coeffs: np.ndarray, n: int) -> dict:

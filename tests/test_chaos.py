@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
+    DEFAULT_CAPS,
     CapacityError,
     Caps,
     ChaosVector,
@@ -29,6 +30,7 @@ from chaoslab import (
     to_table,
     variance,
 )
+from chaoslab import chaos
 from chaoslab.bounds import abstract_bounds, hoeffding_decompose
 from chaoslab.chaos import _ROTATE_FROM
 from chaoslab.malliavin import (
@@ -226,6 +228,21 @@ class TestMultiply:
                 ChaosVector.from_kernel(f), ChaosVector.from_kernel(g), model
             )
             assert_kernels_close(P.kernel(4), tensor_top_kernel(f, g), 1e-10)
+
+    def test_refuses_past_stroock_cap_before_any_table(self, monkeypatch):
+        n = DEFAULT_CAPS.stroock_cap + 1
+        F = ChaosVector.from_kernel(basis_kernel((0,), n))
+
+        def no_table(*args):
+            raise AssertionError("multiply built a table before its cap check")
+
+        monkeypatch.setattr(chaos, "to_table", no_table)
+        with pytest.raises(CapacityError) as err:
+            multiply(F, F, RademacherModel.symmetric(n))
+        assert str(err.value) == (
+            f"horizon {n} exceeds stroock_cap={n - 1} (decomposition touches all 2**n coefficients)"
+        )
+        assert (err.value.cap_name, err.value.cap_value, err.value.requested) == ("stroock_cap", n - 1, n)
 
 
 class TestProjectAndSemigroup:

@@ -2,6 +2,7 @@
 
 Every table, the pathwise operators and the Hoeffding read-out are
 compared with the per-subset, pathwise or inclusion-exclusion form they
+replaced, the chaos decomposition with the mask-by-mask loop it
 replaced, the energy read-outs (projection variances of F**2, the
 degenerate order and rho**2) with the sparse round-trip and the
 inclusion-exclusion tables, and the product-formula fourth moment with
@@ -36,6 +37,7 @@ from chaoslab import (
     ValueTable,
     basis_coefficients,
     integral_table,
+    multiply,
     off_diagonal_defect,
     ou_semigroup,
     random_kernel,
@@ -117,6 +119,7 @@ from conftest import (
     oracle_quartic_gradient_sum,
     oracle_rho_squared,
     oracle_squared_field,
+    oracle_stroock_decompose,
     oracle_sup_flip_pairing,
     oracle_tensor_square_norms,
     oracle_tensor_square_pairs,
@@ -290,6 +293,40 @@ def test_walsh_butterfly_matches_the_plain_loop_bit_for_bit(model, kind, seed):
     want = oracle_basis_coefficients(values, model)
     assert np.array_equal(bits(basis_coefficients(table, model)), bits(want))
     assert np.array_equal(bits(table.values), bits(kept))
+
+
+# horizons up to stroock_cap, where the butterfly rotates
+decode_models = st.integers(1, 14).flatmap(
+    lambda n: st.lists(probs, min_size=n, max_size=n).map(lambda p: RademacherModel(tuple(p)))
+)
+
+
+@given(decode_models, st.sampled_from(["table", "integral", "sparse", "zero", "product"]), st.integers(0, 2**32 - 1))
+@example(RademacherModel.homogeneous(FLOOR, _ROTATE_FROM), "table", 1)
+@example(RademacherModel.homogeneous(1.0 - FLOOR, _ROTATE_FROM), "product", 2)
+@example(RademacherModel.symmetric(_ROTATE_FROM), "sparse", 3)
+@settings(max_examples=40, deadline=None)
+def test_stroock_decode_matches_the_mask_loop_bit_for_bit(model, kind, seed):
+    # every key in the order of its bitmask, and every value the same c / r!
+    assert _ROTATE_FROM <= 14
+    n, rng = model.n, np.random.default_rng(seed)
+    if kind == "product":
+        F, G = (random_chaos(rng, n, top=min(2, n), centered=False) for _ in range(2))
+        table, got = to_table(F, model) * to_table(G, model), multiply(F, G, model)
+    else:
+        if kind == "table":
+            table = ValueTable(n, rng.standard_normal(2**n))
+        elif kind == "zero":
+            table = ValueTable(n, np.zeros(2**n))
+        else:
+            f = random_kernel(int(rng.integers(1, min(3, n) + 1)), n, rng, density=0.3 if kind == "sparse" else 1.0)
+            table = integral_table(f, model)
+        got = stroock_decompose(table, model)
+    want = oracle_stroock_decompose(basis_coefficients(table, model), n)
+    assert got.top_order == want.top_order
+    for mine, theirs in zip(got.kernels, want.kernels):
+        assert list(mine.coeffs.items()) == list(theirs.coeffs.items())
+        assert [v.hex() for v in mine.coeffs.values()] == [v.hex() for v in theirs.coeffs.values()]
 
 
 @given(instances(n_max=12), st.sampled_from(["integral", "sparse", "table", "zero"]))

@@ -367,6 +367,34 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("capacity error (factorized_support_cap=60): support size 66")
 
+    def test_moments_both_past_the_support_cap_on_fair_coins_adds_the_uncapped_plan(self, tmp_path, capsys):
+        # the same 66 subsets on fair coins: ``symmetric-fast`` answers uncapped
+        f = random_kernel(2, 12, 0, normalized=True)
+        model = RademacherModel.symmetric(12)
+        kpath, mpath = tmp_path / "k.json", tmp_path / "m.json"
+        io.dump_json(io.kernel_to_dict(f), kpath)
+        io.dump_json(io.model_to_dict(model), mpath)
+        argv = ["moments", "--kernel", str(kpath), "--model", str(mpath), "--json", "--engine"]
+        assert cli.main(argv + ["both"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert cli.main(argv + ["symmetric-fast"]) == 0
+        fast = json.loads(capsys.readouterr().out)
+        second, fourth = even_moments(integral_table(f, model), model)
+        symmetric_fast = fast["fourth_moment_symmetric_fast"]
+        assert (fast["support_size"], fast["overlapping_pairs"]) == (66, 660)
+        assert report == {
+            "engine_agreement_residual": max(fourth, symmetric_fast) - min(fourth, symmetric_fast),
+            "factorized_refused": "factorized_support_cap=60",
+            "fourth_moment_enumerate": fourth,
+            "fourth_moment_symmetric_fast": symmetric_fast,
+            "horizon": 12,
+            "order": 2,
+            "overlapping_pairs": 660,
+            "second_moment": second,
+            "support_size": 66,
+        }
+        assert math.isclose(symmetric_fast, fourth, rel_tol=1e-12)
+
     def test_distance_two_atom_value(self, tmp_path, capsys):
         f = Kernel(1, 1, {(0,): 1.0})
         model = RademacherModel.symmetric(1)

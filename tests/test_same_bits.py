@@ -13,8 +13,9 @@ Monte Carlo checks draw signs, not a ``Y`` matrix, and must read the same
 means and outcomes from them; a law of equally weighted values, built
 without an argsort, must equal the law of the gathered weights; and
 ``join_coordinate`` must equal its ``np.stack`` form.  The support plan's
-outputs at the benchmark's sizes keep the bits recorded before its sorts
-became value sorts of packed keys.  Bits are compared
+outputs at the benchmark's sizes, and on a support of mixed orders, keep
+the bits recorded before its sorts became value sorts of packed keys and
+before its disjoint pairs were masked by ``np.maximum``.  Bits are compared
 under ``view(np.int64)`` so that the sign of a zero counts too.  CI runs
 this file again with numpy's AVX-512 dispatch off.
 
@@ -422,14 +423,24 @@ def test_skewed_plan_outputs_keep_their_bits(m, n, fourth):
     assert fourth_moment_factorized(drawn_support(m, n, 40, 31), RademacherModel(probs)).hex() == fourth
 
 
-def test_mixed_skewed_plan_keeps_its_bits():
+def mixed_support() -> tuple[dict, tuple]:
+    """15 subsets of each order 1..3 on 20 coordinates, and skewed p's."""
     rng = np.random.default_rng(33)
     coeffs = {}
     for m in (1, 2, 3):
         pool = list(combinations(range(20), m))
         coeffs.update((pool[i], float(rng.standard_normal())) for i in np.sort(rng.choice(len(pool), 15, replace=False)).tolist())
-    probs = tuple(rng.uniform(0.2, 0.8, 20).tolist())
+    return coeffs, tuple(rng.uniform(0.2, 0.8, 20).tolist())
+
+
+def test_mixed_skewed_plan_keeps_its_bits():
+    coeffs, probs = mixed_support()
     assert fourth_moment_factorized(coeffs, RademacherModel(probs)).hex() == "0x1.1c87a27f620f5p+12"
+
+
+def test_mixed_fair_plan_keeps_its_bits():
+    # recorded while the disjoint pairs of mixed orders were masked by ``np.where``
+    assert fourth_moment_symmetric(mixed_support()[0]).hex() == "0x1.f5ec58193c868p+11"
 
 
 def test_counterexample_keeps_its_bits():
