@@ -40,7 +40,7 @@ from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .distance import integral_law, normal_distances
 from .errors import DomainError
-from .malliavin import gamma0, minus_pseudo_inverse
+from .malliavin import _centered, _operator_table, gamma0, minus_pseudo_inverse
 from .model import RademacherModel
 from .moments import _book_flips, _sup_above_levels
 
@@ -226,18 +226,20 @@ def abstract_bounds(
     """Term-by-term evaluation of the abstract distance bounds.
 
     Works for any centered chaos vector; returns each named term and the
-    assembled bound lines as plain floats.  For a pure normalized integral
-    of order m the single-order lines are included as well.  There
-    -L^-1 F = F/m, so Gamma(F, -L^-1 F) = Gamma(F, F)/m and the indicator
-    sup of (F, -L^-1 F) is that of (F, F) over m: those lines reuse the
-    general terms rather than computing them again.  One ``_coordinate_sweep``
-    gives the gradient terms and the flow that the indicator sup ranks.
+    assembled bound lines as plain floats.  For a pure integral of order m,
+    -L^-1 F = F/m: its table is F's times 1/m, and when F is normalized the
+    single-order lines, which read Gamma(F, F)/m and the indicator sup of
+    (F, F) over m off the general terms, are included as well.  One
+    ``_coordinate_sweep`` gives the gradient terms and the flow that the
+    indicator sup ranks.
     """
-    minus_linv = minus_pseudo_inverse(F)  # raises DomainError on a non-centered F, before any table
+    m = F.pure_order()
+    if not m:  # a pure integral of order >= 1 is centered
+        _centered(F)  # raises DomainError before any table
     w = model.weights(caps)
     table = to_table(F, model, caps)
     var_f, fourth = even_moments(table, model, caps)  # refuses an overflow before any square
-    linv_table = to_table(minus_linv, model, caps)
+    linv_table = _operator_table(F, table, minus_pseudo_inverse, lambda r: 1.0 / r, model, caps)
 
     g0 = gamma0(table, linv_table, model)
     term_gamma_abs = float(np.dot(w, np.abs(1.0 - g0.values)))
@@ -278,7 +280,6 @@ def abstract_bounds(
         "kolmogorov_line2": kb2,
     }
 
-    m = F.pure_order()
     if m and abs(var_f - 1.0) <= _NORMALIZATION_TOL:
         out["wasserstein_single_order"] = s2pi * math.sqrt(term_gamma_var) + math.sqrt(quart / m)
         out["kolmogorov_single_order"] = (

@@ -2,12 +2,12 @@
 
 Pathwise operators act on ``ValueTable`` entries through one-coordinate
 flips, taken on the two halves that ``split_coordinate`` views; spectral
-operators act on ``ChaosVector`` kernels by scaling each order.  The
+operators act on ``ChaosVector`` kernels by scaling each order, and on the
+table of a pure integral, their eigenfunction, by one multiply.  The
 squared field ``gamma`` works on the dense Walsh coefficient array: it
-synthesizes tables, multiplies them, analyzes the product and applies the
-generator as a scaling by ``-|S|``.  At a finite horizon every functional
-has a finite decomposition, so no domain conditions beyond horizon checks
-are needed.
+multiplies tables, analyzes the product and applies the generator as a
+scaling by ``-|S|``.  At a finite horizon every functional has a finite
+decomposition, so no domain conditions beyond horizon checks are needed.
 """
 
 from __future__ import annotations
@@ -115,20 +115,30 @@ def pseudo_inverse(F: ChaosVector) -> ChaosVector:
     The order-0 part must vanish; a residue below rounding scale
     (1e-9 relative to the fluctuation size) is dropped silently.
     """
-    return _scale_orders_inverse(F, -1.0)
+    return _centered(F).map_kernels(lambda r, k: k.scale(-1.0 / r) if r else k.scale(0.0))
 
 
 def minus_pseudo_inverse(F: ChaosVector) -> ChaosVector:
     # one pass; rounding is symmetric in sign, so these are the bits of pseudo_inverse(F) * -1
-    return _scale_orders_inverse(F, 1.0)
+    return _centered(F).map_kernels(lambda r, k: k.scale(1.0 / r) if r else k.scale(0.0))
 
 
-def _scale_orders_inverse(F: ChaosVector, sign: float) -> ChaosVector:
+def _centered(F: ChaosVector) -> ChaosVector:
     mean = F.kernel(0).value(())
     scale = 1.0 + float(np.sqrt(max(F.variance(), 0.0)))
     if abs(mean) > 1e-9 * scale:
         raise DomainError(f"pseudo-inverse needs a centered input; mean is {mean}")
-    return F.map_kernels(lambda r, k: k.scale(sign / r) if r else k.scale(0.0))
+    return F
+
+
+def _operator_table(F: ChaosVector, table: ValueTable, op, scale, model, caps) -> ValueTable:
+    """``to_table(op(F))`` for a spectral ``op`` that scales order r by
+    ``scale(r)``; for a pure order m >= 1, which is centered, F's ``table``
+    times scale(m)."""
+    if m := F.pure_order():
+        with np.errstate(over="ignore"):  # past the float range ``_owning`` raises DomainError
+            return table * scale(m)
+    return to_table(op(F), model, caps)
 
 
 def gamma0(
@@ -165,16 +175,14 @@ def gamma(
     """Carre du champ (1/2)(L(FG) - F LG - G LF), evaluated exactly.
 
     The product table is analyzed once; on its Walsh coefficient array
-    the generator scales E[FG Y_S] by -|S| before one synthesis.  For
-    G = F the tables of F and LF are synthesized once.
+    the generator scales E[FG Y_S] by -|S| before one synthesis.  LF is
+    -m times F's table for a pure order m; G = F reuses F's tables.
     """
-    f_t = to_table(F, model, caps)
-    lf = to_table(ou_generator_spectral(F), model, caps)
-    if G is F:
-        g_t, lg = f_t, lf
-    else:
-        g_t = to_table(G, model, caps)
-        lg = to_table(ou_generator_spectral(G), model, caps)
+    def tables(H: ChaosVector) -> tuple[ValueTable, ValueTable]:
+        t = to_table(H, model, caps)
+        return t, _operator_table(H, t, ou_generator_spectral, lambda r: -float(r), model, caps)
+    f_t, lf = tables(F)
+    g_t, lg = (f_t, lf) if G is F else tables(G)
     return _gamma_tables(f_t, lf, g_t, lg, model)
 
 

@@ -56,7 +56,7 @@ from .config import Caps, DEFAULT_CAPS
 from .distance import _levels
 from .errors import DomainError
 from .kernels import SupportPlan, support_plan
-from .malliavin import _gamma_tables, d_half, gamma, ou_generator_spectral
+from .malliavin import _gamma_tables, _operator_table, d_half, gamma, ou_generator_spectral
 from .model import RademacherModel
 
 Subset = tuple[int, ...]
@@ -187,11 +187,11 @@ def quartic_gradient_identity(
     """Both sides of the exact identity
     (1/2m) sum_k E|D_kF|^4/(p_k q_k) = (3/m) E[F^2 Gamma(F,F)] - E[F^4].
 
-    The tables of F and LF are synthesized once and serve both sides."""
+    F's table is synthesized once and serves both sides; LF is -m times it."""
     m = _pure_integral(F)
     table = to_table(F, model, caps)
     fourth = even_moments(table, model, caps)[1]  # refuses an overflow before any square
-    lf = to_table(ou_generator_spectral(F), model, caps)
+    lf = _operator_table(F, table, ou_generator_spectral, lambda r: -float(r), model, caps)
     g = _gamma_tables(table, lf, table, lf, model)
     del lf
     lhs = _quartic_gradient_sum(table, m, model, caps)

@@ -813,12 +813,22 @@ def loop_sup_flip_pairing(F: ValueTable, G: ValueTable, model: RademacherModel) 
     return max(float(above.max(initial=0.0)), 0.0)
 
 
+def minus_linv_table(F: ChaosVector, table: ValueTable, model: RademacherModel) -> ValueTable:
+    """The table of -L^-1 F as ``abstract_bounds`` forms it: for a pure
+    integral of order m, F's ``table`` times 1/m, with no synthesis."""
+    m = F.pure_order()
+    if m:
+        return ValueTable(F.horizon, table.values * (1.0 / m))
+    return to_table(loop_minus_pseudo_inverse(F), model)
+
+
 def loop_abstract_bounds(F: ChaosVector, model: RademacherModel) -> dict[str, float]:
-    """``abstract_bounds`` on ``loop_minus_pseudo_inverse``,
-    ``loop_gradient_sums`` and ``loop_sup_flip_pairing``."""
+    """``abstract_bounds`` on ``loop_gradient_sums`` and
+    ``loop_sup_flip_pairing``, with -L^-1 F formed the documented way: F's
+    table times 1/m for a pure order m, else ``loop_minus_pseudo_inverse``."""
     w = model.weights()
     table = to_table(F, model)
-    linv_table = to_table(loop_minus_pseudo_inverse(F), model)
+    linv_table = minus_linv_table(F, table, model)
     g0 = gamma0(table, linv_table, model)
     term_gamma_abs = float(np.dot(w, np.abs(1.0 - g0.values)))
     term_gamma_var = variance(g0, model)

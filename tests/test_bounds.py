@@ -52,7 +52,7 @@ from chaoslab.distance import (
     wasserstein_to_normal,
 )
 from chaoslab.moments import moment, quartic_gradient_sum
-from conftest import random_model
+from conftest import random_chaos, random_model
 
 # high-precision references (40-digit evaluation, rounded)
 C1_1 = 1.3989422804014326779
@@ -320,6 +320,16 @@ class TestAbstractBounds:
         model = random_model(rng, 4)
         with pytest.raises(DomainError):
             abstract_bounds(ChaosVector.constant(1.0, 4), model)
+
+    def test_rejects_a_non_centered_mixed_vector_before_any_table(self, rng, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("abstract_bounds built a table before its centering check")
+
+        model = random_model(rng, 4)
+        F = random_chaos(rng, 4, top=2, centered=False)
+        monkeypatch.setattr(bounds, "to_table", no_table)
+        with pytest.raises(DomainError, match="centered input"):
+            abstract_bounds(F, model)
 
     def test_constant_field_has_zero_deviation_variance(self):
         # Gamma0(F, -L^-1 F) = 1 at every outcome of this sum of coordinates;

@@ -433,7 +433,7 @@ class TestOwnedTables:
     @pytest.mark.parametrize("n", [16, 20])
     @pytest.mark.parametrize("call, tables", [(abstract_bounds, 8.0), (kolmogorov_term, 6.5)])
     def test_operator_terms_peak_at_a_constant_number_of_tables(self, call, tables, n):
-        # measured 7.77 and 6.00 tables of 2**16 floats, and 7.52 and 6.00 of
+        # measured 7.76 and 5.13 tables of 2**16 floats, and 7.52 and 5.13 of
         # 2**20: at n = 16 numpy's fixed ufunc buffers add about 0.25 of a table
         model = RademacherModel.homogeneous(0.3, n)
         F = ChaosVector.from_kernel(random_kernel(2, n, 7, normalized=True))

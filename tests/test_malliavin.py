@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
+    DEFAULT_CAPS,
     ChaosVector,
     DomainError,
     RademacherModel,
@@ -16,6 +19,7 @@ from chaoslab import (
     ValueTable,
 )
 from chaoslab.malliavin import (
+    _operator_table,
     d,
     d_minus,
     d_plus,
@@ -29,6 +33,7 @@ from chaoslab.malliavin import (
     skorohod,
 )
 from conftest import random_chaos, random_model
+from test_differential import FLOOR, instances, magnitude, tolerance
 
 
 class TestGradients:
@@ -309,3 +314,75 @@ def test_minus_pseudo_inverse_of_pure_integral(rng):
     got = minus_pseudo_inverse(F)
     for key in f.coeffs:
         assert got.kernel(2).value(key) == pytest.approx(0.5 * f.value(key))
+
+
+# (operator, its scale at order r); the scales are those the call sites pass
+OPERATORS = {
+    "L": (ou_generator_spectral, lambda r: -float(r)),
+    "-L^-1": (minus_pseudo_inverse, lambda r: 1.0 / r),
+}
+
+
+def operator_tables(F, model, name):
+    """(the helper's table, the synthesized table) of the operator ``name``
+    on F, each None where it raises ``DomainError``.  The synthesis may
+    warn on its way to the error; the helper must not."""
+    op, scale = OPERATORS[name]
+    table = to_table(F, model)
+    try:
+        got = _operator_table(F, table, op, scale, model, DEFAULT_CAPS)
+    except DomainError:
+        got = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = to_table(op(F), model)
+    except DomainError:
+        want = None
+    return got, want
+
+
+@given(
+    instances(),
+    st.integers(1, 4),
+    # -L^-1 never grows a value; its centering check sums squared
+    # coefficients, which leave the float range long before its table could
+    st.sampled_from([("L", None), ("L", "inside"), ("L", "past"), ("-L^-1", None)]),
+)
+@example((RademacherModel((FLOOR,)), np.random.default_rng(0)), 1, ("L", None))
+@example((RademacherModel((FLOOR,)), np.random.default_rng(0)), 1, ("-L^-1", None))
+@example((RademacherModel((FLOOR, 0.5, 1.0 - FLOOR, 0.3)), np.random.default_rng(1)), 4, ("L", "past"))
+@example((RademacherModel((FLOOR, 0.5, 1.0 - FLOOR)), np.random.default_rng(2)), 3, ("L", "past"))
+@example((RademacherModel((FLOOR, 0.5, 1.0 - FLOOR)), np.random.default_rng(2)), 3, ("-L^-1", None))
+@settings(max_examples=100, deadline=None)
+def test_pure_integral_operator_tables_match_the_synthesis(inst, m, case):
+    """LF and -L^-1 F of a pure order-m integral, read off F's table, against
+    the synthesis of the rescaled kernel, near the float range too.
+
+    A synthesis forms products B y up to twice its largest output, so F's
+    largest value is set to at most 0.4 of the float range.  "inside" puts
+    LF's at a quarter of it, where both must succeed; "past" at 0.4 m of it,
+    past the range for m >= 3, where both must refuse (m <= 2 cannot get
+    there with F's own synthesis in range, and stays inside).
+    """
+    model, rng = inst
+    name, reach = case
+    n = model.n
+    # past the horizon, orders 1..n mixed, which the helper synthesizes as before
+    F = ChaosVector.from_kernel(random_kernel(m, n, rng)) if m <= n else random_chaos(rng, n, top=n)
+    m = F.pure_order()  # None for mixed orders
+    if reach is not None and m:
+        share = 0.4 if reach == "past" and m >= 3 else 0.25 / m
+        F = F.scale(share / to_table(F, model).max_abs()).scale(np.finfo(float).max)
+    got, want = operator_tables(F, model, name)
+    assert (got is None) == (want is None)
+    if want is None:
+        assert reach == "past"
+        return
+    if m is None or m & (m - 1) == 0:
+        # a power-of-two scale is exact, and mixed orders take the synthesis
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    else:
+        # each table is within n + 1 roundings of the exact values, the
+        # multiply one more
+        tol = tolerance(2 * n + 3, magnitude(OPERATORS[name][0](F), model))
+        assert np.abs(got.values - want.values).max() <= tol

@@ -1,7 +1,9 @@
 """Bit-equality contracts: fast paths against the code they replaced.
 
 ``abstract_bounds`` takes its gradient terms and the indicator sup's flip
-flow from one sweep over the coordinates, ``sup_flip_pairing`` ranks a flow
+flow from one sweep over the coordinates (the oracle forms -L^-1 F as the
+docstring says: F's table times 1/m for a pure order m; the synthesized
+route is checked in ``test_malliavin``), ``sup_flip_pairing`` ranks a flow
 built through the same per-coordinate helper, ``minus_pseudo_inverse``
 scales each order once, ``Kernel.influence_vector`` adds in Python
 floats, and ``ou_generator_pathwise`` and ``gamma0`` form one difference
@@ -75,6 +77,7 @@ from conftest import (
     loop_pseudo_inverse,
     loop_sup_flip_pairing,
     matrix_sampled_means,
+    minus_linv_table,
     random_chaos,
     stack_join_coordinate,
 )
@@ -133,7 +136,8 @@ def test_abstract_bounds_keeps_the_bits_of_the_loops(inst):
     for key in want:
         assert_same_bits(got[key], want[key], key)
     # the sweep's flow is the flow of (F, -L^-1 F) built alone
-    table, linv = to_table(F, model), to_table(minus_pseudo_inverse(F), model)
+    table = to_table(F, model)
+    linv = minus_linv_table(F, table, model)
     flow = _coordinate_sweep(table, linv, model, model.weights())[-1]
     assert_same_bits(flow, loop_flip_flow(table, linv, model))
 

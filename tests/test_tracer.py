@@ -18,6 +18,7 @@ from chaoslab import (
     ChaosVector, RademacherModel, bounds, integral_table, kernels, malliavin, moments, random_kernel,
 )
 from chaoslab.construct import matched_pairs_kernel
+from conftest import random_chaos
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
@@ -114,10 +115,22 @@ def test_traced_single_order_lines_reuse_the_general_terms(spans, ranked):
     assert not tracer.errors
 
 
-def test_traced_squared_field_of_f_with_itself_synthesizes_twice(spans):
+def test_traced_squared_field_of_f_with_itself_synthesizes_once(spans):
+    # LF of a pure order-m integral is -m times F's table
     rng = np.random.default_rng(5)
     model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
     F = ChaosVector.from_kernel(random_kernel(2, 6, rng))
+    with spans.Tracer() as tracer:
+        malliavin.gamma(F, F, model)
+    assert tracer.summary()["chaos.to_table"]["calls"] == 1  # F alone
+    assert not tracer.errors
+
+
+def test_traced_squared_field_of_a_mixed_vector_still_synthesizes_lf(spans):
+    # orders 1 and 2 share no eigenvalue: LF needs its own synthesis
+    rng = np.random.default_rng(5)
+    model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
+    F = random_chaos(rng, 6, top=2)
     with spans.Tracer() as tracer:
         malliavin.gamma(F, F, model)
     assert tracer.summary()["chaos.to_table"]["calls"] == 2  # F and LF
@@ -137,14 +150,26 @@ def test_traced_tensor_terms_skip_the_multiset_enumeration(spans, call):
     assert not tracer.errors
 
 
-def test_traced_quartic_gradient_identity_synthesizes_f_and_lf_once(spans):
-    # the table of F serves both sides of the identity and the squared field
+def test_traced_quartic_gradient_identity_synthesizes_f_once(spans):
+    # the table of F serves both sides of the identity and the squared field,
+    # and LF is -m times it
     rng = np.random.default_rng(5)
     model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
     F = ChaosVector.from_kernel(random_kernel(2, 6, rng, normalized=True))
     with spans.Tracer() as tracer:
         moments.quartic_gradient_identity(F, model)
-    assert tracer.summary()["chaos.to_table"]["calls"] == 2  # F and LF
+    assert tracer.summary()["chaos.to_table"]["calls"] == 1  # F alone
+    assert not tracer.errors
+
+
+def test_traced_abstract_bounds_on_a_pure_integral_synthesizes_once(spans):
+    # -L^-1 F of a pure order-m integral is F's table times 1/m
+    rng = np.random.default_rng(5)
+    model = RademacherModel(tuple(rng.uniform(0.1, 0.9, 6)))
+    F = ChaosVector.from_kernel(random_kernel(3, 6, rng, normalized=True))
+    with spans.Tracer() as tracer:
+        bounds.abstract_bounds(F, model)
+    assert tracer.summary()["chaos.to_table"]["calls"] == 1  # F alone
     assert not tracer.errors
 
 
