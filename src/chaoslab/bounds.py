@@ -40,7 +40,7 @@ from .combinat import gamma_m
 from .config import Caps, DEFAULT_CAPS
 from .distance import integral_law, normal_distances
 from .errors import DomainError
-from .malliavin import _centered, _operator_table, gamma0, minus_pseudo_inverse
+from .malliavin import _centered, _operator_table, gamma0
 from .model import RademacherModel
 from .moments import _book_flips, _sup_above_levels
 
@@ -239,7 +239,7 @@ def abstract_bounds(
     w = model.weights(caps)
     table = to_table(F, model, caps)
     var_f, fourth = even_moments(table, model, caps)  # refuses an overflow before any square
-    linv_table = _operator_table(F, table, minus_pseudo_inverse, lambda r: 1.0 / r, model, caps)
+    linv_table = _operator_table(F, table, lambda r: 1.0 / r if r else 0.0, model, caps)
 
     g0 = gamma0(table, linv_table, model)
     term_gamma_abs = float(np.dot(w, np.abs(1.0 - g0.values)))

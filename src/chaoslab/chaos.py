@@ -300,7 +300,10 @@ def basis_coefficients(table: ValueTable, model: RademacherModel) -> np.ndarray:
     """
     if model.n != table.horizon:
         raise DomainError("model and table horizons differ")
-    return _butterfly(table.values.copy(), model, _analysis_step, _analysis_pass)
+    coeffs = _butterfly(table.values.copy(), model, _analysis_step, _analysis_pass)
+    if not np.isfinite(coeffs).all():
+        raise DomainError("the Walsh coefficients leave the float range")
+    return coeffs
 
 
 def basis_synthesis(coeffs: np.ndarray, model: RademacherModel) -> ValueTable:
@@ -354,10 +357,13 @@ def _synthesis_pass(minus, plus, lo, hi, model: RademacherModel, k: int) -> None
     hi += minus
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _butterfly(v: np.ndarray, model: RademacherModel, step, step_out) -> np.ndarray:
     """Run one butterfly step along each coordinate k = 0..n-1 in turn on
     ``v``, which it may overwrite, and return the array holding the result:
     ``v`` itself, or on the self-sorting path a buffer of the same size.
+    Values past the float range raise no numpy warning: both callers refuse
+    a result that is not finite with ``DomainError``.
 
     Below ``_ROTATE_FROM`` coordinates each coordinate is one self-sorting
     pass ``step_out(minus, plus, lo, hi, model, k)``: ``minus`` and

@@ -153,13 +153,11 @@ def cmd_moments(args, caps: Caps) -> int:
             report["factorized_refused"] = f"{exc.cap_name}={exc.cap_value}"
         else:
             engines["factorized"] = plan.fourth_moment(values)
-            if want == "both" and symmetric:
-                # fair coins have skew exactly 0, and a zero-skew plan gives the fair-coin plan's bits
-                engines["symmetric_fast"] = engines["factorized"]
-    if want == "symmetric-fast" or (symmetric and "factorized_refused" in report):  # fair coins past the cap too
+    if want == "symmetric-fast" or (want == "both" and symmetric):
         if not symmetric:
             raise DomainError("symmetric-fast engine needs the fair-coin model")
-        plan, values = support_plan(kern.to_subset_coeffs())
+        if plan is None:  # a factorized plan held here has skew exactly 0: the fair-coin plan's bits
+            plan, values = support_plan(kern.to_subset_coeffs())
         engines["symmetric_fast"] = plan.fourth_moment(values)
     report.update({f"fourth_moment_{k}": v for k, v in engines.items()})
     if plan is not None:

@@ -686,14 +686,11 @@ class SupportPlan:
         entries = np.full((key_height + side, self.pairs + 1 + expansion.shape[1]), top, xor.dtype)
         entries[: 2 * side, : self.pairs], entries[key_height:, : self.pairs] = xor, low
         entries[:key_height, self.pairs + 1 :] = expansion  # after the diagonal's empty key
-        if entries.shape[1] == 1:  # the diagonal's empty key alone: no split, one g1 group
-            self.split, split_rep, self.g1, g1_rep = (np.zeros(n, np.int32) for n in (0, 0, 1, 1))
-        else:
-            order, new, new_g1 = _sorted_runs(entries, top, key_height)
-            split_new = new & (order < self.pairs)  # low sides are nonempty: no other entry ends a split's run
-            self.split, split_rep = _run_ids(order, split_new)[: self.pairs], order[split_new]
-            g1, g1_rep = _run_ids(order, new_g1), order[new_g1]
-            self.g1 = np.concatenate([g1[self.pairs : self.pairs + 1], g1[split_rep], g1[self.pairs + 1 :]])
+        order, new, new_g1 = _sorted_runs(entries, top, key_height)
+        split_new = new & (order < self.pairs)  # low sides are nonempty: no other entry ends a split's run
+        self.split, split_rep = _run_ids(order, split_new)[: self.pairs], order[split_new]
+        g1, g1_rep = _run_ids(order, new_g1), order[new_g1]
+        self.g1 = np.concatenate([g1[self.pairs : self.pairs + 1], g1[split_rep], g1[self.pairs + 1 :]])
         self.split_count, self.g1_count = len(split_rep), len(g1_rep)
 
         present = set(orders.tolist())

@@ -1,9 +1,9 @@
 """Discrete Malliavin operators on exact tables and chaos vectors.
 
 Pathwise operators act on ``ValueTable`` entries through one-coordinate
-flips, taken on the two halves that ``split_coordinate`` views; spectral
-operators act on ``ChaosVector`` kernels by scaling each order, and on the
-table of a pure integral, their eigenfunction, by one multiply.  The
+flips, taken on the two halves that ``split_coordinate`` views; a spectral
+operator is its order scale c(r) alone, which multiplies order-r kernels,
+and the table of a pure order-m integral (its eigenfunction), by c(m).  The
 squared field ``gamma`` works on the dense Walsh coefficient array: it
 multiplies tables, analyzes the product and applies the generator as a
 scaling by ``-|S|``.  At a finite horizon every functional has a finite
@@ -11,6 +11,8 @@ decomposition, so no domain conditions beyond horizon checks are needed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -118,27 +120,23 @@ def pseudo_inverse(F: ChaosVector) -> ChaosVector:
     return _centered(F).map_kernels(lambda r, k: k.scale(-1.0 / r) if r else k.scale(0.0))
 
 
-def minus_pseudo_inverse(F: ChaosVector) -> ChaosVector:
-    # one pass; rounding is symmetric in sign, so these are the bits of pseudo_inverse(F) * -1
-    return _centered(F).map_kernels(lambda r, k: k.scale(1.0 / r) if r else k.scale(0.0))
-
-
 def _centered(F: ChaosVector) -> ChaosVector:
     mean = F.kernel(0).value(())
-    scale = 1.0 + float(np.sqrt(max(F.variance(), 0.0)))
-    if abs(mean) > 1e-9 * scale:
+    # the standard deviation as a hypot of the r! f_r(J), whose squares may leave the float range
+    sd = math.hypot(*(math.factorial(r) * v for r, k in enumerate(F.kernels) if r for v in k.coeffs.values()))
+    if abs(mean) > 1e-9 * (1.0 + sd):
         raise DomainError(f"pseudo-inverse needs a centered input; mean is {mean}")
     return F
 
 
-def _operator_table(F: ChaosVector, table: ValueTable, op, scale, model, caps) -> ValueTable:
-    """``to_table(op(F))`` for a spectral ``op`` that scales order r by
-    ``scale(r)``; for a pure order m >= 1, which is centered, F's ``table``
-    times scale(m)."""
+def _operator_table(F: ChaosVector, table: ValueTable, scale, model, caps) -> ValueTable:
+    """The table of the spectral operator that scales order r by
+    ``scale(r)``, applied to F: for a pure order m >= 1 F's ``table`` times
+    scale(m), else the synthesis of the rescaled kernels."""
     if m := F.pure_order():
         with np.errstate(over="ignore"):  # past the float range ``_owning`` raises DomainError
             return table * scale(m)
-    return to_table(op(F), model, caps)
+    return to_table(F.map_kernels(lambda r, k: k.scale(scale(r))), model, caps)
 
 
 def gamma0(
@@ -158,8 +156,7 @@ def gamma0(
     for k in range(model.n):
         f_minus, f_plus = split_coordinate(F.values, k)
         g_minus, g_plus = split_coordinate(G.values, k)
-        df = f_plus - f_minus
-        prod = df * (df if G is F else g_plus - g_minus)
+        prod = (f_plus - f_minus) * (g_plus - g_minus)
         acc_minus, acc_plus = split_coordinate(acc, k)
         acc_minus += 0.5 * (model.p[k] * prod)
         acc_plus += 0.5 * (model.q[k] * prod)
@@ -180,7 +177,7 @@ def gamma(
     """
     def tables(H: ChaosVector) -> tuple[ValueTable, ValueTable]:
         t = to_table(H, model, caps)
-        return t, _operator_table(H, t, ou_generator_spectral, lambda r: -float(r), model, caps)
+        return t, _operator_table(H, t, lambda r: -float(r), model, caps)
     f_t, lf = tables(F)
     g_t, lg = (f_t, lf) if G is F else tables(G)
     return _gamma_tables(f_t, lf, g_t, lg, model)

@@ -56,7 +56,7 @@ from .config import Caps, DEFAULT_CAPS
 from .distance import _levels
 from .errors import DomainError
 from .kernels import SupportPlan, support_plan
-from .malliavin import _gamma_tables, _operator_table, d_half, gamma, ou_generator_spectral
+from .malliavin import _gamma_tables, _operator_table, d_half, gamma
 from .model import RademacherModel
 
 Subset = tuple[int, ...]
@@ -191,7 +191,7 @@ def quartic_gradient_identity(
     m = _pure_integral(F)
     table = to_table(F, model, caps)
     fourth = even_moments(table, model, caps)[1]  # refuses an overflow before any square
-    lf = _operator_table(F, table, ou_generator_spectral, lambda r: -float(r), model, caps)
+    lf = _operator_table(F, table, lambda r: -float(r), model, caps)
     g = _gamma_tables(table, lf, table, lf, model)
     del lf
     lhs = _quartic_gradient_sum(table, m, model, caps)

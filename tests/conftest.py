@@ -67,7 +67,7 @@ from chaoslab.distance import (
     normal_cdf,
 )
 from chaoslab.errors import DomainError
-from chaoslab.malliavin import d, d_half, gamma0, minus_pseudo_inverse
+from chaoslab.malliavin import d, d_half, gamma0, pseudo_inverse
 from chaoslab.moments import fourth_moment_symmetric, moment
 
 
@@ -640,7 +640,7 @@ def oracle_abstract_bounds(F: ChaosVector, model: RademacherModel) -> dict[str, 
     n = model.n
     w = model.weights()
     table = to_table(F, model)
-    linv_table = to_table(minus_pseudo_inverse(F), model)
+    linv_table = to_table(pseudo_inverse(F).scale(-1.0), model)
     g0 = gamma0(table, linv_table, model)
     term_gamma_abs = float(np.dot(w, np.abs(1.0 - g0.values)))
     term_gamma_var = variance(g0, model)

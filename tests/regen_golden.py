@@ -46,10 +46,12 @@ _SHAPES = [
 _INPUT_SEED = 20261019
 # inputs whose fourth moment leaves the float range, every support value
 # equal: (label, m, n, value, probs).  Each order-1 piece of the first is
-# finite and their fold is not; the one table of the second overflows.
+# finite and their fold is not; the one table of the second overflows; the
+# Walsh synthesis of the third leaves the float range on its way to the table.
 _OVERFLOWS = [
     ("overflow_m1_n3", 1, 3, 1e77, (0.5, 0.5, 0.5)),
     ("overflow_m2_n3", 2, 3, 1e154, (0.5, 0.3, 1e-6)),
+    ("overflow_table_m2_n5", 2, 5, 1e302, (0.5, 0.5, 1 - 1e-6, 1 - 1e-6, 1e-6)),
 ]
 
 

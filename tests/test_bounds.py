@@ -331,6 +331,20 @@ class TestAbstractBounds:
         with pytest.raises(DomainError, match="centered input"):
             abstract_bounds(F, model)
 
+    def test_checks_a_centered_mixed_vector_once(self, rng, monkeypatch):
+        from chaoslab import malliavin
+
+        calls = []
+
+        def counted(F):
+            calls.append(F)
+            return F
+
+        for module in (malliavin, bounds):
+            monkeypatch.setattr(module, "_centered", counted)
+        abstract_bounds(random_chaos(rng, 4, top=2), random_model(rng, 4))
+        assert len(calls) == 1
+
     def test_constant_field_has_zero_deviation_variance(self):
         # Gamma0(F, -L^-1 F) = 1 at every outcome of this sum of coordinates;
         # the uncentered variance came out near -1e-17 and sqrt raised

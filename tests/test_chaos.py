@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -361,6 +362,17 @@ class TestOwnedTables:
             T * math.nan
         with pytest.raises(DomainError):
             basis_synthesis(np.full(8, 1e308), RademacherModel.homogeneous(1e-6, 3))
+
+    def test_walsh_transforms_refuse_the_float_range_without_a_warning(self):
+        # pytest turns a RuntimeWarning into an error: each refusal must be a DomainError alone
+        model = RademacherModel((0.5, 0.5, 1 - 1e-6, 1 - 1e-6, 1e-6))
+        kern = Kernel(2, 5, {pair: 1e302 for pair in itertools.combinations(range(5), 2)})
+        with pytest.raises(DomainError, match="non-finite"):
+            integral_table(kern, model)
+        # the true coefficients are finite, but the butterfly's sums are not
+        big = 0.9 * np.finfo(float).max
+        with pytest.raises(DomainError, match="float range"):
+            basis_coefficients(ValueTable(2, np.array([big, -big, 0.1, 0.2])), RademacherModel((0.5, 0.5)))
 
     def test_integral_table_peaks_below_two_tables(self):
         n = 16

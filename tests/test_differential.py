@@ -84,9 +84,9 @@ from chaoslab.malliavin import (
     gamma,
     gamma0,
     gradient_process,
-    minus_pseudo_inverse,
     ou_generator_pathwise,
     ou_generator_spectral,
+    pseudo_inverse,
     skorohod,
 )
 from chaoslab.moments import (
@@ -200,7 +200,7 @@ def test_derived_kernels_match_public_constructor(inst, m, c, cut):
         F + F,
         ou_semigroup(F, abs(c)),
         ou_generator_spectral(F),
-        minus_pseudo_inverse(centered),
+        pseudo_inverse(centered).scale(-1.0),
         stroock_decompose(to_table(F, model), model),
         skorohod(gradient_process(F), model),
         *gradient_process(F),
@@ -1110,7 +1110,7 @@ def pairing_tolerance(table: ValueTable, per_coordinate, model: RademacherModel)
 def test_indicator_sup_matches_threshold_sort(inst, self_pairing):
     model, F = inst
     t = to_table(F, model)
-    other = t if self_pairing else to_table(minus_pseudo_inverse(F), model)
+    other = t if self_pairing else to_table(pseudo_inverse(F).scale(-1.0), model)
     per_k = flip_tables(t, other, model)
     want = oracle_sup_flip_pairing(t, per_k, model)
     got = sup_flip_pairing(t, other, model)
@@ -1130,7 +1130,7 @@ def test_streamed_gradient_terms_match_full_tables(inst):
     got, want = abstract_bounds(F, model), oracle_abstract_bounds(F, model)
     assert got.keys() == want.keys()
     t = to_table(F, model)
-    linv = to_table(minus_pseudo_inverse(F), model)
+    linv = to_table(pseudo_inverse(F).scale(-1.0), model)
     indicator = pairing_tolerance(t, flip_tables(t, linv, model), model)
     indicator += pairing_tolerance(t, flip_tables(t, t, model), model) / F.top_order
     for key, value in want.items():

@@ -26,7 +26,6 @@ from chaoslab.malliavin import (
     gamma,
     gamma0,
     gradient_process,
-    minus_pseudo_inverse,
     ou_generator_pathwise,
     ou_generator_spectral,
     pseudo_inverse,
@@ -137,9 +136,16 @@ class TestPseudoInverse:
 
     def test_rejects_non_centered(self, rng):
         F = ChaosVector.constant(1.0, 4)
-        for inverse in (pseudo_inverse, minus_pseudo_inverse):
-            with pytest.raises(DomainError, match="needs a centered input; mean is 1.0"):
-                inverse(F)
+        with pytest.raises(DomainError, match="needs a centered input; mean is 1.0"):
+            pseudo_inverse(F)
+
+    def test_large_coefficients_keep_their_centering_check(self):
+        # the squared norm of these coefficients leaves the float range; their table peaks at 3.2e160
+        F = ChaosVector.from_kernel(random_kernel(2, 5, 0, normalized=True).scale(1e160))
+        out = pseudo_inverse(F)
+        assert out.kernel(2).coeffs == {key: -0.5 * v for key, v in F.kernel(2).coeffs.items()}
+        with pytest.raises(DomainError, match="needs a centered input"):
+            pseudo_inverse(F + ChaosVector.constant(1e155, 5))
 
     def test_sub_rounding_mean_is_dropped(self, rng):
         from chaoslab import Kernel, random_kernel as rk
@@ -311,31 +317,34 @@ class TestProductRules:
 def test_minus_pseudo_inverse_of_pure_integral(rng):
     f = random_kernel(2, 5, rng)
     F = ChaosVector.from_kernel(f)
-    got = minus_pseudo_inverse(F)
+    got = pseudo_inverse(F).scale(-1.0)
     for key in f.coeffs:
         assert got.kernel(2).value(key) == pytest.approx(0.5 * f.value(key))
 
 
-# (operator, its scale at order r); the scales are those the call sites pass
+# each operator's scale at order r, as the call sites pass it
 OPERATORS = {
-    "L": (ou_generator_spectral, lambda r: -float(r)),
-    "-L^-1": (minus_pseudo_inverse, lambda r: 1.0 / r),
+    "L": lambda r: -float(r),
+    "-L^-1": lambda r: 1.0 / r if r else 0.0,
 }
+
+
+def rescaled(F, name):
+    """F with its order-r kernel scaled by the operator's scale at r."""
+    return F.map_kernels(lambda r, k: k.scale(OPERATORS[name](r)))
 
 
 def operator_tables(F, model, name):
     """(the helper's table, the synthesized table) of the operator ``name``
-    on F, each None where it raises ``DomainError``.  The synthesis may
-    warn on its way to the error; the helper must not."""
-    op, scale = OPERATORS[name]
+    on F, each None where it raises ``DomainError``; neither may warn on
+    its way to the error."""
     table = to_table(F, model)
     try:
-        got = _operator_table(F, table, op, scale, model, DEFAULT_CAPS)
+        got = _operator_table(F, table, OPERATORS[name], model, DEFAULT_CAPS)
     except DomainError:
         got = None
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = to_table(op(F), model)
+        want = to_table(rescaled(F, name), model)
     except DomainError:
         want = None
     return got, want
@@ -344,9 +353,7 @@ def operator_tables(F, model, name):
 @given(
     instances(),
     st.integers(1, 4),
-    # -L^-1 never grows a value; its centering check sums squared
-    # coefficients, which leave the float range long before its table could
-    st.sampled_from([("L", None), ("L", "inside"), ("L", "past"), ("-L^-1", None)]),
+    st.sampled_from([("L", None), ("L", "inside"), ("L", "past"), ("-L^-1", None), ("-L^-1", "inside")]),
 )
 @example((RademacherModel((FLOOR,)), np.random.default_rng(0)), 1, ("L", None))
 @example((RademacherModel((FLOOR,)), np.random.default_rng(0)), 1, ("-L^-1", None))
@@ -384,5 +391,5 @@ def test_pure_integral_operator_tables_match_the_synthesis(inst, m, case):
     else:
         # each table is within n + 1 roundings of the exact values, the
         # multiply one more
-        tol = tolerance(2 * n + 3, magnitude(OPERATORS[name][0](F), model))
+        tol = tolerance(2 * n + 3, magnitude(rescaled(F, name), model))
         assert np.abs(got.values - want.values).max() <= tol

@@ -4,10 +4,11 @@
 flow from one sweep over the coordinates (the oracle forms -L^-1 F as the
 docstring says: F's table times 1/m for a pure order m; the synthesized
 route is checked in ``test_malliavin``), ``sup_flip_pairing`` ranks a flow
-built through the same per-coordinate helper, ``minus_pseudo_inverse``
-scales each order once, ``Kernel.influence_vector`` adds in Python
-floats, and ``ou_generator_pathwise`` and ``gamma0`` form one difference
-per coordinate.  Each keeps the rounding of the code it replaced, so
+built through the same per-coordinate helper, ``_operator_table``
+synthesizes -L^-1 F of a mixed F from each order scaled once,
+``Kernel.influence_vector`` adds in Python floats, and
+``ou_generator_pathwise`` and ``gamma0`` form one difference per
+coordinate.  Each keeps the rounding of the code it replaced, so
 every output must equal the ``loop_*`` oracles of ``conftest`` bit for
 bit.  A support plan for a zero skew, which ``chaoslab moments`` builds
 for fair coins, must give the fair-coin plan's bits.  The identity suite's
@@ -38,6 +39,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
+    DEFAULT_CAPS,
     ChaosVector,
     DomainError,
     Kernel,
@@ -52,7 +54,7 @@ from chaoslab.chaos import _ROTATE_FROM, integral_table, join_coordinate
 from chaoslab.construct import symmetric_counterexample
 from chaoslab.distance import _MERGE_TOL, exact_distribution, from_weighted_values
 from chaoslab.kernels import off_diagonal_defect, support_plan, tensor_square_residual
-from chaoslab.malliavin import gamma0, minus_pseudo_inverse, ou_generator_pathwise, pseudo_inverse
+from chaoslab.malliavin import _operator_table, gamma0, ou_generator_pathwise, pseudo_inverse
 from chaoslab.model import outcome_index, split_coordinate
 from chaoslab.moments import (
     _flip_flow,
@@ -71,7 +73,6 @@ from conftest import (
     loop_from_weighted_values,
     loop_gamma0,
     loop_influence_vector,
-    loop_minus_pseudo_inverse,
     loop_ou_generator_pathwise,
     loop_outcome_index,
     loop_pseudo_inverse,
@@ -152,7 +153,7 @@ def test_sup_flip_pairing_keeps_the_bits_of_the_loops(inst, pairing):
     if pairing == "self":
         G = table  # G is F: one gradient per coordinate
     elif pairing == "linv":
-        G = to_table(minus_pseudo_inverse(F), model)
+        G = to_table(pseudo_inverse(F).scale(-1.0), model)
     else:
         other = random_chaos(np.random.default_rng(model.n), model.n, top=min(2, model.n))
         G = to_table(other, model)
@@ -173,10 +174,14 @@ def assert_same_vector(got: ChaosVector, want: ChaosVector):
 @given(centered_vectors(n_max=10), st.floats(-1e-10, 1e-10))
 @settings(max_examples=60, deadline=None)
 def test_minus_pseudo_inverse_keeps_the_bits_of_two_passes(inst, residue):
-    _, F = inst
+    model, F = inst
     # a mean below rounding scale is dropped by both
     F = ChaosVector(F.horizon, (Kernel(0, F.horizon, {(): residue}),) + F.kernels[1:])
-    assert_same_vector(minus_pseudo_inverse(F), loop_minus_pseudo_inverse(F))
+    table = to_table(F, model)
+    # the scale abstract_bounds passes; the oracle synthesizes loop_minus_pseudo_inverse(F)
+    # unless F is pure, where it takes F's table times 1/m
+    got = _operator_table(F, table, lambda r: 1.0 / r if r else 0.0, model, DEFAULT_CAPS)
+    assert_same_bits(got.values, minus_linv_table(F, table, model).values)
     assert_same_vector(pseudo_inverse(F), loop_pseudo_inverse(F))
 
 
